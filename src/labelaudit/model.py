@@ -6,6 +6,13 @@ independent sigmoid output per class. Bag-of-words counts are log(1+x)
 transformed and standardized with statistics computed on the training folds
 only. This closes the benchmark loop; it is not meant to be a competitive
 multi-label classifier.
+
+Each epoch of :func:`train` takes one ``exp`` pass: from ``e = exp(-|z|)``
+come both the loss, ``max(z, 0) + log1p(e) - y*z``, and the sigmoid,
+``1/(1+e)`` where ``z >= 0`` and ``e/(1+e)`` elsewhere. The epoch writes
+into ``(n, K)`` buffers allocated once per fit, and the folds of
+:func:`cross_val_pred_probs` are fitted one after another, so peak memory is
+that of one fold.
 """
 
 from __future__ import annotations
@@ -74,13 +81,30 @@ class LogRegModel:
         return self.weights.shape[1]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _exp_neg_abs(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-|z|): at most 1, so it never overflows.
+
+    -|z| is taken as min(z, -z), which keeps the sign bit of a NaN.
+    """
+    out = np.negative(z, out=out)
+    np.minimum(z, out, out=out)
+    return np.exp(out, out=out)
+
+
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable logistic: 1/(1+e) where z >= 0 and e/(1+e) elsewhere, e = exp(-|z|).
+
+    Branch-free: the numerator max(e, [z >= 0]) is 1 where z >= 0 (e <= 1
+    there) and e elsewhere, and NaN stays NaN. A given ``e`` must hold
+    exp(-|z|) and is overwritten with 1 + e; ``out`` may be any float
+    buffer shaped like ``z`` other than ``z`` and ``e``.
+    """
+    if e is None:
+        e = _exp_neg_abs(z)
+    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def binary_loss_and_grad(
@@ -92,10 +116,11 @@ def binary_loss_and_grad(
     analytic gradient can be checked against finite differences.
     """
     z = X @ weights + bias
+    e = _exp_neg_abs(z)
     # mean of softplus(z) - y*z equals the mean binary cross-entropy.
-    bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    bce = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
     loss = bce + 0.5 * l2 * float(weights @ weights)
-    residual = _sigmoid(z) - y
+    residual = _sigmoid(z, e) - y
     grad_w = X.T @ residual / X.shape[0] + l2 * weights
     grad_b = float(residual.mean())
     return loss, grad_w, grad_b
@@ -142,26 +167,34 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
 
     col_min = labels.min(axis=0)
     active = col_min != labels.max(axis=0)
-    Y = labels[:, active]
+    Y = np.ascontiguousarray(labels[:, active])  # the boolean column pick is F-ordered
 
-    W = np.zeros((int(active.sum()), d))
-    b = np.zeros(int(active.sum()))
+    W = np.zeros((Y.shape[1], d))
+    b = np.zeros(Y.shape[1])
+    Z, E, P, L = (np.empty(Y.shape) for _ in range(4))
     losses = []
     # overflow here is the divergence signal, reported as an error below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
-            Z = X @ W.T + b
-            P = _sigmoid(Z)
-            bce = np.mean(np.logaddexp(0.0, Z) - Y * Z, axis=0)
-            loss = float(bce.sum() + 0.5 * config.l2 * (W * W).sum())
+            np.matmul(X, W.T, out=Z)
+            Z += b
+            _exp_neg_abs(Z, out=E)
+            np.log1p(E, out=L)
+            _sigmoid(Z, E, out=P)  # consumes E
+            # L = softplus(Z) - Y*Z = max(Z, 0) + log1p(exp(-|Z|)) - Y*Z
+            L += np.maximum(Z, 0.0, out=E)
+            L -= np.multiply(Y, Z, out=E)
+            loss = float(L.sum() / n + 0.5 * config.l2 * (W * W).sum())
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             losses.append(loss)
             if epoch == config.epochs:
                 break
-            residual = P - Y
+            residual = np.subtract(P, Y, out=P)
             W -= config.learning_rate * (residual.T @ X / n + config.l2 * W)
-            b -= config.learning_rate * residual.mean(axis=0)
+            # einsum sums the rows in order, as residual.mean(axis=0) does,
+            # so the bias bits match it at a third of the cost
+            b -= config.learning_rate * (np.einsum("ij->j", residual) / n)
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)

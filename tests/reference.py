@@ -2,9 +2,16 @@
 
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
+
+The trainer oracle at the end is the exception: it is numpy, a literal copy
+of the original epoch loop (masked two-sided sigmoid, ``np.logaddexp`` loss,
+fresh temporaries every epoch). Only the same floating-point operations can
+show that a faster trainer gives bit-identical weights and probabilities.
 """
 
 import math
+
+import numpy as np
 
 
 # --- per-class score and poolers (one row at a time) -----------------------
@@ -196,3 +203,71 @@ def flag_class(given, probs):
             star = 1 if side_pos else 0
         flags.append(star != b)
     return flags
+
+
+# --- trainer: the original masked-sigmoid epoch loop -------------------------
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def train(features, labels, learning_rate=0.1, l2=1e-4, epochs=500):
+    """Return (weights, biases, loss_history, feature_mean, feature_scale)
+    as the original trainer computed them."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n, d = features.shape
+    k = labels.shape[1]
+    logged = np.log1p(features)
+    mean = logged.mean(axis=0)
+    scale = logged.std(axis=0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    X = (np.log1p(features) - mean) / scale
+
+    active = labels.min(axis=0) != labels.max(axis=0)
+    Y = labels[:, active]
+    W = np.zeros((int(active.sum()), d))
+    b = np.zeros(int(active.sum()))
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            Z = X @ W.T + b
+            P = masked_sigmoid(Z)
+            bce = np.mean(np.logaddexp(0.0, Z) - Y * Z, axis=0)
+            losses.append(float(bce.sum() + 0.5 * l2 * (W * W).sum()))
+            if epoch == epochs:
+                break
+            residual = P - Y
+            W -= learning_rate * (residual.T @ X / n + l2 * W)
+            b -= learning_rate * residual.mean(axis=0)
+
+    weights = np.zeros((k, d))
+    biases = np.zeros(k)
+    weights[active] = W
+    biases[active] = b
+    for j in np.flatnonzero(~active):
+        rate = (labels[:, j].sum() + 0.5) / (n + 1.0)
+        biases[j] = np.log(rate / (1.0 - rate))
+    return weights, biases, np.array(losses), mean, scale
+
+
+def cross_val_pred_probs(features, labels, n_folds, seed, **train_args):
+    """Out-of-sample probabilities over shuffled folds, fitted one at a time."""
+    n = features.shape[0]
+    order = np.random.default_rng(seed).permutation(n)
+    folds = np.empty(n, dtype=np.int64)
+    folds[order] = np.arange(n) % n_folds
+    probs = np.empty(labels.shape)
+    for f in range(n_folds):
+        held_out = folds == f
+        weights, biases, _, mean, scale = train(
+            features[~held_out], labels[~held_out], **train_args
+        )
+        X = (np.log1p(features[held_out]) - mean) / scale
+        probs[held_out] = np.clip(masked_sigmoid(X @ weights.T + biases), 1e-15, 1.0 - 1e-15)
+    return probs

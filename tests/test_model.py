@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import reference
 from labelaudit.data import MultiLabelDataset, validate
 from labelaudit.model import (
     CVConfig,
     LogRegModel,
     TrainConfig,
     TrainingDivergedError,
+    _exp_neg_abs,
+    _sigmoid,
     binary_loss_and_grad,
     cross_val_pred_probs,
     fold_assignments,
@@ -54,7 +57,7 @@ class TestTrain:
 
     def test_divergence_raises_with_epoch(self):
         features, y = random_training_set(1)
-        with pytest.raises(TrainingDivergedError, match="epoch"):
+        with pytest.raises(TrainingDivergedError, match=r"epoch 26$"):
             train(features, y[:, None], TrainConfig(learning_rate=1e10, epochs=500))
 
     def test_degenerate_class_gets_constant_base_rate_model(self):
@@ -88,6 +91,93 @@ class TestTrain:
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="incompatible shapes"):
             train(np.zeros((5, 2)), np.zeros((4, 1)))
+
+
+def oracle_case(case, seed=11):
+    """Features, labels and CV settings for one trainer-oracle case."""
+    n = {"equal_folds": 5000, "unequal_folds": 1003}.get(case, 1000)
+    cv = CVConfig(n_folds=5, seed=seed)
+    rng = np.random.default_rng(seed)
+    features = rng.poisson(5.0, size=(n, 3)).astype(float)
+    # labels follow a noisy linear rule, so the fitted weights move off zero
+    logits = np.log1p(features) @ rng.normal(size=(3, 4)) + rng.normal(size=4)
+    labels = (rng.random((n, 4)) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
+    if case == "constant_in_one_fold":
+        # every positive of class 1 is held out in fold 0
+        labels[:, 1] = 0
+        labels[np.flatnonzero(fold_assignments(n, cv) == 0)[:10], 1] = 1
+    elif case == "constant_everywhere":
+        labels[:, 2] = 1
+    return features, labels, cv
+
+
+class TestTrainerOracle:
+    """The in-place kernel against a literal copy of the original epoch loop."""
+
+    CASES = ["equal_folds", "unequal_folds", "constant_in_one_fold", "constant_everywhere"]
+
+    def test_cases_are_what_they_claim(self):
+        assert oracle_case("equal_folds")[0].shape[0] % 5 == 0
+        assert oracle_case("unequal_folds")[0].shape[0] % 5 != 0
+        features, labels, cv = oracle_case("constant_in_one_fold")
+        folds = fold_assignments(features.shape[0], cv)
+        assert labels[folds != 0, 1].max() == 0
+        assert all(labels[folds != f, 1].max() == 1 for f in range(1, 5))
+        labels = oracle_case("constant_everywhere")[1]
+        assert labels[:, 2].min() == 1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_and_cv_match_oracle(self, case):
+        features, labels, cv = oracle_case(case)
+        config = TrainConfig(epochs=100)
+        model = train(features, labels, config)
+        weights, biases, losses, _, _ = reference.train(features, labels, epochs=100)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.biases, biases)
+        np.testing.assert_allclose(model.loss_history, losses, rtol=1e-12, atol=0)
+
+        ids = tuple(f"e{i}" for i in range(features.shape[0]))
+        probs = cross_val_pred_probs(MultiLabelDataset(labels, ids, features=features), cv, config)
+        expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed, epochs=100)
+        assert np.array_equal(probs.values, expected)
+
+
+class TestSigmoid:
+    EDGES = [0.0, 1e-300, 1.0, 36.0, 709.0, 710.0, 745.0, np.inf, np.nan]
+
+    def inputs(self):
+        edges = np.array(self.EDGES)
+        normals = np.random.default_rng(12).normal(size=10**5) * 50
+        return np.concatenate([edges, -edges, normals])
+
+    def test_branch_free_equals_masked_formula_bit_for_bit(self):
+        z = self.inputs()
+        # the negated edges carry the sign bit, so -0.0 and -nan are covered
+        assert np.signbit(z[len(self.EDGES):2 * len(self.EDGES)]).all()
+        expected = reference.masked_sigmoid(z).view(np.uint64)
+        assert np.array_equal(_sigmoid(z).view(np.uint64), expected)
+
+    def test_buffer_path_equals_masked_formula_bit_for_bit(self):
+        z = self.inputs().reshape(-1, 2)
+        out = np.empty_like(z)
+        result = _sigmoid(z, _exp_neg_abs(z, out=np.empty_like(z)), out=out)
+        assert result is out
+        assert np.array_equal(out.view(np.uint64), reference.masked_sigmoid(z).view(np.uint64))
+
+
+class TestKernelMatchesCheckedGradient:
+    """The epoch loop and binary_loss_and_grad agree on a one-class problem."""
+
+    def test_first_loss_and_first_step(self):
+        features, y = random_training_set(13, n=40, d=4)
+        config = TrainConfig(learning_rate=0.1, l2=1e-3, epochs=1)
+        model = train(features, y[:, None], config)
+        X = (np.log1p(features) - model.feature_mean) / model.feature_scale
+        loss, grad_w, grad_b = binary_loss_and_grad(np.zeros(4), 0.0, X, y, config.l2)
+        assert abs(model.loss_history[0] - loss) <= 1e-15
+        np.testing.assert_allclose(model.weights[0], -config.learning_rate * grad_w,
+                                   rtol=0, atol=1e-15)
+        assert abs(model.biases[0] + config.learning_rate * grad_b) <= 1e-15
 
 
 class TestGradient:
