@@ -27,7 +27,16 @@ from .data import (
     save_scores_csv,
     validate,
 )
-from .metrics import ErrorTruth, MetricResult, ap_at_t, auprc, error_truth, rank_ascending, spearman
+from .metrics import (
+    ErrorTruth,
+    MetricResult,
+    ap_at_t,
+    auprc,
+    error_truth,
+    evaluate,
+    rank_ascending,
+    spearman,
+)
 from .model import CVConfig, LogRegModel, TrainConfig, cross_val_pred_probs, predict_proba, train
 from .scoring import (
     POOLER_NAMES,
@@ -73,6 +82,7 @@ __all__ = [
     "cross_val_pred_probs",
     "draw_noise_spec",
     "error_truth",
+    "evaluate",
     "flag_class",
     "flag_multilabel",
     "gen_multilabel",

@@ -18,6 +18,7 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -26,12 +27,12 @@ import numpy as np
 from . import __version__
 from .confident import flag_multilabel
 from .data import MultiLabelDataset, _fmt_float
-from .metrics import ErrorTruth, MetricResult, ap_at_t, auprc, error_truth, spearman
+from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_examples
 from .synth import LARGE, SMALL, GenConfig, draw_noise_spec, inject_noise, gen_multilabel
 
-DEFAULT_METRICS = ("auprc", "ap_at_t", "ap2_at_t", "ap3_at_t", "spearman", "neg_spearman")
+DEFAULT_METRICS = METRIC_NAMES
 
 METRICS_HEADER = ["dataset", "seed", "classifier", "method", "metric",
                   "param_T", "param_k", "value"]
@@ -99,23 +100,6 @@ class ReplicateResult:
     error: str | None = None
 
 
-def _evaluate_metric(name: str, scores: np.ndarray, truth: ErrorTruth) -> MetricResult:
-    if name == "auprc":
-        return auprc(scores, truth)
-    if name == "ap_at_t":
-        return ap_at_t(scores, truth, min_errors=1)
-    if name == "ap2_at_t":
-        return ap_at_t(scores, truth, min_errors=2)
-    if name == "ap3_at_t":
-        return ap_at_t(scores, truth, min_errors=3)
-    if name == "spearman":
-        return spearman(scores, truth.error_counts)
-    if name == "neg_spearman":
-        raw = spearman(scores, truth.error_counts)
-        return MetricResult("neg_spearman", -raw.value)
-    raise AssertionError(f"unhandled metric {name!r}")
-
-
 def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
     """One full generate/corrupt/predict/score/flag/evaluate pass."""
     gen_seed, noise_seed, cv_seed = derive_seeds(plan.base_seed, replicate)
@@ -142,18 +126,14 @@ def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
             dataset, CVConfig(n_folds=plan.n_folds, seed=cv_seed), plan.train_config
         )
 
-        metric_rows = []
-        for method in plan.methods:
-            pooled = score_examples(dataset.given_labels, probs.values, method)
-            for metric_name in plan.metrics:
-                result = _evaluate_metric(metric_name, pooled.values, truth)
-                metric_rows.append((
-                    plan.dataset_name, gen_seed, plan.classifier, method.name,
-                    metric_name,
-                    result.param_t if result.param_t is not None else "",
-                    result.param_k if result.param_k is not None else "",
-                    result.value,
-                ))
+        metric_rows = [
+            (plan.dataset_name, gen_seed, plan.classifier, method.name, result.name,
+             "" if result.param_t is None else result.param_t,
+             "" if result.param_k is None else result.param_k, result.value)
+            for method in plan.methods
+            for result in evaluate(score_examples(dataset.given_labels, probs.values,
+                                                  method).values, truth, plan.metrics)
+        ]
 
         report = flag_multilabel(dataset.given_labels, probs.values)
         flagged = report.example_flags
@@ -218,25 +198,19 @@ def aggregate_rows(metric_rows: Sequence[tuple]) -> list[tuple]:
     replicates contributed. Output order follows first appearance, so
     aggregates are recomputable and byte-stable.
     """
-    groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[float]] = {}  # insertion-ordered
     for row in metric_rows:
-        key = (row[2], row[3], row[4], row[6])  # classifier, method, metric, param_k
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        value = float(row[7])
-        if not math.isnan(value):
-            groups[key].append(value)
+        # classifier, method, metric, param_k
+        values = groups.setdefault((row[2], row[3], row[4], row[6]), [])
+        if not math.isnan(float(row[7])):
+            values.append(float(row[7]))
     out = []
-    for key in order:
-        values = groups[key]
+    for key, values in groups.items():
         if values:
             mean = float(np.mean(values))
             std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         else:
-            mean = math.nan
-            std = math.nan
+            mean = std = math.nan
         out.append((*key, mean, std, len(values)))
     return out
 
@@ -247,12 +221,14 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def write_metrics_csv(path, metric_rows: Sequence[tuple]) -> None:
+def _write_csv(header: list[str], path, rows: Sequence[tuple]) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for row in metric_rows:
-            writer.writerow([_csv_value(v) for v in row])
+        writer.writerow(header)
+        writer.writerows([_csv_value(v) for v in row] for row in rows)
+
+
+write_metrics_csv = partial(_write_csv, METRICS_HEADER)
 
 
 def read_metrics_csv(path) -> list[tuple]:
@@ -261,30 +237,13 @@ def read_metrics_csv(path) -> list[tuple]:
         header = next(reader, None)
         if header != METRICS_HEADER:
             raise ValueError(f"{path}: expected header {METRICS_HEADER}, got {header}")
-        rows = []
-        for row in reader:
-            rows.append((row[0], int(row[1]), row[2], row[3], row[4],
-                         row[5], row[6], float(row[7]) if row[7] else math.nan))
-    return rows
-
-
-def write_flag_csv(path, flag_rows: Sequence[tuple]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLAG_HEADER)
-        for row in flag_rows:
-            writer.writerow([_csv_value(v) for v in row])
+        return [(row[0], int(row[1]), row[2], row[3], row[4],
+                 row[5], row[6], float(row[7]) if row[7] else math.nan) for row in reader]
 
 
 AGGREGATE_HEADER = ["classifier", "method", "metric", "param_k", "mean", "std", "n_values"]
-
-
-def write_aggregate_csv(path, aggregates: Sequence[tuple]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_HEADER)
-        for row in aggregates:
-            writer.writerow([_csv_value(v) for v in row])
+write_flag_csv = partial(_write_csv, FLAG_HEADER)
+write_aggregate_csv = partial(_write_csv, AGGREGATE_HEADER)
 
 
 def render_aggregate_table(aggregates: Sequence[tuple]) -> str:

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import check_labels_probs
+
 UNCOUNTED = -1
 
 
@@ -171,12 +173,10 @@ def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
 
     Skips (degenerate classes) are recorded, never fatal. Noise-rate matrices
     are calibrated joints, used for reporting only; flag decisions come from
-    raw off-diagonal membership.
+    raw off-diagonal membership. Raises ``ValueError`` for a label outside
+    {0,1} or a probability that is not a finite number in [0, 1].
     """
-    labels = np.asarray(labels)
-    probs = np.asarray(probs, dtype=np.float64)
-    if labels.shape != probs.shape:
-        raise ValueError(f"labels shape {labels.shape} != probs shape {probs.shape}")
+    labels, probs = check_labels_probs(labels, probs)
     n_examples, n_classes = labels.shape
 
     per_class_flags = np.zeros((n_examples, n_classes), dtype=bool)

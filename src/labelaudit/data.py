@@ -164,6 +164,31 @@ def validate(dataset: MultiLabelDataset, probs: ProbMatrix | None = None) -> Val
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
+def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (as int64) and probabilities as arrays; ``ValueError`` at the first bad cell.
+
+    The library's counterpart of :func:`validate`: both must be N x K, every
+    label 0 or 1, every probability finite and in [0, 1]. Each value check
+    is one vectorised pass; the bad cell is only looked for once one fails.
+    """
+    labels = np.asarray(labels)
+    probs = np.asarray(probs, dtype=np.float64)
+    if labels.shape != probs.shape:
+        raise ValueError(f"labels shape {labels.shape} != probs shape {probs.shape}")
+    if labels.ndim != 2:
+        raise ValueError(f"labels and probabilities must be 2-D, got shape {labels.shape}")
+    bad_label = (labels != 0) & (labels != 1)
+    if bad_label.any():
+        i, k = np.argwhere(bad_label)[0]
+        raise ValueError(f"label {labels[i, k]} not in {{0,1}} at (example {i}, class {k})")
+    in_range = (probs >= 0.0) & (probs <= 1.0)  # False at NaN as well
+    if not in_range.all():
+        i, k = np.argwhere(~in_range)[0]
+        what = "probability out of [0,1]" if np.isfinite(probs[i, k]) else "non-finite probability"
+        raise ValueError(f"{what} ({probs[i, k]}) at (example {i}, class {k})")
+    return labels.astype(np.int64, copy=False), probs
+
+
 # ---------------------------------------------------------------------------
 # CSV formats.
 #
@@ -367,7 +392,8 @@ def save_jsonl(path, dataset: MultiLabelDataset, probs: ProbMatrix) -> None:
             }) + "\n")
 
 
-def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix]:
+def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
+    """Read :func:`save_jsonl` output; the probabilities are None if no row has any."""
     path = Path(path)
     ids: list[str] = []
     labels: list[list[int]] = []
@@ -391,10 +417,12 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix]:
             probs.append([float(v) for v in obj.get("probs", [])])
     if not ids:
         raise DataFormatError(f"{path}: empty file")
+    if not any(probs):  # a labels-only file
+        probs = []
     widths = {len(r) for r in labels} | {len(r) for r in probs}
     if len(widths) != 1:
         raise DataFormatError(f"{path}: inconsistent row widths {sorted(widths)}")
     if len(set(ids)) != len(ids):
         raise DataFormatError(f"{path}: duplicate example id")
     dataset = MultiLabelDataset(np.array(labels), tuple(ids))
-    return dataset, ProbMatrix(np.array(probs))
+    return dataset, ProbMatrix(np.array(probs)) if probs else None

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +41,12 @@ class ErrorTruth:
     @property
     def n_mislabeled(self) -> int:
         return int(self.error_flags.sum())
+
+    @cached_property
+    def centred_count_ranks(self) -> np.ndarray:
+        """Tie-averaged ranks of the error counts minus their mean (Spearman's y side)."""
+        ranks = _average_ranks(self.error_counts)
+        return ranks - ranks.mean()
 
 
 def error_truth(given_labels: np.ndarray, true_labels: np.ndarray) -> ErrorTruth:
@@ -80,19 +88,14 @@ def rank_ascending(scores: np.ndarray) -> np.ndarray:
     return np.argsort(scores, kind="stable")
 
 
-def ap_at_t(
-    scores: np.ndarray, truth: ErrorTruth, t: int | None = None, min_errors: int = 1
-) -> MetricResult:
-    """Average precision over the bottom-T scored examples.
-
-    Positives are examples with at least ``min_errors`` wrong per-class
-    annotations. The denominator is the number of positives among the
-    bottom T (clamped to at least 1), which makes AP@N equal standard
-    average precision. T defaults to the number of truly mislabeled
-    examples.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
+def _ap(values: np.ndarray, truth: ErrorTruth, t: int | None, min_errors: int,
+        name: str | None = None, order: np.ndarray | None = None) -> MetricResult:
+    """AP@T, or AUPRC when ``name`` is "auprc"; ``order`` is the scores' order if known."""
+    if name == "auprc":
+        if truth.n_mislabeled == 0:
+            raise ValueError("AUPRC is undefined with no mislabeled examples")
+        t = len(values)
+    n = values.shape[0]
     if truth.error_counts.shape[0] != n:
         raise ValueError(f"{n} scores vs {truth.error_counts.shape[0]} truth entries")
     if min_errors < 1:
@@ -101,42 +104,59 @@ def ap_at_t(
         t = truth.n_mislabeled
     if not 1 <= t <= n:
         raise ValueError(f"T must be in [1, {n}], got {t}")
-
-    positive = truth.error_counts >= min_errors
-    rel = positive[rank_ascending(scores)][:t]
-    hits = np.cumsum(rel)
-    precision_at = hits / np.arange(1, t + 1)
+    if order is None:
+        order = rank_ascending(values)
+    rel = truth.error_counts[order[:t]] >= min_errors
+    precision_at = np.cumsum(rel) / np.arange(1, t + 1)
     value = float((precision_at * rel).sum() / max(1, int(rel.sum())))
-    return MetricResult(
-        name=f"ap{min_errors if min_errors > 1 else ''}_at_t",
-        value=value,
-        param_t=int(t),
-        param_k=min_errors,
-        n_positives=int(positive.sum()),
-    )
+    return MetricResult(name or f"ap{min_errors if min_errors > 1 else ''}_at_t", value,
+                        int(t), min_errors, int((truth.error_counts >= min_errors).sum()))
+
+
+def ap_at_t(scores: np.ndarray, truth: ErrorTruth, t: int | None = None,
+            min_errors: int = 1) -> MetricResult:
+    """Average precision over the bottom-T scored examples.
+
+    Positives are examples with at least ``min_errors`` wrong per-class
+    annotations. The denominator is the number of positives among the
+    bottom T (clamped to at least 1), which makes AP@N equal standard
+    average precision. T defaults to the number of truly mislabeled
+    examples.
+    """
+    return _ap(np.asarray(scores, dtype=np.float64), truth, t, min_errors)
 
 
 def auprc(scores: np.ndarray, truth: ErrorTruth) -> MetricResult:
     """Area under the precision-recall curve; identical to AP@N by definition."""
-    if truth.n_mislabeled == 0:
-        raise ValueError("AUPRC is undefined with no mislabeled examples")
-    result = ap_at_t(scores, truth, t=len(np.asarray(scores)), min_errors=1)
-    return MetricResult("auprc", result.value, param_t=result.param_t,
-                        param_k=1, n_positives=result.n_positives)
+    return _ap(np.asarray(scores, dtype=np.float64), truth, None, 1, "auprc")
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with ties assigned the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+def _average_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Ranks 1..N with ties (runs of equal sorted values) assigned the mean of their rank range."""
+    if order is None:
+        order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, len(ordered)))
+    ranks = np.empty(len(ordered), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
     return ranks
+
+
+def _rho(x: np.ndarray, y: np.ndarray, order=None, ry=None) -> float:
+    """Spearman's rho, given x's stable order and y's centred ranks when known."""
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("inputs must be matching 1-D arrays")
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 examples")
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan
+    rx = _average_ranks(x, order)
+    rx = rx - rx.mean()
+    if ry is None:
+        ry = _average_ranks(y)
+        ry = ry - ry.mean()
+    return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
 
 
 def spearman(scores: np.ndarray, error_counts: np.ndarray) -> MetricResult:
@@ -147,16 +167,35 @@ def spearman(scores: np.ndarray, error_counts: np.ndarray) -> MetricResult:
     input is constant.
     """
     x = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(error_counts, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be matching 1-D arrays")
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 examples")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return MetricResult("spearman", math.nan)
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    value = float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
-    return MetricResult("spearman", value)
+    return MetricResult("spearman", _rho(x, np.asarray(error_counts, dtype=np.float64)))
+
+
+# AP-family metric -> least number of wrong annotations that makes a positive;
+# "auprc" is AP@N, the others AP@T at T = the number of mislabeled examples
+AP_MIN_ERRORS = {"auprc": 1, "ap_at_t": 1, "ap2_at_t": 2, "ap3_at_t": 3}
+METRIC_NAMES = (*AP_MIN_ERRORS, "spearman", "neg_spearman")
+
+
+def evaluate(scores: np.ndarray, truth: ErrorTruth,
+             names: Sequence[str] = METRIC_NAMES) -> list[MetricResult]:
+    """The named metrics of one score vector, all read from one stable order.
+
+    Results and errors are those of ``auprc``, ``ap_at_t`` and ``spearman``,
+    except that scores that are not 1-D or contain NaN are rejected first;
+    "neg_spearman" is exactly minus "spearman". The error counts are ranked
+    once per ``truth``, however many score vectors are evaluated against it.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    order = rank_ascending(x)
+    rho = None
+    results = []
+    for name in names:
+        if name in AP_MIN_ERRORS:
+            results.append(_ap(x, truth, None, AP_MIN_ERRORS[name], name, order))
+        elif name in ("spearman", "neg_spearman"):
+            if rho is None:
+                rho = _rho(x, truth.error_counts, order, truth.centred_count_ranks)
+            results.append(MetricResult(name, rho if name == "spearman" else -rho))
+        else:
+            raise ValueError(f"unknown metric {name!r}; expected among {METRIC_NAMES}")
+    return results

@@ -19,6 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .data import check_labels_probs
+
 POOLER_NAMES = (
     "min",
     "max",
@@ -245,8 +247,12 @@ def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
 
 
 def score_examples(labels: np.ndarray, probs: np.ndarray, method: PoolingMethod) -> QualityScoreVector:
-    """Self-confidence followed by the selected pooler, with the method recorded."""
-    per_class = self_confidence(labels, probs)
+    """Self-confidence followed by the selected pooler, with the method recorded.
+
+    Raises ``ValueError`` for a label outside {0,1} or a probability that is
+    not a finite number in [0, 1].
+    """
+    per_class = self_confidence(*check_labels_probs(labels, probs))
     return QualityScoreVector(pool(per_class, method), method)
 
 

@@ -149,7 +149,9 @@ def auprc(scores, positives):
 
 
 def _average_ranks(values):
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    # NaN sorts last, in index order, as in numpy; it equals nothing, so ranks alone
+    order = sorted(range(len(values)),
+                   key=lambda i: (math.isnan(values[i]), 0.0 if math.isnan(values[i]) else values[i], i))
     ranks = [0.0] * len(values)
     i = 0
     while i < len(values):

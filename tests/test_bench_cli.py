@@ -7,7 +7,7 @@ from labelaudit import bench
 from labelaudit.cli import main
 from labelaudit.data import load_probs_csv, load_scores_csv
 from labelaudit.model import TrainConfig
-from labelaudit.scoring import PoolingMethod
+from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_examples
 from labelaudit.synth import GenConfig
 
 TINY_GEN = GenConfig(n_samples=150, n_test=30, n_features=3, n_classes=4,
@@ -76,6 +76,16 @@ class TestBenchmark:
         assert len(report.failures) == 2
         assert "bottom_j" in report.failures[0][1]
         assert report.metric_rows == ()
+
+    def test_nan_scores_fail_the_replicate(self, monkeypatch):
+        def nan_scores(labels, probs, method):
+            pooled = score_examples(labels, probs, method)
+            return QualityScoreVector(np.where(np.arange(len(pooled.values)) == 7, np.nan,
+                                               pooled.values), method)
+
+        monkeypatch.setattr(bench, "score_examples", nan_scores)
+        report = bench.run_benchmark(tiny_plan())
+        assert report.failures == ((0, "ValueError: scores contain NaN"),)
 
     def test_aggregates_recomputable_from_rows(self):
         plan = tiny_plan(n_replicates=3)

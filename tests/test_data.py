@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
     DataFormatError,
     MultiLabelDataset,
@@ -18,6 +19,7 @@ from labelaudit.data import (
     save_scores_csv,
     validate,
 )
+from labelaudit.scoring import PoolingMethod, score_examples
 
 
 def make_dataset(n=3, k=2, seed=0):
@@ -207,6 +209,21 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="labels must be 0/1"):
             load_jsonl(path)
 
+    def test_labels_only_file_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": [0, 1]}\n{"id": "b", "labels": [1, 1]}\n')
+        dataset = load_dataset(path, format="jsonl")
+        assert dataset.example_ids == ("a", "b")
+        assert dataset.given_labels.tolist() == [[0, 1], [1, 1]]
+        assert load_jsonl(path)[1] is None
+
+    def test_probs_on_some_rows_only_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": [0, 1], "probs": [0.1, 0.2]}\n'
+                        '{"id": "b", "labels": [1, 1]}\n')
+        with pytest.raises(DataFormatError, match=r"inconsistent row widths \[0, 2\]"):
+            load_dataset(path, format="jsonl")
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "labels": [0], "probs": [0.1]}\n'
@@ -234,3 +251,46 @@ def test_roundtrip_property(tmp_path_factory, n, k, seed):
     assert np.array_equal(loaded_probs.values, probs)
     report = validate(MultiLabelDataset(loaded_labels, tuple(lids)), loaded_probs)
     assert report.ok
+
+
+class TestLibraryInputChecks:
+    """score_examples and flag_multilabel reject what validate() reports."""
+
+    ENTRY_POINTS = {
+        "score_examples": lambda labels, probs: score_examples(labels, probs, PoolingMethod("ema")),
+        "flag_multilabel": flag_multilabel,
+    }
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(11)
+        return rng.integers(0, 2, size=(30, 3)), rng.random((30, 3))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", r"non-finite probability \(nan\) at \(example 4, class 1\)"),
+        ("inf", r"non-finite probability \(inf\) at \(example 4, class 1\)"),
+        ("high", r"probability out of \[0,1\] \(1.5\) at \(example 4, class 1\)"),
+        ("negative", r"probability out of \[0,1\] \(-0.25\) at \(example 4, class 1\)"),
+        ("label", r"label 2 not in \{0,1\} at \(example 4, class 1\)"),
+    ])
+    def test_bad_cell_raises_value_error(self, entry, bad, message):
+        labels, probs = self.instance()
+        if bad == "label":
+            labels[4, 1] = 2
+        else:
+            probs[4, 1] = {"nan": np.nan, "inf": np.inf, "high": 1.5, "negative": -0.25}[bad]
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](labels, probs)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_shape_mismatch_raises_value_error(self, entry):
+        labels, probs = self.instance()
+        with pytest.raises(ValueError, match="labels shape"):
+            self.ENTRY_POINTS[entry](labels, probs[:, :2])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_boundary_values_accepted(self, entry):
+        labels, probs = self.instance()
+        probs[0, 0], probs[1, 1] = 0.0, 1.0
+        self.ENTRY_POINTS[entry](labels.astype(bool), probs)

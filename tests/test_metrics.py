@@ -6,10 +6,14 @@ import scipy.stats
 
 import reference
 from labelaudit.metrics import (
+    METRIC_NAMES,
     ErrorTruth,
+    MetricResult,
+    _average_ranks,
     ap_at_t,
     auprc,
     error_truth,
+    evaluate,
     rank_ascending,
     spearman,
 )
@@ -201,3 +205,99 @@ class TestErrorTruth:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             error_truth(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+class TestAverageRanks:
+    SPECIALS = [math.nan, 0.0, -0.0, math.inf, -math.inf]
+
+    @staticmethod
+    def assert_bitwise_reference(values):
+        values = np.asarray(values, dtype=np.float64)
+        expected = np.array(reference._average_ranks(values.tolist()), dtype=np.float64)
+        got = _average_ranks(values)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("values", [
+        [0.5], [0.5, 0.5], [0.7, 0.2], [math.nan], [math.nan, math.nan], [math.nan, 1.0],
+        [0.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [math.inf, -math.inf, math.inf, 0.0],
+        [1.0, math.nan, 1.0, math.nan, -math.inf], [2.0] * 7 + [1.0] * 5,
+    ])
+    def test_edge_vectors_match_reference(self, values):
+        self.assert_bitwise_reference(values)
+
+    def test_random_tied_and_special_vectors_match_reference(self):
+        rng = np.random.default_rng(6)
+        for trial in range(200):
+            n = int(rng.integers(1, 120))
+            values = rng.integers(0, 1 + trial % 7, size=n).astype(float)
+            special = rng.random(n) < 0.2 * (trial % 3)
+            values[special] = rng.choice(self.SPECIALS, size=int(special.sum()))
+            self.assert_bitwise_reference(values)
+
+    def test_given_order_gives_the_same_ranks(self):
+        values = np.random.default_rng(7).integers(0, 5, size=300).astype(float)
+        order = np.argsort(values, kind="stable")
+        assert np.array_equal(_average_ranks(values, order), _average_ranks(values))
+
+
+class TestEvaluate:
+    @staticmethod
+    def public_results(scores, truth):
+        rho = spearman(scores, truth.error_counts)
+        return [auprc(scores, truth), ap_at_t(scores, truth),
+                ap_at_t(scores, truth, min_errors=2), ap_at_t(scores, truth, min_errors=3),
+                rho, MetricResult("neg_spearman", -rho.value)]
+
+    @pytest.mark.parametrize("levels", [None, 3, 1000])
+    def test_equals_public_functions_exactly(self, levels):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(5, 400))
+            scores = rng.random(n) if levels is None else rng.integers(0, levels, n) / levels
+            counts = rng.integers(0, 4, size=n)
+            counts[0] = 3
+            truth = truth_from_counts(counts)
+            got = evaluate(scores, truth)
+            assert [r.name for r in got] == list(METRIC_NAMES)
+            for mine, public in zip(got, self.public_results(scores, truth)):
+                assert mine.value == public.value
+                assert (mine.param_t, mine.param_k, mine.n_positives) == \
+                    (public.param_t, public.param_k, public.n_positives)
+
+    def test_neg_spearman_is_exactly_minus_spearman(self):
+        rng = np.random.default_rng(9)
+        scores = rng.integers(0, 20, size=500) / 20
+        truth = truth_from_counts(rng.integers(0, 3, size=500))
+        rho, neg = evaluate(scores, truth, ("spearman", "neg_spearman"))
+        assert neg.value == -rho.value
+        assert rho.value == spearman(scores, truth.error_counts).value
+
+    def test_truth_ranks_are_made_once(self):
+        truth = truth_from_counts([0, 2, 1, 0, 3])
+        ranks = truth.centred_count_ranks
+        evaluate(np.array([0.3, 0.1, 0.2, 0.5, 0.0]), truth)
+        assert truth.centred_count_ranks is ranks
+
+    def test_constant_scores_give_missing_spearman(self):
+        truth = truth_from_counts([1, 0, 2, 0])
+        results = {r.name: r for r in evaluate(np.full(4, 0.5), truth)}
+        assert results["spearman"].missing and results["neg_spearman"].missing
+        assert not results["auprc"].missing
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="^scores contain NaN$"):
+            evaluate(np.array([0.1, math.nan, 0.3]), truth_from_counts([1, 0, 0]),
+                     ("spearman",))
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'ap4_at_t'"):
+            evaluate(np.array([0.1, 0.2]), truth_from_counts([1, 0]), ("ap4_at_t",))
+
+    def test_errors_of_the_public_functions(self):
+        scores = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match="no mislabeled"):
+            evaluate(scores, truth_from_counts([0, 0]))
+        with pytest.raises(ValueError, match="T must be"):
+            evaluate(scores, truth_from_counts([0, 0]), ("ap_at_t",))
+        with pytest.raises(ValueError, match="2 scores vs 3 truth entries"):
+            evaluate(scores, truth_from_counts([1, 0, 0]))
