@@ -11,7 +11,6 @@ result is the union of flags over all classes.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import check_labels_probs
+from .data import check_labels_probs, write_csv_rows
 
 UNCOUNTED = -1
 
@@ -215,18 +214,15 @@ def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
 
 def save_flags_csv(path, ids: Sequence[str], report: FlagReport) -> None:
     """Write ``id,flagged,classes_flagged`` rows; flagged classes are ;-joined."""
-    if len(ids) != report.example_flags.shape[0]:
-        raise ValueError(f"{len(ids)} ids for {report.example_flags.shape[0]} examples")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "flagged", "classes_flagged"])
-        for i, ex_id in enumerate(ids):
-            classes = np.flatnonzero(report.per_class_flags[i])
-            writer.writerow([
-                ex_id,
-                int(report.example_flags[i]),
-                ";".join(str(k) for k in classes),
-            ])
+    n_examples = report.example_flags.shape[0]
+    if len(ids) != n_examples:
+        raise ValueError(f"{len(ids)} ids for {n_examples} examples")
+    rows, classes = np.nonzero(report.per_class_flags)  # row-major: classes ascend per row
+    names = [str(k) for k in classes.tolist()]
+    bounds = np.searchsorted(rows, np.arange(n_examples + 1)).tolist()
+    joined = np.array([";".join(names[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=object)
+    write_csv_rows(path, ["id", "flagged", "classes_flagged"], ids,
+                   [report.example_flags, joined], ["%d", "%s"])
 
 
 def save_flag_summary_json(path, report: FlagReport) -> None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -199,8 +201,11 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # Ids must align row-wise between files that describe the same dataset.
 # ---------------------------------------------------------------------------
 
+# 17 significant digits round-trip float64 exactly; "%.17g" % x == _fmt_float(x).
+_FLOAT_CELL = "%.17g"
+
+
 def _fmt_float(x: float) -> str:
-    # 17 significant digits round-trip float64 exactly.
     return format(float(x), ".17g")
 
 
@@ -216,6 +221,10 @@ def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
             rows = list(reader)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     return header, rows
 
 
@@ -233,22 +242,36 @@ def _check_header(path, header: list[str], prefix: str) -> int:
     return width
 
 
-def _parse_matrix_csv(path, prefix: str, parse_cell) -> tuple[list[str], np.ndarray]:
+def _check_row(path, r: int, row: list[str], n_cells: int, seen: set[str]) -> None:
+    """Raise if data row ``r`` has another width or an id in ``seen``; else add its id."""
+    if len(row) != n_cells:
+        raise DataFormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {n_cells}")
+    if row[0] in seen:
+        raise DataFormatError(f"{path}: duplicate example id {row[0]!r} at row {r + 2}")
+    seen.add(row[0])
+
+
+def _parse_matrix_csv(path, prefix: str, convert, parse_cell) -> tuple[list[str], np.ndarray]:
+    """The ids and the N x width value matrix of a ``prefix`` matrix CSV.
+
+    ``convert`` turns the list of N rows of cell strings into an array in
+    whole-array calls, or returns None when a cell fails its check. When it
+    does, or a row has another width or repeats an id, the rows are scanned
+    one cell at a time with ``parse_cell``, in file order: the first bad row
+    is the one reported, and a cell that only ``parse_cell`` accepts (a label
+    padded with spaces) still loads.
+    """
     header, rows = _read_csv_rows(path)
     width = _check_header(path, header, prefix)
-    ids: list[str] = []
+    ids = [row[0] for row in rows if len(row) == width + 1]
+    if len(ids) == len(rows) and len(set(ids)) == len(ids):
+        data = convert([row[1:] for row in rows])
+        if data is not None:
+            return ids, data.reshape(len(rows), width)
     data = np.empty((len(rows), width), dtype=np.float64)
-    seen = set()
+    seen: set[str] = set()
     for r, row in enumerate(rows):
-        if len(row) != width + 1:
-            raise DataFormatError(
-                f"{path}: row {r + 2} has {len(row)} cells, expected {width + 1}"
-            )
-        ex_id = row[0]
-        if ex_id in seen:
-            raise DataFormatError(f"{path}: duplicate example id {ex_id!r} at row {r + 2}")
-        seen.add(ex_id)
-        ids.append(ex_id)
+        _check_row(path, r, row, width + 1, seen)
         for c, cell in enumerate(row[1:]):
             try:
                 data[r, c] = parse_cell(cell)
@@ -256,7 +279,31 @@ def _parse_matrix_csv(path, prefix: str, parse_cell) -> tuple[list[str], np.ndar
                 raise DataFormatError(
                     f"{path}: row {r + 2}, column {header[c + 1]}: {exc}"
                 ) from None
-    return ids, data
+    return [row[0] for row in rows], data
+
+
+def _convert_binary(cells: list[list[str]]) -> np.ndarray | None:
+    # A set test rather than a comparison of a numpy string array, which
+    # drops trailing NUL characters and so would take "1\0" for "1". Once
+    # every cell is "0" or "1", the joined cells are one ASCII byte each.
+    if not set(chain.from_iterable(cells)) <= {"0", "1"}:
+        return None
+    joined = "".join(chain.from_iterable(cells)).encode("ascii")
+    return np.frombuffer(joined, dtype=np.uint8) - ord("0")
+
+
+def _convert_float(cells: list[list[str]]) -> np.ndarray | None:
+    try:
+        return np.array(cells, dtype=np.float64)  # float() on each cell
+    except ValueError:
+        return None
+
+
+def _convert_count(cells: list[list[str]]) -> np.ndarray | None:
+    data = _convert_float(cells)
+    if data is None or not (np.isfinite(data) & (data >= 0)).all():
+        return None
+    return data
 
 
 def _parse_binary_cell(cell: str) -> int:
@@ -289,17 +336,17 @@ def check_ids_aligned(ids_a: Sequence[str], ids_b: Sequence[str], what: str) -> 
 
 
 def load_labels_csv(path) -> tuple[list[str], np.ndarray]:
-    ids, data = _parse_matrix_csv(path, "label", _parse_binary_cell)
+    ids, data = _parse_matrix_csv(path, "label", _convert_binary, _parse_binary_cell)
     return ids, data.astype(np.int64)
 
 
 def load_probs_csv(path) -> tuple[list[str], ProbMatrix]:
-    ids, data = _parse_matrix_csv(path, "prob", _parse_float_cell)
+    ids, data = _parse_matrix_csv(path, "prob", _convert_float, _parse_float_cell)
     return ids, ProbMatrix(data)
 
 
 def load_features_csv(path) -> tuple[list[str], np.ndarray]:
-    return _parse_matrix_csv(path, "feat", _parse_count_cell)
+    return _parse_matrix_csv(path, "feat", _convert_count, _parse_count_cell)
 
 
 def load_dataset(
@@ -331,28 +378,59 @@ def load_dataset(
     raise ValueError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
 
 
-def _write_matrix_csv(path, prefix: str, ids: Sequence[str], data: np.ndarray, fmt) -> None:
-    path = Path(path)
+_BLOCK_ROWS = 1000
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as the csv module's excel dialect writes it beside other fields."""
+    if _NEEDS_QUOTES.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def write_csv_rows(path, header: Sequence[str], ids: Sequence[str],
+                   columns: Sequence[np.ndarray], cell_fmts: Sequence[str]) -> None:
+    """Write ``header``, then per id a row of the id and its entry in each column.
+
+    ``columns`` are arrays of one value per id and ``cell_fmts`` their
+    %-formats (``"%d"``, ``"%.17g"``, ``"%s"``); ids are quoted as needed.
+    The bytes, ``\r\n`` line ends included, are those of ``csv.writer``.
+    Rows are %-formatted ``_BLOCK_ROWS`` at a time and each block is written
+    out before the next, so no more than one block of text is held.
+    """
+    row_fmt = ",".join(["%s", *cell_fmts]) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ids), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            block_ids = [_csv_field(str(ex_id)) for ex_id in ids[lo:hi]]
+            if not cell_fmts:  # csv quotes an empty field that is alone on its row
+                block_ids = [ex_id or '""' for ex_id in block_ids]
+            rows = zip(block_ids, *(col[lo:hi].tolist() for col in columns))
+            fh.write((row_fmt * len(block_ids)) % tuple(chain.from_iterable(rows)))
+
+
+def _write_matrix_csv(path, prefix: str, ids: Sequence[str], data: np.ndarray,
+                      cell_fmt: str) -> None:
     if len(ids) != data.shape[0]:
         raise ValueError(f"{len(ids)} ids for {data.shape[0]} rows")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"{prefix}_{k}" for k in range(data.shape[1])])
-        for ex_id, row in zip(ids, data):
-            writer.writerow([ex_id] + [fmt(v) for v in row])
+    width = data.shape[1]
+    header = ["id"] + [f"{prefix}_{k}" for k in range(width)]
+    write_csv_rows(path, header, ids, data.T, [cell_fmt] * width)
 
 
 def save_labels_csv(path, ids: Sequence[str], labels: np.ndarray) -> None:
-    _write_matrix_csv(path, "label", ids, np.asarray(labels), lambda v: str(int(v)))
+    _write_matrix_csv(path, "label", ids, np.asarray(labels), "%d")
 
 
 def save_probs_csv(path, ids: Sequence[str], probs: ProbMatrix | np.ndarray) -> None:
     values = probs.values if isinstance(probs, ProbMatrix) else np.asarray(probs)
-    _write_matrix_csv(path, "prob", ids, values, _fmt_float)
+    _write_matrix_csv(path, "prob", ids, values, _FLOAT_CELL)
 
 
 def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
-    _write_matrix_csv(path, "feat", ids, np.asarray(features), _fmt_float)
+    _write_matrix_csv(path, "feat", ids, np.asarray(features), _FLOAT_CELL)
 
 
 def save_scores_csv(path, ids: Sequence[str], scores: np.ndarray) -> None:
@@ -360,23 +438,21 @@ def save_scores_csv(path, ids: Sequence[str], scores: np.ndarray) -> None:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(ids) != scores.shape[0]:
         raise ValueError(f"scores must be 1-D with one value per id, got {scores.shape}")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score"])
-        for ex_id, s in zip(ids, scores):
-            writer.writerow([ex_id, _fmt_float(s)])
+    write_csv_rows(path, ["id", "score"], ids, [scores], [_FLOAT_CELL])
 
 
 def load_scores_csv(path) -> tuple[list[str], np.ndarray]:
     header, rows = _read_csv_rows(path)
     if header != ["id", "score"]:
         raise DataFormatError(f"{path}: expected header 'id,score', got {header}")
-    ids = [row[0] for row in rows]
+    seen: set[str] = set()
+    for r, row in enumerate(rows):
+        _check_row(path, r, row, 2, seen)
     try:
-        scores = np.array([float(row[1]) for row in rows], dtype=np.float64)
-    except (IndexError, ValueError) as exc:
+        scores = np.array([row[1] for row in rows], dtype=np.float64)
+    except ValueError as exc:
         raise DataFormatError(f"{path}: malformed score row: {exc}") from None
-    return ids, scores
+    return [row[0] for row in rows], scores
 
 
 def save_jsonl(path, dataset: MultiLabelDataset, probs: ProbMatrix) -> None:

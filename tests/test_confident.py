@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from labelaudit.confident import (
+    FlagReport,
     binary_confident_joint,
     class_thresholds,
     flag_class,
@@ -220,6 +221,19 @@ class TestSerialization:
         assert len(lines) == truth.shape[0] + 1
         n_flagged = sum(line.split(",")[1] == "1" for line in lines[1:])
         assert n_flagged == int(report.example_flags.sum())
+
+    def test_flags_csv_bytes(self, tmp_path):
+        per_class = np.zeros((4, 12), dtype=bool)
+        per_class[1, [0, 2]] = True
+        per_class[3, [1, 11]] = True
+        report = FlagReport(per_class, per_class.any(axis=1), np.zeros(12),
+                            np.tile(np.eye(2), (12, 1, 1)), (), np.zeros((12, 2)))
+        path = tmp_path / "flags.csv"
+        save_flags_csv(path, ["a", "b,c", 'say "hi"', "two\nlines"], report)
+        assert path.read_bytes() == (
+            b'id,flagged,classes_flagged\r\na,0,\r\n"b,c",1,0;2\r\n'
+            b'"say ""hi""",0,\r\n"two\nlines",1,1;11\r\n'
+        )
 
     def test_summary_json(self, tmp_path):
         labels, probs = random_instance(21, n=40, k=3)

@@ -1,3 +1,7 @@
+import csv
+import io
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +13,12 @@ from labelaudit.data import (
     ProbMatrix,
     check_ids_aligned,
     load_dataset,
+    load_features_csv,
     load_jsonl,
     load_labels_csv,
     load_probs_csv,
     load_scores_csv,
+    save_features_csv,
     save_jsonl,
     save_labels_csv,
     save_probs_csv,
@@ -182,6 +188,184 @@ class TestCsv:
         assert ds.n_examples == 2
         assert ds.true_labels[0, 1] == 1
         assert ds.features[0, 0] == 3.0
+
+
+# Ids that csv quotes (comma, quote, newline) and floats at the edges of
+# the %.17g text: signed zero, nan, +-inf, the smallest subnormal, a decimal
+# that 17 digits cannot hide, and an integer-valued 1e16.
+GOLDEN_IDS = ["a", "b,c", 'say "hi"', "two\nlines"]
+GOLDEN_FLOATS = np.array([[-0.0, np.nan], [np.inf, 5e-324], [0.1, 1e16], [1.0, -np.inf]])
+GOLDEN_FLOAT_ROWS = (
+    b'a,-0,nan\r\n'
+    b'"b,c",inf,4.9406564584124654e-324\r\n'
+    b'"say ""hi""",0.10000000000000001,10000000000000000\r\n'
+    b'"two\nlines",1,-inf\r\n'
+)
+
+
+class TestCsvBytes:
+    """The exact bytes of every CSV writer, and the loaders' first-error order."""
+
+    def test_labels_bytes(self, tmp_path):
+        save_labels_csv(tmp_path / "l.csv", GOLDEN_IDS, np.array([[1, 0], [0, 1], [1, 1], [0, 0]]))
+        assert (tmp_path / "l.csv").read_bytes() == (
+            b'id,label_0,label_1\r\na,1,0\r\n"b,c",0,1\r\n"say ""hi""",1,1\r\n'
+            b'"two\nlines",0,0\r\n'
+        )
+
+    @pytest.mark.parametrize("save, prefix", [(save_probs_csv, b"prob"),
+                                              (save_features_csv, b"feat")])
+    def test_float_matrix_bytes(self, tmp_path, save, prefix):
+        save(tmp_path / "m.csv", GOLDEN_IDS, GOLDEN_FLOATS)
+        header = b"id,%s_0,%s_1\r\n" % (prefix, prefix)
+        assert (tmp_path / "m.csv").read_bytes() == header + GOLDEN_FLOAT_ROWS
+
+    def test_probs_bytes_from_prob_matrix(self, tmp_path):
+        save_probs_csv(tmp_path / "p.csv", GOLDEN_IDS, ProbMatrix(GOLDEN_FLOATS))
+        assert (tmp_path / "p.csv").read_bytes() == b"id,prob_0,prob_1\r\n" + GOLDEN_FLOAT_ROWS
+
+    def test_scores_bytes(self, tmp_path):
+        save_scores_csv(tmp_path / "s.csv", GOLDEN_IDS, np.array([-0.0, 5e-324, 1e16, np.nan]))
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b'id,score\r\na,-0\r\n"b,c",4.9406564584124654e-324\r\n'
+            b'"say ""hi""",10000000000000000\r\n"two\nlines",nan\r\n'
+        )
+
+    @given(ids=st.lists(st.text(alphabet='ab ,;"\r\n\t%\'é', max_size=6),
+                        min_size=1, max_size=5, unique=True))
+    def test_ids_written_as_csv_writer_writes_them(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("ids") / "s.csv"
+        scores = np.arange(len(ids), dtype=np.float64)
+        save_scores_csv(path, ids, scores)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["id", "score"])
+        writer.writerows([ex_id, format(s, ".17g")] for ex_id, s in zip(ids, scores))
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert load_scores_csv(path)[0] == ids
+
+    def test_zero_width_matrix_bytes(self, tmp_path):
+        # csv quotes an empty field only when it is alone on its row
+        save_labels_csv(tmp_path / "l.csv", ["", "a"], np.zeros((2, 0)))
+        assert (tmp_path / "l.csv").read_bytes() == b'id\r\n""\r\na\r\n'
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # row 3 holds a bad cell, row 5 repeats an id: row 3 comes first
+        path = tmp_path / "l.csv"
+        path.write_text("id,label_0,label_1\na,1,0\nb,0,x\nc,1,1\na,0,0\n")
+        with pytest.raises(DataFormatError, match=r"row 3, column label_1: label value 'x'"):
+            load_labels_csv(path)
+        path.write_text("id,label_0,label_1\na,1,0\nb,0,1\nc,1\na,0,0\nd,1,2\n")
+        with pytest.raises(DataFormatError, match=r"row 4 has 2 cells, expected 3"):
+            load_labels_csv(path)
+        path.write_text("id,prob_0\na,0.5\nb,0.5\na,0.5\nc,half\n")
+        with pytest.raises(DataFormatError, match=r"duplicate example id 'a' at row 4"):
+            load_probs_csv(path)
+        path.write_text("id,feat_0,feat_1\na,1,2\nb,3,-1\nc,nan,0\n")
+        with pytest.raises(DataFormatError,
+                           match=r"row 3, column feat_1: feature value '-1' is not a non-negative"):
+            load_features_csv(path)
+
+    def test_padded_label_loads(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("id,label_0,label_1\na, 1,0\nb,0,1 \n")
+        assert load_labels_csv(path)[1].tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("cell", [
+        "2", "1.0", "", "１", "true",
+        pytest.param("1\x00", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="csv reads NUL characters from Python 3.11")),
+    ])
+    def test_label_outside_0_1_rejected(self, tmp_path, cell):
+        path = tmp_path / "l.csv"
+        path.write_text(f"id,label_0\na,0\nb,{cell}\n", newline="")
+        message = f"row 3, column label_0: label value {cell!r} is not 0 or 1"
+        with pytest.raises(DataFormatError) as info:
+            load_labels_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", " 1.5 ", "inf", "-nan", "１", "1e500", "-0", "+.5", "5.", "Infinity", "١٢",
+        "", "0x1p3", "1,5", "1__0", "nan(1)", "1d0", ".",
+    ])
+    def test_probability_cell_parsed_as_float_parses_it(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "prob_0"], ["a", "0.5"], ["b", cell]])
+        try:
+            expected = float(cell)
+        except ValueError as exc:
+            with pytest.raises(DataFormatError) as info:
+                load_probs_csv(path)
+            assert str(info.value) == f"{path}: row 3, column prob_0: {exc}"
+        else:
+            loaded = load_probs_csv(path)[1].values
+            assert loaded[1].view(np.uint64) == np.array([expected]).view(np.uint64)
+
+    @pytest.mark.parametrize("cell", ["-1", "-inf", "inf", "nan", "-1e-320"])
+    def test_bad_feature_rejected(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text(f"id,feat_0,feat_1\na,1,2\nb,3,{cell}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_features_csv(path)
+        assert str(info.value) == (
+            f"{path}: row 3, column feat_1: feature value {cell!r} is not a non-negative number"
+        )
+
+    def test_every_row_too_wide(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("id,label_0,label_1\na,1,0,1\nb,0,1,1\n")
+        with pytest.raises(DataFormatError, match=r"row 2 has 4 cells, expected 3"):
+            load_labels_csv(path)
+
+    def test_feature_cell_parsed_as_float_parses_it(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,feat_0,feat_1\na,1_0, 2.5 \n")
+        assert load_features_csv(path)[1].tolist() == [[10.0, 2.5]]
+
+    @pytest.mark.parametrize("save, load", [(save_probs_csv, load_probs_csv),
+                                            (save_features_csv, load_features_csv)])
+    def test_random_bits_roundtrip(self, tmp_path, save, load):
+        rng = np.random.default_rng(17)
+        values = rng.integers(0, 2**64, size=10_000, dtype=np.uint64).view(np.float64)
+        values[:50] = rng.integers(1, 2**52, size=50, dtype=np.uint64).view(np.float64)
+        # 2500 rows: more than one block of the writers
+        values = np.abs(np.where(np.isfinite(values), values, 0.5)).reshape(2500, 4)
+        assert (values[values > 0] < np.finfo(np.float64).tiny).sum() >= 50  # subnormals
+        ids = [f"e{i}" for i in range(2500)]
+        save(tmp_path / "m.csv", ids, values)
+        loaded = load(tmp_path / "m.csv")[1]
+        loaded = getattr(loaded, "values", loaded)
+        assert np.array_equal(loaded.view(np.uint64), values.view(np.uint64))
+
+    def test_scores_row_width_checked(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"id,score\r\nex0,0.5,junk\r\nex1,0.7\r\n")
+        with pytest.raises(DataFormatError, match=r"row 2 has 3 cells, expected 2"):
+            load_scores_csv(path)
+
+    def test_scores_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"id,score\r\nex0,0.5\r\nex0,0.7\r\n")
+        with pytest.raises(DataFormatError, match=r"duplicate example id 'ex0' at row 3"):
+            load_scores_csv(path)
+
+    def test_empty_matrix_loads(self, tmp_path):
+        save_probs_csv(tmp_path / "p.csv", [], np.zeros((0, 3)))
+        ids, probs = load_probs_csv(tmp_path / "p.csv")
+        assert ids == [] and probs.values.shape == (0, 3)
+
+    def test_oversized_field_is_a_format_error(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("id,label_0\na,0\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+        with pytest.raises(DataFormatError, match="line 3: field larger than field limit"):
+            load_labels_csv(path)
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"id,label_0\n\xff\xfe,1\n")
+        with pytest.raises(DataFormatError, match="can't decode byte 0xff"):
+            load_labels_csv(path)
 
 
 class TestJsonl:
