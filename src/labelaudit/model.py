@@ -49,7 +49,6 @@ class TrainConfig:
 class CVConfig:
     n_folds: int = 5
     seed: int = 0
-    shuffle: bool = True
 
 
 @dataclass(frozen=True)
@@ -222,10 +221,7 @@ def fold_assignments(n_examples: int, cv: CVConfig) -> np.ndarray:
     """Disjoint, exhaustive, seed-deterministic fold index per example."""
     if not 2 <= cv.n_folds <= n_examples:
         raise ValueError(f"n_folds must be in [2, {n_examples}], got {cv.n_folds}")
-    if cv.shuffle:
-        order = np.random.default_rng(cv.seed).permutation(n_examples)
-    else:
-        order = np.arange(n_examples)
+    order = np.random.default_rng(cv.seed).permutation(n_examples)
     folds = np.empty(n_examples, dtype=np.int64)
     folds[order] = np.arange(n_examples) % cv.n_folds
     return folds

@@ -10,10 +10,37 @@ Each pooling method then reduces the K per-class scores of an example to a
 single number whose ascending order ranks examples from most to least
 suspicious. Lower pooled scores mean the annotation is more likely to
 contain at least one error.
+
+Eight poolers are L-statistics: each sorts a row ascending, s_(1) <= ... <=
+s_(K), and returns sum_j w_j * s_(j) for a fixed weight vector. By sorted
+position j = 1..K:
+
+    min              w_1 = 1, all others 0
+    max              w_K = 1, all others 0
+    mean             1/K everywhere
+    median           1 at (K+1)/2 for odd K; 1/2 at K/2 and K/2+1 for even K
+    ema(alpha)       alpha * (1-alpha)^(j-1) for j < K, (1-alpha)^(K-1) at j = K
+    cumavg_bottom(J) 1/J for j <= J, 0 above
+    weighted_cumavg  sum over J = j..K of e^(1-J) / J
+    sma(P)           min(j, K-j+1, P, K-P+1) / (P * (K-P+1))
+
+``ema`` is the paper's exponential moving average run largest-first over the
+sorted row. At K=4 and alpha=0.8 its weights are 0.8, 0.16, 0.032 and
+0.008, so it is nearly min-pooling; alpha -> 0 approaches max-pooling.
+``cumavg_bottom`` is the mean of the J smallest scores, ``weighted_cumavg``
+the sum of those bottom-J means weighted by e^(1-J) (its weights sum to more
+than 1, so only its ranking is meaningful), and ``sma`` the mean of every
+period-P moving-window sum over the sorted row (P = 1 and P = K are the mean).
+
+The other two are not L-statistics: ``softmin(tau)`` averages the scores
+with weights proportional to exp((1 - score) / tau), and ``log(eps)`` is the
+mean of log(score + eps), finite even where a score is 0.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,9 +66,9 @@ POOLER_NAMES = (
 class PoolingMethod:
     """A pooling method tag plus the parameters it uses.
 
-    Only the parameters relevant to ``name`` matter; the rest are ignored.
-    ``alpha`` may be exactly 1.0, which degenerates the moving average to
-    plain min-pooling (useful for tests).
+    Every parameter is validated, but only those relevant to ``name`` affect
+    the result. ``alpha`` may be exactly 1.0, which degenerates the moving
+    average to plain min-pooling (useful for tests).
     """
 
     name: str
@@ -58,12 +85,12 @@ class PoolingMethod:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.bottom_j < 1:
-            raise ValueError(f"bottom_j must be >= 1, got {self.bottom_j}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        for field in ("bottom_j", "period"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{field} must be an integer >= 1, got {value}")
 
     def check_n_classes(self, n_classes: int) -> None:
         if n_classes < 1:
@@ -107,143 +134,46 @@ def self_confidence(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.where(labels == 1, probs, 1.0 - probs)
 
 
-def _as_matrix(per_class_scores: np.ndarray) -> np.ndarray:
+# Weight of each ascending sorted position j = 1..K (as floats) for the
+# eight poolers that are L-statistics; see the table in the module docstring.
+_SORTED_WEIGHTS = {
+    "min": lambda m, j, k: np.where(j == 1, 1.0, 0.0),
+    "max": lambda m, j, k: np.where(j == k, 1.0, 0.0),
+    "mean": lambda m, j, k: np.full(k, 1.0 / k),
+    "median": lambda m, j, k: np.where(abs(j - (k + 1) / 2) < 1, 1.0 / (2 - k % 2), 0.0),
+    "ema": lambda m, j, k: np.where(j < k, m.alpha, 1.0) * (1.0 - m.alpha) ** (j - 1),
+    "cumavg_bottom": lambda m, j, k: np.where(j <= m.bottom_j, 1.0 / m.bottom_j, 0.0),
+    "weighted_cumavg": lambda m, j, k: np.cumsum((np.exp(1.0 - j) / j)[::-1])[::-1],
+    "sma": lambda m, j, k: (np.minimum(np.minimum(j, k + 1 - j), min(m.period, k + 1 - m.period))
+                            / (m.period * (k + 1 - m.period))),
+}
+
+
+def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
+    """Apply the named pooling method to an N x K matrix of finite per-class scores."""
     scores = np.asarray(per_class_scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"per-class scores must be 2-D, got shape {scores.shape}")
     if scores.shape[1] < 1:
         raise ValueError("empty class axis")
-    return scores
-
-
-def pool_min(per_class_scores: np.ndarray) -> np.ndarray:
-    return _as_matrix(per_class_scores).min(axis=1)
-
-
-def pool_max(per_class_scores: np.ndarray) -> np.ndarray:
-    return _as_matrix(per_class_scores).max(axis=1)
-
-
-def pool_mean(per_class_scores: np.ndarray) -> np.ndarray:
-    return _as_matrix(per_class_scores).mean(axis=1)
-
-
-def pool_median(per_class_scores: np.ndarray) -> np.ndarray:
-    # Even class count: midpoint of the two central sorted values.
-    return np.median(_as_matrix(per_class_scores), axis=1)
-
-
-def pool_ema(per_class_scores: np.ndarray, alpha: float = 0.8) -> np.ndarray:
-    """Exponential moving average run over each row sorted in decreasing order.
-
-    Running the average largest-first makes the smallest per-class score
-    dominate the result: the k-th smallest score contributes with weight
-    alpha * (1 - alpha)^(k-1) (the largest with weight (1 - alpha)^(K-1)),
-    so alpha close to 1 approaches min-pooling and alpha close to 0
-    approaches max-pooling.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    scores = _as_matrix(per_class_scores)
-    descending = np.sort(scores, axis=1)[:, ::-1]
-    running = descending[:, 0].copy()
-    for t in range(1, descending.shape[1]):
-        running = alpha * descending[:, t] + (1.0 - alpha) * running
-    return running
-
-
-def pool_softmin(per_class_scores: np.ndarray, tau: float = 0.1) -> np.ndarray:
-    """Softmax-weighted average that emphasizes the smallest scores.
-
-    Weights are proportional to exp((1 - score) / tau); the max exponent is
-    subtracted before exponentiating so user-supplied temperatures cannot
-    overflow.
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    scores = _as_matrix(per_class_scores)
-    z = (1.0 - scores) / tau
-    z = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    return (scores * w).sum(axis=1) / w.sum(axis=1)
-
-
-def pool_log(per_class_scores: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Mean of log(score + eps); finite even when some scores are exactly 0."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    scores = _as_matrix(per_class_scores)
-    return np.log(scores + eps).mean(axis=1)
-
-
-def pool_cumavg_bottom(per_class_scores: np.ndarray, bottom_j: int = 2) -> np.ndarray:
-    """Mean of the J smallest per-class scores of each example."""
-    scores = _as_matrix(per_class_scores)
-    if not 1 <= bottom_j <= scores.shape[1]:
-        raise ValueError(f"bottom_j must be in [1, {scores.shape[1]}], got {bottom_j}")
-    ascending = np.sort(scores, axis=1)
-    return ascending[:, :bottom_j].mean(axis=1)
-
-
-def pool_weighted_cumavg(per_class_scores: np.ndarray) -> np.ndarray:
-    """Exponentially-weighted sum of the cumulative bottom-J averages.
-
-    Sums exp(1 - J) * (mean of the J smallest scores) over J = 1..K. The
-    weights sum to more than 1, so the output is not confined to the range
-    of the inputs; only its ranking is meaningful.
-    """
-    scores = _as_matrix(per_class_scores)
+    if not np.isfinite(scores).all():
+        raise ValueError("per-class scores must be finite")
     n_classes = scores.shape[1]
-    ascending = np.sort(scores, axis=1)
-    cum_means = np.cumsum(ascending, axis=1) / np.arange(1, n_classes + 1)
-    weights = np.exp(1.0 - np.arange(1, n_classes + 1, dtype=np.float64))
-    return cum_means @ weights
-
-
-def pool_sma(per_class_scores: np.ndarray, period: int = 2) -> np.ndarray:
-    """Mean of all period-P moving-window sums over ascending-sorted scores.
-
-    Every window of P adjacent sorted scores is summed and the grand total
-    is divided by P * (K - P + 1); both P = 1 and P = K reduce to plain
-    mean-pooling.
-    """
-    scores = _as_matrix(per_class_scores)
-    n_classes = scores.shape[1]
-    if not 1 <= period <= n_classes:
-        raise ValueError(f"period must be in [1, {n_classes}], got {period}")
-    ascending = np.sort(scores, axis=1)
-    padded = np.concatenate(
-        [np.zeros((scores.shape[0], 1)), np.cumsum(ascending, axis=1)], axis=1
-    )
-    window_sums = padded[:, period:] - padded[:, :-period]
-    return window_sums.sum(axis=1) / (period * (n_classes - period + 1))
-
-
-def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
-    """Apply the named pooling method to an N x K per-class score matrix."""
-    scores = _as_matrix(per_class_scores)
-    method.check_n_classes(scores.shape[1])
-    if method.name == "min":
-        return pool_min(scores)
-    if method.name == "max":
-        return pool_max(scores)
-    if method.name == "mean":
-        return pool_mean(scores)
-    if method.name == "median":
-        return pool_median(scores)
-    if method.name == "ema":
-        return pool_ema(scores, method.alpha)
+    method.check_n_classes(n_classes)
     if method.name == "softmin":
-        return pool_softmin(scores, method.tau)
+        # Subtracting the row's largest exponent keeps any temperature from overflowing.
+        z = (1.0 - scores) / method.tau
+        w = np.exp(z - z.max(axis=1, keepdims=True))
+        return (scores * w).sum(axis=1) / w.sum(axis=1)
     if method.name == "log":
-        return pool_log(scores, method.eps)
-    if method.name == "cumavg_bottom":
-        return pool_cumavg_bottom(scores, method.bottom_j)
-    if method.name == "weighted_cumavg":
-        return pool_weighted_cumavg(scores)
-    if method.name == "sma":
-        return pool_sma(scores, method.period)
-    raise AssertionError(f"unhandled pooling method {method.name!r}")
+        return np.log(scores + method.eps).mean(axis=1)
+    weights = _SORTED_WEIGHTS[method.name](method, np.arange(1.0, n_classes + 1), n_classes)
+    # Not `@`: a BLAS product can sum equal rows in different orders, and
+    # ranks at ties need equal rows pooled to bit-equal values. Weighting in
+    # place saves a second (N, K) temporary, which costs as much as the sort.
+    ordered = np.sort(scores, axis=1)
+    ordered *= weights
+    return ordered.sum(axis=1)
 
 
 def score_examples(labels: np.ndarray, probs: np.ndarray, method: PoolingMethod) -> QualityScoreVector:

@@ -13,7 +13,7 @@ from labelaudit import bench
 from labelaudit.confident import flag_multilabel
 from labelaudit.metrics import ap_at_t, auprc, spearman
 from labelaudit.model import binary_loss_and_grad
-from labelaudit.scoring import POOLER_NAMES, PoolingMethod, pool, pool_ema
+from labelaudit.scoring import POOLER_NAMES, PoolingMethod, pool
 from labelaudit.synth import (
     GenConfig,
     draw_noise_spec,
@@ -92,10 +92,12 @@ def test_ema_weight_identity():
 
     # numeric probe 1: 0/1 step vectors; the weight of sorted position k is
     # the difference between pooling steps that turn on at k and at k+1.
+    ema = PoolingMethod("ema", alpha=alpha)
+
     def step(k):  # ones at ascending positions >= k (1-based)
         v = np.zeros(k_classes)
         v[k - 1:] = 1.0
-        return pool_ema(v[None, :], alpha)[0]
+        return pool(v[None, :], ema)[0]
 
     for k, expected in ((3, 0.032), (4, 0.0064)):
         probe = step(k) - step(k + 1)
@@ -107,7 +109,7 @@ def test_ema_weight_identity():
     for k, expected in ((3, 0.032), (4, 0.0064)):
         bumped = base.copy()
         bumped[k - 1] += delta
-        probe = (pool_ema(bumped[None, :], alpha) - pool_ema(base[None, :], alpha))[0] / delta
+        probe = (pool(bumped[None, :], ema) - pool(base[None, :], ema))[0] / delta
         ok = ok and abs(probe - expected) < tol
 
     report("ema-weight-identity", ok,

@@ -270,6 +270,16 @@ class TestCli:
                         "--out", str(tmp_path / "s.csv"),
                         "--method", "ema", "--alpha", "7") == 1
 
+    def test_non_finite_eps_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\n")
+        (tmp_path / "p.csv").write_text("id,prob_0\na,0.5\nb,0.5\n")
+        assert self.run("score", "--labels", str(tmp_path / "l.csv"),
+                        "--probs", str(tmp_path / "p.csv"),
+                        "--out", str(tmp_path / "s.csv"),
+                        "--method", "log", "--eps", "inf") == 1
+        assert "eps must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LABELAUDIT_OUT_DIR", str(tmp_path / "envout"))
         code = self.run("gen", "--n-samples", "30", "--n-features", "3",

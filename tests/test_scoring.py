@@ -9,16 +9,6 @@ from labelaudit.scoring import (
     POOLER_NAMES,
     PoolingMethod,
     pool,
-    pool_cumavg_bottom,
-    pool_ema,
-    pool_log,
-    pool_max,
-    pool_mean,
-    pool_median,
-    pool_min,
-    pool_sma,
-    pool_softmin,
-    pool_weighted_cumavg,
     rescale_for_display,
     score_examples,
     self_confidence,
@@ -53,46 +43,50 @@ class TestSelfConfidence:
         assert (s >= 0).all() and (s <= 1).all()
 
 
+def pooled(name, scores, **params):
+    return pool(scores, PoolingMethod(name, **params))
+
+
 class TestBaselinePoolers:
     def test_two_element_reductions(self):
         s = row(0.2, 0.8)
-        assert pool_min(s)[0] == 0.2
-        assert pool_max(s)[0] == 0.8
-        assert pool_mean(s)[0] == pytest.approx(0.5)
-        assert pool_median(s)[0] == pytest.approx(0.5)
+        assert pooled("min", s)[0] == 0.2
+        assert pooled("max", s)[0] == 0.8
+        assert pooled("mean", s)[0] == pytest.approx(0.5)
+        assert pooled("median", s)[0] == pytest.approx(0.5)
 
     def test_constant_vector(self):
         s = row(0.5, 0.5, 0.5)
-        for fn in (pool_min, pool_max, pool_mean, pool_median):
-            assert fn(s)[0] == 0.5
+        for name in ("min", "max", "mean", "median"):
+            assert pooled(name, s)[0] == 0.5
 
     def test_median_even_count_midpoint(self):
         # sorted (0.1, 0.4, 0.9, 1.0) -> midpoint of 0.4 and 0.9
-        assert pool_median(row(0.1, 0.4, 0.9, 1.0))[0] == pytest.approx(0.65)
+        assert pooled("median", row(0.1, 0.4, 0.9, 1.0))[0] == pytest.approx(0.65)
 
     def test_empty_class_axis_rejected(self):
         with pytest.raises(ValueError, match="empty class axis"):
-            pool_min(np.empty((3, 0)))
+            pooled("min", np.empty((3, 0)))
 
 
 class TestEma:
     def test_single_class_returns_score(self):
         for alpha in (0.1, 0.8, 1.0):
-            assert pool_ema(row(0.4), alpha)[0] == 0.4
+            assert pooled("ema", row(0.4), alpha=alpha)[0] == 0.4
 
     def test_hand_evaluation(self):
         # descending (0.9, 0.5): start 0.9, then 0.8*0.5 + 0.2*0.9 = 0.58
-        assert pool_ema(row(0.9, 0.5), alpha=0.8)[0] == pytest.approx(0.58, abs=1e-15)
+        assert pooled("ema", row(0.9, 0.5), alpha=0.8)[0] == pytest.approx(0.58, abs=1e-15)
 
     def test_alpha_one_is_min(self):
         rng = np.random.default_rng(1)
         s = rng.random((40, 7))
-        assert np.array_equal(pool_ema(s, alpha=1.0), pool_min(s))
+        assert np.array_equal(pooled("ema", s, alpha=1.0), pooled("min", s))
 
     def test_alpha_to_zero_is_max(self):
         rng = np.random.default_rng(2)
         s = rng.random((40, 7))
-        assert np.max(np.abs(pool_ema(s, alpha=1e-6) - pool_max(s))) < 1e-4
+        assert np.max(np.abs(pooled("ema", s, alpha=1e-6) - pooled("max", s))) < 1e-4
 
     def test_sorted_position_weights(self):
         # Contribution of the k-th smallest score is alpha*(1-alpha)^(k-1)
@@ -103,91 +97,98 @@ class TestEma:
         for k in range(1, k_classes):
             bumped = base.copy()
             bumped[k - 1] += delta
-            w = (pool_ema(bumped[None, :], alpha) - pool_ema(base[None, :], alpha))[0] / delta
+            w = (pooled("ema", bumped[None, :], alpha=alpha)
+                 - pooled("ema", base[None, :], alpha=alpha))[0] / delta
             assert w == pytest.approx(alpha * (1 - alpha) ** (k - 1), abs=1e-12)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError, match="alpha"):
-            pool_ema(row(0.5), alpha=1.5)
+            pooled("ema", row(0.5), alpha=1.5)
         with pytest.raises(ValueError, match="alpha"):
-            pool_ema(row(0.5), alpha=0.0)
+            pooled("ema", row(0.5), alpha=0.0)
 
 
 class TestSoftmin:
     def test_constant_input(self):
         for c in (0.0, 0.3, 1.0):
-            assert pool_softmin(row(c, c, c, c))[0] == pytest.approx(c, abs=1e-15)
+            assert pooled("softmin", row(c, c, c, c))[0] == pytest.approx(c, abs=1e-15)
 
     def test_two_term_closed_form(self):
         # weights ~ (e^10, e^0): pooled = 1 / (e^10 + 1)
         expected = 1.0 / (math.exp(10.0) + 1.0)
-        assert pool_softmin(row(0.0, 1.0), tau=0.1)[0] == pytest.approx(expected, rel=1e-12)
-        assert pool_softmin(row(0.0, 1.0), tau=0.1)[0] == pytest.approx(4.5398e-5, rel=1e-4)
+        assert pooled("softmin", row(0.0, 1.0), tau=0.1)[0] == pytest.approx(expected, rel=1e-12)
+        assert pooled("softmin", row(0.0, 1.0), tau=0.1)[0] == pytest.approx(4.5398e-5, rel=1e-4)
 
     def test_small_temperature_approaches_min(self):
         rng = np.random.default_rng(3)
         s = rng.random((30, 5))
-        assert np.max(np.abs(pool_softmin(s, tau=1e-4) - pool_min(s))) < 1e-6
+        assert np.max(np.abs(pooled("softmin", s, tau=1e-4) - pooled("min", s))) < 1e-6
 
     def test_extreme_temperature_does_not_overflow(self):
         s = row(0.0, 1.0)
         for tau in (1e-9, 1e9):
-            assert np.isfinite(pool_softmin(s, tau)).all()
+            assert np.isfinite(pooled("softmin", s, tau=tau)).all()
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError, match="tau"):
-            pool_softmin(row(0.5), tau=0.0)
+            pooled("softmin", row(0.5), tau=0.0)
 
 
 class TestLogPool:
     def test_all_ones(self):
-        assert pool_log(row(1.0, 1.0))[0] == pytest.approx(math.log(1 + 1e-8), rel=1e-12)
+        assert pooled("log", row(1.0, 1.0))[0] == pytest.approx(math.log(1 + 1e-8), rel=1e-12)
 
     def test_zero_and_one(self):
         expected = (math.log(1e-8) + math.log(1 + 1e-8)) / 2
-        got = pool_log(row(0.0, 1.0))[0]
+        got = pooled("log", row(0.0, 1.0))[0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(-9.2103, abs=1e-4)
 
     def test_all_zero_is_finite_floor(self):
-        got = pool_log(np.zeros((1, 4)))[0]
+        got = pooled("log", np.zeros((1, 4)))[0]
         assert got == pytest.approx(math.log(1e-8), rel=1e-12)
         assert np.isfinite(got)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1e-8])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            PoolingMethod("log", eps=eps)
 
 
 class TestCumAvgBottom:
     def test_j1_is_min(self):
         rng = np.random.default_rng(4)
         s = rng.random((30, 6))
-        assert np.array_equal(pool_cumavg_bottom(s, 1), pool_min(s))
+        assert np.array_equal(pooled("cumavg_bottom", s, bottom_j=1), pooled("min", s))
 
     def test_jk_is_mean(self):
         rng = np.random.default_rng(5)
         s = rng.random((30, 6))
-        np.testing.assert_allclose(pool_cumavg_bottom(s, 6), pool_mean(s), rtol=1e-12)
+        np.testing.assert_allclose(pooled("cumavg_bottom", s, bottom_j=6), pooled("mean", s),
+                                   rtol=1e-12)
 
     def test_hand_evaluation(self):
-        assert pool_cumavg_bottom(row(0.9, 0.1, 0.3), 2)[0] == pytest.approx(0.2, abs=1e-15)
+        assert pooled("cumavg_bottom", row(0.9, 0.1, 0.3), bottom_j=2)[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_j_out_of_range(self):
         with pytest.raises(ValueError, match="bottom_j"):
-            pool_cumavg_bottom(row(0.5, 0.6), 3)
+            pooled("cumavg_bottom", row(0.5, 0.6), bottom_j=3)
 
 
 class TestWeightedCumAvg:
     def test_single_class(self):
-        assert pool_weighted_cumavg(row(0.5))[0] == pytest.approx(0.5, abs=1e-15)
+        assert pooled("weighted_cumavg", row(0.5))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_two_term_hand_evaluation(self):
         expected = math.exp(-1.0) * 0.5  # J=1 term is 0, J=2 term is e^-1 * 1/2
-        got = pool_weighted_cumavg(row(0.0, 1.0))[0]
+        got = pooled("weighted_cumavg", row(0.0, 1.0))[0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.18394, abs=1e-5)
 
     def test_constant_input_scales_by_weight_sum(self):
         for k in (1, 3, 7):
             weight_sum = sum(math.exp(1 - j) for j in range(1, k + 1))
-            got = pool_weighted_cumavg(np.full((1, k), 0.4))[0]
+            got = pooled("weighted_cumavg", np.full((1, k), 0.4))[0]
             assert got == pytest.approx(0.4 * weight_sum, rel=1e-12)
 
 
@@ -195,24 +196,24 @@ class TestSma:
     def test_p1_is_mean(self):
         rng = np.random.default_rng(6)
         s = rng.random((30, 6))
-        np.testing.assert_allclose(pool_sma(s, 1), pool_mean(s), rtol=1e-12)
+        np.testing.assert_allclose(pooled("sma", s, period=1), pooled("mean", s), rtol=1e-12)
 
     def test_pk_is_mean(self):
         rng = np.random.default_rng(7)
         s = rng.random((30, 6))
-        np.testing.assert_allclose(pool_sma(s, 6), pool_mean(s), rtol=1e-12)
+        np.testing.assert_allclose(pooled("sma", s, period=6), pooled("mean", s), rtol=1e-12)
 
     def test_hand_window_sums(self):
         # windows (0.1,0.3) and (0.3,0.9): total 1.6 over denominator 4
-        assert pool_sma(row(0.1, 0.3, 0.9), 2)[0] == pytest.approx(0.4, abs=1e-15)
+        assert pooled("sma", row(0.1, 0.3, 0.9), period=2)[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_constant_input(self):
         for p in (1, 2, 3, 5):
-            assert pool_sma(np.full((1, 5), 0.7), p)[0] == pytest.approx(0.7, rel=1e-12)
+            assert pooled("sma", np.full((1, 5), 0.7), period=p)[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError, match="period"):
-            pool_sma(row(0.5, 0.6), 3)
+            pooled("sma", row(0.5, 0.6), period=3)
 
 
 class TestDispatcher:
@@ -247,6 +248,25 @@ class TestDispatcher:
     def test_param_check_against_class_count(self):
         with pytest.raises(ValueError, match="bottom_j"):
             pool(np.full((2, 2), 0.5), PoolingMethod("cumavg_bottom", bottom_j=3))
+
+    @pytest.mark.parametrize("field", ["bottom_j", "period"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1])
+    def test_window_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            PoolingMethod("sma", **{field: value})
+
+    def test_numpy_integer_window_sizes_accepted(self):
+        s = row(0.9, 0.1, 0.3)
+        assert pooled("cumavg_bottom", s, bottom_j=np.int64(2))[0] == pytest.approx(0.2, abs=1e-15)
+        assert pooled("sma", s, period=np.int32(2))[0] == pooled("sma", s, period=2)[0]
+
+    @pytest.mark.parametrize("name", POOLER_NAMES)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scores_rejected(self, name, bad):
+        scores = np.full((3, 4), 0.5)
+        scores[1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            pool(scores, PoolingMethod(name))
 
 
 def default_method(name):
@@ -302,8 +322,8 @@ def test_softmin_is_deliberately_not_monotone():
     # Raising an already-high score can *lower* the pooled value because its
     # softmax weight shrinks slower than its contribution grows; this pins
     # the formula's behavior so nobody "fixes" it into a monotone variant.
-    before = pool_softmin(row(0.0, 0.9), tau=0.1)[0]
-    after = pool_softmin(row(0.0, 1.0), tau=0.1)[0]
+    before = pooled("softmin", row(0.0, 0.9), tau=0.1)[0]
+    after = pooled("softmin", row(0.0, 1.0), tau=0.1)[0]
     assert after < before
 
 
@@ -318,13 +338,13 @@ def test_single_class_returns_the_score(name):
         assert pooled == pytest.approx(0.37, rel=1e-12)
 
 
-SORTING_POOLERS = ("min", "max", "median", "ema", "cumavg_bottom", "weighted_cumavg", "sma")
+SORTING_POOLERS = ("min", "max", "mean", "median", "ema", "cumavg_bottom", "weighted_cumavg", "sma")
 
 
 def test_tie_order_cannot_affect_pooled_values():
     # Duplicated values shuffled into every rotation: sorting-based poolers
     # see the identical sorted array, so results are bit-identical; the
-    # column-order poolers (mean, softmin, log) never sort, so tie order is
+    # column-order poolers (softmin, log) never sort, so tie order is
     # vacuous for them and only float summation order differs (~1 ulp).
     base = np.array([0.2, 0.2, 0.7, 0.7, 0.2])
     for name in POOLER_NAMES:
@@ -339,18 +359,23 @@ def test_tie_order_cannot_affect_pooled_values():
 @pytest.mark.parametrize("name", POOLER_NAMES)
 def test_matches_brute_force_oracle(name):
     rng = np.random.default_rng(hash(name) % 2**32)
-    for _ in range(60):
+    for trial in range(60):
         n = int(rng.integers(1, 30))
-        k = int(rng.integers(1, 11))
+        k = 50 if trial % 10 == 0 else int(rng.integers(1, 51))
         scores = rng.random((n, k))
         if rng.random() < 0.2:  # exercise exact 0/1 entries
             scores[rng.random((n, k)) < 0.1] = 0.0
             scores[rng.random((n, k)) < 0.1] = 1.0
+        if rng.random() < 0.3:  # duplicated rows: ranks at ties need them pooled bit-equal
+            scores = scores[rng.integers(0, max(1, n // 3), size=n)]
         method = PoolingMethod(name, bottom_j=min(2, k), period=min(2, k))
         mine = pool(scores, method)
         assert np.isfinite(mine).all()
         ref = reference.pool_matrix(name, scores.tolist(), **method.params())
         np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-12)
+        first = {}
+        for r, value in zip(scores, mine):
+            assert first.setdefault(r.tobytes(), value) == value
 
 
 def test_rescale_for_display():
