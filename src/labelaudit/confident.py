@@ -1,12 +1,18 @@
 """Flag suspected annotation errors via per-class binary confident joints.
 
-Each class is treated as its own binary present/absent problem. Per class we
-estimate two confidence thresholds (the mean predicted probability among
-annotated positives, and the mean complement among annotated negatives),
-confidently assign each example a binary "true" label where a threshold is
-cleared, and count (given, confident-true) pairs in a 2x2 joint. Examples
-landing in an off-diagonal cell are flagged for that class; the per-example
-result is the union of flags over all classes.
+Each class is treated as its own binary present/absent problem with two
+confidence thresholds: the mean predicted probability among annotated
+positives and the mean complement among annotated negatives. One
+whole-matrix pass then compares every probability with its class's
+thresholds, assigns a confident binary "true" label where one is cleared,
+and counts (given, confident-true) pairs into a 2x2 joint per class as column
+sums. Examples in an off-diagonal cell are flagged for that class; the
+per-example result is the union of flags over all classes. A class with no
+positives or no negatives has NaN thresholds, which nothing clears.
+
+``flag_multilabel`` runs the pass over all K classes. ``class_thresholds``,
+``binary_confident_joint`` and ``flag_class`` are views of the same pass on
+one column, and check their input as ``flag_multilabel`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ import numpy as np
 
 from .data import check_labels_probs, write_csv_rows
 
-UNCOUNTED = -1
+
+def _check_thresholds(t_pos, t_neg) -> None:
+    for name, value in (("threshold_positive", t_pos), ("threshold_negative", t_neg)):
+        if not 0.0 <= value <= 1.0:  # False at NaN as well
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +51,7 @@ class BinaryConfidentJoint:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
         if counts.shape != (2, 2) or (counts < 0).any():
             raise ValueError(f"counts must be a non-negative 2x2 matrix, got {counts}")
-        for name in ("threshold_positive", "threshold_negative"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        _check_thresholds(self.threshold_positive, self.threshold_negative)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -74,42 +81,63 @@ class FlagReport:
             object.__setattr__(self, name, arr)
 
 
+def _thresholds(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """(K, 2) rows [mean p | given 1, mean 1-p | given 0]; NaN for one-sided classes."""
+    pos = labels == 1
+    out = np.full((labels.shape[1], 2), np.nan)
+    for k in np.flatnonzero(pos.any(axis=0) & ~pos.all(axis=0)):
+        out[k] = probs[pos[:, k], k].mean(), (1.0 - probs[~pos[:, k], k]).mean()
+    return out
+
+
+def _confident_joint(
+    labels: np.ndarray, probs: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K) off-diagonal flags and (K, 2, 2) joint counts, in one whole-matrix pass.
+
+    An example is confidently present where p clears the class's positive
+    threshold and absent where 1 - p clears the negative one. Where both
+    clear, p > 0.5 wins and p == 0.5 keeps the given label; where neither
+    clears (always, under a NaN threshold) the example is not counted.
+    """
+    given = labels == 1
+    clears_pos = probs >= thresholds[:, 0]
+    clears_neg = 1.0 - probs >= thresholds[:, 1]
+    counted = clears_pos | clears_neg
+    present = clears_pos & (~clears_neg | (probs > 0.5) | ((probs == 0.5) & given))
+    counts = [[(counted & (given == g) & (present == t)).sum(axis=0) for t in (False, True)]
+              for g in (False, True)]
+    return counted & (present != given), np.moveaxis(np.array(counts, dtype=np.int64), -1, 0)
+
+
+def _class_view(labels, probs, class_index: int, thresholds=None):
+    """Checked N x 1 labels and probabilities of one class, and its (1, 2) thresholds.
+
+    Pinned thresholds must be finite and in [0, 1]; otherwise they are
+    estimated from the column (NaN when it is one-sided).
+    """
+    labels, probs = check_labels_probs(labels, probs)
+    if not 0 <= class_index < labels.shape[1]:
+        raise ValueError(f"class_index {class_index} not in [0, {labels.shape[1]})")
+    labels, probs = labels[:, [class_index]], probs[:, [class_index]]
+    if thresholds is None:
+        return labels, probs, _thresholds(labels, probs)
+    _check_thresholds(*thresholds)
+    return labels, probs, np.array([thresholds], dtype=np.float64)
+
+
 def class_thresholds(labels: np.ndarray, probs: np.ndarray, class_index: int) -> tuple[float, float]:
     """Confidence thresholds for one class: (mean p | given 1, mean 1-p | given 0).
 
     Raises ``ValueError`` when the class has no positives or no negatives;
     callers that want flags should skip such classes instead.
     """
-    given = np.asarray(labels)[:, class_index]
-    p = np.asarray(probs, dtype=np.float64)[:, class_index]
-    pos = given == 1
-    neg = given == 0
-    if not pos.any():
-        raise ValueError(f"class {class_index} has no annotated positives")
-    if not neg.any():
-        raise ValueError(f"class {class_index} has no annotated negatives")
-    return float(p[pos].mean()), float((1.0 - p[neg]).mean())
-
-
-def _confident_true_labels(
-    given: np.ndarray, p: np.ndarray, t_pos: float, t_neg: float
-) -> np.ndarray:
-    """Per-example confident binary label, or UNCOUNTED when neither side clears.
-
-    When both sides clear their thresholds the side with the larger predicted
-    probability wins; an exact tie (p == 0.5) keeps the given label.
-    """
-    conf_pos = p >= t_pos
-    conf_neg = (1.0 - p) >= t_neg
-    out = np.full(given.shape[0], UNCOUNTED, dtype=np.int64)
-    out[conf_pos & ~conf_neg] = 1
-    out[conf_neg & ~conf_pos] = 0
-    both = conf_pos & conf_neg
-    out[both & (p > 0.5)] = 1
-    out[both & (p < 0.5)] = 0
-    tie = both & (p == 0.5)
-    out[tie] = given[tie]
-    return out
+    labels, _, thresholds = _class_view(labels, probs, class_index)
+    if np.isnan(thresholds).any():
+        side = "negatives" if labels.any() else "positives"
+        raise ValueError(f"class {class_index} has no annotated {side}")
+    t_pos, t_neg = thresholds[0].tolist()
+    return t_pos, t_neg
 
 
 def binary_confident_joint(
@@ -119,16 +147,11 @@ def binary_confident_joint(
     thresholds: tuple[float, float] | None = None,
 ) -> BinaryConfidentJoint:
     """Count (given, confident true) pairs for one class."""
-    given = np.asarray(labels)[:, class_index]
-    p = np.asarray(probs, dtype=np.float64)[:, class_index]
     if thresholds is None:
         thresholds = class_thresholds(labels, probs, class_index)
-    t_pos, t_neg = thresholds
-    confident = _confident_true_labels(given, p, t_pos, t_neg)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    counted = confident != UNCOUNTED
-    np.add.at(counts, (given[counted], confident[counted]), 1)
-    return BinaryConfidentJoint(class_index, counts, t_pos, t_neg)
+    labels, probs, pinned = _class_view(labels, probs, class_index, thresholds)
+    counts = _confident_joint(labels, probs, pinned)[1][0]
+    return BinaryConfidentJoint(class_index, counts, *thresholds)
 
 
 def flag_class(
@@ -141,73 +164,34 @@ def flag_class(
 
     A skipped class (single-sided labels) yields an all-false vector.
     """
-    given = np.asarray(labels)[:, class_index]
-    p = np.asarray(probs, dtype=np.float64)[:, class_index]
-    try:
-        t_pos, t_neg = thresholds if thresholds is not None \
-            else class_thresholds(labels, probs, class_index)
-    except ValueError:
-        return np.zeros(given.shape[0], dtype=bool)
-    confident = _confident_true_labels(given, p, t_pos, t_neg)
-    return (confident != UNCOUNTED) & (confident != given)
-
-
-def _noise_rate_matrix(counts: np.ndarray, n_given: np.ndarray) -> np.ndarray:
-    """Calibrate the joint (scale row g to the given-label count) and row-normalize.
-
-    Empty rows carry no evidence and fall back to the identity row so the
-    matrix stays row-stochastic.
-    """
-    rates = np.eye(2)
-    for g in range(2):
-        row_total = counts[g].sum()
-        if row_total > 0 and n_given[g] > 0:
-            calibrated = counts[g] * (n_given[g] / row_total)
-            rates[g] = calibrated / calibrated.sum()
-    return rates
+    return _confident_joint(*_class_view(labels, probs, class_index, thresholds))[0][:, 0]
 
 
 def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
     """Run per-class confident flagging for every class and take the union.
 
     Skips (degenerate classes) are recorded, never fatal. Noise-rate matrices
-    are calibrated joints, used for reporting only; flag decisions come from
-    raw off-diagonal membership. Raises ``ValueError`` for a label outside
-    {0,1} or a probability that is not a finite number in [0, 1].
+    are calibrated joints (row g scaled to the given-label count, then
+    row-normalised), used for reporting only; a row with no counted example
+    carries no evidence and falls back to the identity row. Flag decisions
+    come from raw off-diagonal membership. Raises ``ValueError`` for a label
+    outside {0,1} or a probability that is not a finite number in [0, 1].
     """
     labels, probs = check_labels_probs(labels, probs)
-    n_examples, n_classes = labels.shape
-
-    per_class_flags = np.zeros((n_examples, n_classes), dtype=bool)
-    error_counts = np.zeros(n_classes, dtype=np.int64)
-    noise_rates = np.zeros((n_classes, 2, 2))
-    thresholds = np.full((n_classes, 2), np.nan)
-    skipped: list[int] = []
-
-    for k in range(n_classes):
-        given = labels[:, k]
-        try:
-            t_pos, t_neg = class_thresholds(labels, probs, k)
-        except ValueError:
-            skipped.append(k)
-            noise_rates[k] = np.eye(2)
-            continue
-        thresholds[k] = (t_pos, t_neg)
-        confident = _confident_true_labels(given, probs[:, k], t_pos, t_neg)
-        counted = confident != UNCOUNTED
-        counts = np.zeros((2, 2), dtype=np.int64)
-        np.add.at(counts, (given[counted], confident[counted]), 1)
-        per_class_flags[:, k] = counted & (confident != given)
-        error_counts[k] = counts[0, 1] + counts[1, 0]
-        n_given = np.array([(given == 0).sum(), (given == 1).sum()])
-        noise_rates[k] = _noise_rate_matrix(counts, n_given)
-
+    thresholds = _thresholds(labels, probs)
+    per_class_flags, counts = _confident_joint(labels, probs, thresholds)
+    n_positive = labels.sum(axis=0)
+    n_given = np.stack([labels.shape[0] - n_positive, n_positive], axis=1)[:, :, None]
+    row_total = counts.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        calibrated = counts * (n_given / row_total)
+        rates = calibrated / calibrated.sum(axis=2, keepdims=True)
     return FlagReport(
         per_class_flags=per_class_flags,
         example_flags=per_class_flags.any(axis=1),
-        per_class_error_counts=error_counts,
-        estimated_noise_rates=noise_rates,
-        skipped_classes=tuple(skipped),
+        per_class_error_counts=counts[:, 0, 1] + counts[:, 1, 0],
+        estimated_noise_rates=np.where(row_total > 0, rates, np.eye(2)),
+        skipped_classes=tuple(np.flatnonzero(np.isnan(thresholds[:, 0])).tolist()),
         thresholds=thresholds,
     )
 

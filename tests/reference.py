@@ -3,10 +3,13 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The trainer oracle at the end is the exception: it is numpy, a literal copy
-of the original epoch loop (masked two-sided sigmoid, ``np.logaddexp`` loss,
-fresh temporaries every epoch). Only the same floating-point operations can
-show that a faster trainer gives bit-identical weights and probabilities.
+The two oracles at the end are the exception: they are numpy, literal
+copies of the original code. One is the trainer's epoch loop (masked
+two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
+the other is the per-class loop of the multi-label flagger (one
+``np.add.at`` joint and one noise-rate matrix per class). Only the same
+floating-point operations can show that a rewrite gives bit-identical
+weights, probabilities, thresholds and noise rates.
 """
 
 import math
@@ -273,3 +276,71 @@ def cross_val_pred_probs(features, labels, n_folds, seed, **train_args):
         X = (np.log1p(features[held_out]) - mean) / scale
         probs[held_out] = np.clip(masked_sigmoid(X @ weights.T + biases), 1e-15, 1.0 - 1e-15)
     return probs
+
+
+# --- multi-label flagger: the original per-class loop -----------------------
+
+UNCOUNTED = -1
+
+
+def _confident_true_labels(given, p, t_pos, t_neg):
+    conf_pos = p >= t_pos
+    conf_neg = (1.0 - p) >= t_neg
+    out = np.full(given.shape[0], UNCOUNTED, dtype=np.int64)
+    out[conf_pos & ~conf_neg] = 1
+    out[conf_neg & ~conf_pos] = 0
+    both = conf_pos & conf_neg
+    out[both & (p > 0.5)] = 1
+    out[both & (p < 0.5)] = 0
+    tie = both & (p == 0.5)
+    out[tie] = given[tie]
+    return out
+
+
+def _noise_rate_matrix(counts, n_given):
+    rates = np.eye(2)
+    for g in range(2):
+        row_total = counts[g].sum()
+        if row_total > 0 and n_given[g] > 0:
+            calibrated = counts[g] * (n_given[g] / row_total)
+            rates[g] = calibrated / calibrated.sum()
+    return rates
+
+
+def flag_multilabel(labels, probs):
+    """The fields of a ``FlagReport``, as the original K-loop computed them."""
+    labels = np.asarray(labels).astype(np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    n_examples, n_classes = labels.shape
+    per_class_flags = np.zeros((n_examples, n_classes), dtype=bool)
+    error_counts = np.zeros(n_classes, dtype=np.int64)
+    noise_rates = np.zeros((n_classes, 2, 2))
+    thresholds = np.full((n_classes, 2), np.nan)
+    skipped = []
+    for k in range(n_classes):
+        given = labels[:, k]
+        p = probs[:, k]
+        pos = given == 1
+        neg = given == 0
+        if not pos.any() or not neg.any():
+            skipped.append(k)
+            noise_rates[k] = np.eye(2)
+            continue
+        t_pos, t_neg = float(p[pos].mean()), float((1.0 - p[neg]).mean())
+        thresholds[k] = (t_pos, t_neg)
+        confident = _confident_true_labels(given, p, t_pos, t_neg)
+        counted = confident != UNCOUNTED
+        counts = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(counts, (given[counted], confident[counted]), 1)
+        per_class_flags[:, k] = counted & (confident != given)
+        error_counts[k] = counts[0, 1] + counts[1, 0]
+        n_given = np.array([(given == 0).sum(), (given == 1).sum()])
+        noise_rates[k] = _noise_rate_matrix(counts, n_given)
+    return dict(
+        per_class_flags=per_class_flags,
+        example_flags=per_class_flags.any(axis=1),
+        per_class_error_counts=error_counts,
+        estimated_noise_rates=noise_rates,
+        skipped_classes=tuple(skipped),
+        thresholds=thresholds,
+    )

@@ -25,6 +25,23 @@ def random_instance(seed, n=40, k=4):
             return labels, rng.random((n, k))
 
 
+def oracle_instances(n_trials=150):
+    """Random and grid-valued instances, with one-sided classes, K up to 50 and bool labels.
+
+    Every other instance draws probabilities from multiples of 1/8, so that
+    p == 0.5 and p equal to a class threshold both occur.
+    """
+    rng = np.random.default_rng(20240607)
+    for trial in range(n_trials):
+        n = int(rng.integers(1, 60))
+        k = 50 if trial % 10 == 0 else int(rng.integers(1, 12))
+        labels = rng.random((n, k)) < rng.uniform(0.1, 0.9)
+        one_sided = rng.random(k) < 0.25
+        labels[:, one_sided] = rng.random(one_sided.sum()) < 0.5
+        probs = rng.integers(0, 9, size=(n, k)) / 8 if trial % 2 else rng.random((n, k))
+        yield (labels if trial % 3 == 0 else labels.astype(int)), probs
+
+
 def flipped_instance(seed, n=60, k=5, n_flips=6):
     """Ground-truth labels, a noisy copy with known flips, and oracle probs."""
     rng = np.random.default_rng(seed)
@@ -209,6 +226,58 @@ class TestFlagMultilabel:
             flag_multilabel(np.zeros((3, 2), dtype=int), np.zeros((3, 3)))
 
 
+class TestClassViewsCheckInput:
+    def test_flag_class_rejects_label_outside_zero_one(self):
+        labels = np.array([[2], [2], [0]])
+        with pytest.raises(ValueError, match=r"label 2 not in \{0,1\}"):
+            flag_class(labels, np.full((3, 1), 0.5), 0)
+
+    def test_class_thresholds_rejects_nan_probability(self):
+        labels = np.array([[1], [0], [0]])
+        probs = np.array([[np.nan], [0.1], [0.3]])
+        with pytest.raises(ValueError, match="non-finite probability"):
+            class_thresholds(labels, probs, 0)
+
+    def test_class_index_past_last_class(self):
+        labels, probs = random_instance(0, n=10, k=2)
+        with pytest.raises(ValueError, match="class_index 5"):
+            binary_confident_joint(labels, probs, 5)
+
+    def test_negative_class_index_does_not_alias_last_class(self):
+        labels, probs = random_instance(0, n=10, k=2)
+        with pytest.raises(ValueError, match="class_index -1"):
+            binary_confident_joint(labels, probs, -1)
+
+    def test_flag_class_rejects_pinned_threshold_outside_unit_interval(self):
+        labels = np.array([[1], [1], [0], [0]])
+        probs = np.array([[0.9], [0.2], [0.1], [0.8]])
+        with pytest.raises(ValueError, match="threshold_positive"):
+            flag_class(labels, probs, 0, thresholds=(1.2, 0.5))
+
+
+class TestMatchesOriginalLoop:
+    def test_bit_identical_to_reference_loop(self, tmp_path):
+        ties = at_threshold = skipped = 0
+        for labels, probs in oracle_instances():
+            mine = flag_multilabel(labels, probs)
+            ref = reference.flag_multilabel(labels, probs)
+            for name in ("per_class_flags", "example_flags", "per_class_error_counts",
+                         "estimated_noise_rates"):
+                assert np.array_equal(getattr(mine, name), ref[name]), name
+            assert np.array_equal(mine.thresholds, ref["thresholds"], equal_nan=True)
+            assert mine.skipped_classes == ref["skipped_classes"]
+            save_flag_summary_json(tmp_path / "mine.json", mine)
+            save_flag_summary_json(tmp_path / "ref.json", FlagReport(**ref))
+            assert (tmp_path / "mine.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+            t_pos, t_neg = ref["thresholds"].T
+            both = (probs >= t_pos) & (1.0 - probs >= t_neg)
+            ties += int((both & (probs == 0.5)).sum())
+            at_threshold += int(((probs == t_pos) | (1.0 - probs == t_neg)).sum())
+            skipped += len(ref["skipped_classes"])
+        assert ties > 0 and at_threshold > 0 and skipped > 0
+
+
 class TestSerialization:
     def test_flags_csv(self, tmp_path):
         truth, given, probs = flipped_instance(2, n_flips=3)
@@ -244,3 +313,25 @@ class TestSerialization:
         assert summary["n_flagged_examples"] == int(report.example_flags.sum())
         assert len(summary["per_class_error_counts"]) == 3
         assert len(summary["estimated_noise_rates"]) == 3
+
+    def test_summary_json_bytes(self, tmp_path):
+        # class 0: thresholds (0.625, 0.625); example 1 clears neither side and
+        # example 3 (given 0, p 0.75) is counted as present, so the joint is
+        # [[1, 1], [0, 1]]; row 1 calibrates 1 count to 2 given positives.
+        # class 1 has no annotated negatives: skipped, identity rates.
+        labels = np.array([[1, 1], [1, 1], [0, 1], [0, 1]])
+        probs = np.array([[0.75, 0.5], [0.5, 0.5], [0.0, 0.5], [0.75, 0.5]])
+        path = tmp_path / "summary.json"
+        save_flag_summary_json(path, flag_multilabel(labels, probs))
+        assert path.read_bytes() == (
+            b'{\n  "n_flagged_examples": 1,\n'
+            b'  "per_class_error_counts": [\n    1,\n    0\n  ],\n'
+            b'  "estimated_noise_rates": [\n'
+            b'    [\n      [\n        0.5,\n        0.5\n      ],\n'
+            b'      [\n        0.0,\n        1.0\n      ]\n    ],\n'
+            b'    [\n      [\n        1.0,\n        0.0\n      ],\n'
+            b'      [\n        0.0,\n        1.0\n      ]\n    ]\n  ],\n'
+            b'  "skipped_classes": [\n    1\n  ],\n'
+            b'  "thresholds": [\n    [\n      0.625,\n      0.625\n    ],\n'
+            b'    [\n      null,\n      null\n    ]\n  ]\n}\n'
+        )
