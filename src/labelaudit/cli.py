@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-features", type=int)
     p.add_argument("--n-classes", type=int)
     p.add_argument("--expected-labels", type=float)
-    p.add_argument("--doc-length", type=float, default=500.0)
+    p.add_argument("--doc-length", type=float, help="defaults to 500")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-seed", type=int, help="defaults to --seed + 10000")
     p.add_argument("--gamma-shape", type=float, default=2.0)
@@ -169,34 +169,50 @@ def _load_labels_probs(labels_path, probs_path):
     return ids, labels, probs
 
 
+# gen's shape flags (argparse dest -> GenConfig field); --preset fixes them all
+_GEN_SHAPE = {
+    "n_samples": "n_samples",
+    "n_features": "n_features",
+    "n_classes": "n_classes",
+    "expected_labels": "expected_labels_per_example",
+    "doc_length": "expected_doc_length",
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _cmd_gen(args) -> int:
+    given = {dest: getattr(args, dest) for dest in _GEN_SHAPE if getattr(args, dest) is not None}
     if args.preset:
-        config = {"small": SMALL, "large": LARGE}[args.preset]
-        config = replace(config, seed=args.seed)
+        if given:
+            raise UsageError(f"{_flag(next(iter(given)))} cannot be combined with --preset")
+        config = replace({"small": SMALL, "large": LARGE}[args.preset], seed=args.seed)
     else:
-        missing = [n for n in ("n_samples", "n_features", "n_classes", "expected_labels")
-                   if getattr(args, n) is None]
+        missing = [dest for dest in _GEN_SHAPE if dest not in given and dest != "doc_length"]
         if missing:
-            raise UsageError(f"without --preset, set --{missing[0].replace('_', '-')}")
+            raise UsageError(f"without --preset, set {_flag(missing[0])}")
         try:
             config = GenConfig(
-                n_samples=args.n_samples, n_test=max(1, args.n_samples // 5),
-                n_features=args.n_features, n_classes=args.n_classes,
-                expected_labels_per_example=args.expected_labels,
-                expected_doc_length=args.doc_length, seed=args.seed,
+                n_test=max(1, args.n_samples // 5), seed=args.seed,
+                **{_GEN_SHAPE[dest]: value for dest, value in given.items()},
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    noise_seed = args.noise_seed if args.noise_seed is not None else args.seed + 10_000
+    try:
+        noise = draw_noise_spec(
+            config.n_classes, gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,
+            max_errors_per_example=args.max_errors, seed=noise_seed,
+            symmetric=not args.asymmetric,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    noise_seed = args.noise_seed if args.noise_seed is not None else args.seed + 10_000
     clean = gen_multilabel(config)
-    noise = draw_noise_spec(
-        config.n_classes, gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,
-        max_errors_per_example=args.max_errors, seed=noise_seed,
-        symmetric=not args.asymmetric,
-    )
     noisy = inject_noise(clean.true_labels, noise.matrices,
                          noise.max_errors_per_example, noise_seed)
 

@@ -166,6 +166,14 @@ def validate(dataset: MultiLabelDataset, probs: ProbMatrix | None = None) -> Val
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
+def check_binary_labels(labels: np.ndarray) -> None:
+    """``ValueError`` naming the first cell of the 2-D ``labels`` that is not 0 or 1."""
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(f"label {labels[i, k]} not in {{0,1}} at (example {i}, class {k})")
+
+
 def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
     """Labels (as int64) and probabilities as arrays; ``ValueError`` at the first bad cell.
 
@@ -179,10 +187,7 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"labels shape {labels.shape} != probs shape {probs.shape}")
     if labels.ndim != 2:
         raise ValueError(f"labels and probabilities must be 2-D, got shape {labels.shape}")
-    bad_label = (labels != 0) & (labels != 1)
-    if bad_label.any():
-        i, k = np.argwhere(bad_label)[0]
-        raise ValueError(f"label {labels[i, k]} not in {{0,1}} at (example {i}, class {k})")
+    check_binary_labels(labels)
     in_range = (probs >= 0.0) & (probs <= 1.0)  # False at NaN as well
     if not in_range.all():
         i, k = np.argwhere(~in_range)[0]
@@ -389,6 +394,14 @@ def _csv_field(value: str) -> str:
     return value
 
 
+def _id_fields(ids: Sequence[str], alone: bool) -> list[str]:
+    """``ids`` as csv fields; ``alone`` if no other field follows on the row."""
+    fields = [_csv_field(str(ex_id)) for ex_id in ids]
+    if alone:  # csv quotes an empty field that is alone on its row
+        fields = [field or '""' for field in fields]
+    return fields
+
+
 def write_csv_rows(path, header: Sequence[str], ids: Sequence[str],
                    columns: Sequence[np.ndarray], cell_fmts: Sequence[str]) -> None:
     """Write ``header``, then per id a row of the id and its entry in each column.
@@ -404,24 +417,53 @@ def write_csv_rows(path, header: Sequence[str], ids: Sequence[str],
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(ids), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            block_ids = [_csv_field(str(ex_id)) for ex_id in ids[lo:hi]]
-            if not cell_fmts:  # csv quotes an empty field that is alone on its row
-                block_ids = [ex_id or '""' for ex_id in block_ids]
+            block_ids = _id_fields(ids[lo:hi], alone=not cell_fmts)
             rows = zip(block_ids, *(col[lo:hi].tolist() for col in columns))
             fh.write((row_fmt * len(block_ids)) % tuple(chain.from_iterable(rows)))
 
 
-def _write_matrix_csv(path, prefix: str, ids: Sequence[str], data: np.ndarray,
-                      cell_fmt: str) -> None:
+def _matrix_header(prefix: str, ids: Sequence[str], data: np.ndarray) -> list[str]:
+    if data.ndim != 2:
+        raise ValueError(f"{prefix} matrix must be 2-D, got shape {data.shape}")
     if len(ids) != data.shape[0]:
         raise ValueError(f"{len(ids)} ids for {data.shape[0]} rows")
-    width = data.shape[1]
-    header = ["id"] + [f"{prefix}_{k}" for k in range(width)]
-    write_csv_rows(path, header, ids, data.T, [cell_fmt] * width)
+    return ["id"] + [f"{prefix}_{k}" for k in range(data.shape[1])]
+
+
+def _write_matrix_csv(path, prefix: str, ids: Sequence[str], data: np.ndarray,
+                      cell_fmt: str) -> None:
+    header = _matrix_header(prefix, ids, data)
+    write_csv_rows(path, header, ids, data.T, [cell_fmt] * data.shape[1])
 
 
 def save_labels_csv(path, ids: Sequence[str], labels: np.ndarray) -> None:
-    _write_matrix_csv(path, "label", ids, np.asarray(labels), "%d")
+    """Write a 0/1 label matrix; ``ValueError`` at the first other value.
+
+    The bytes are those of ``csv.writer`` with one digit per cell. Each
+    ``_BLOCK_ROWS`` block of cells is laid out as one array of ASCII bytes,
+    ``,d`` per class and ``\r\n`` per row, and decoded once; only the
+    quoted ids are joined in per row.
+    """
+    labels = np.asarray(labels)
+    header = _matrix_header("label", ids, labels)
+    check_binary_labels(labels)
+    width = labels.shape[1]
+    line = 2 * width + 2
+    cells = np.empty((_BLOCK_ROWS, line), dtype=np.uint8)
+    cells[:, 0:-2:2] = ord(",")
+    cells[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ids), _BLOCK_ROWS):
+            block = labels[lo:lo + _BLOCK_ROWS]
+            rows = cells[:len(block)]
+            digits = rows[:, 1:-2:2]
+            digits[...] = block
+            digits += ord("0")
+            text = rows.tobytes().decode("ascii")
+            tails = [text[j:j + line] for j in range(0, len(text), line)]
+            block_ids = _id_fields(ids[lo:lo + _BLOCK_ROWS], alone=not width)
+            fh.write("".join(chain.from_iterable(zip(block_ids, tails))))
 
 
 def save_probs_csv(path, ids: Sequence[str], probs: ProbMatrix | np.ndarray) -> None:

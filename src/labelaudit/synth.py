@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MultiLabelDataset
+from .data import MultiLabelDataset, check_binary_labels
 
 
 @dataclass(frozen=True)
@@ -210,25 +210,36 @@ def inject_noise(
     than ``max_errors`` classes of one example would flip, a uniformly
     random subset of exactly ``max_errors`` flips is kept, so the per-class
     marginal noise is preserved as closely as the cap allows.
+
+    All flips are proposed in one N x K uniform draw. After it, only the
+    capped rows draw from the RNG, one ``choice`` each in row order; every
+    other flip is applied in one masked pass over the matrix.
     """
     truth = np.asarray(true_labels)
     matrices = np.asarray(matrices, dtype=np.float64)
+    if truth.ndim != 2:
+        raise ValueError(f"true_labels must be 2-D, got shape {truth.shape}")
     n, k = truth.shape
     if matrices.shape != (k, 2, 2):
         raise ValueError(f"need {k} 2x2 matrices, got shape {matrices.shape}")
+    if not ((matrices >= 0.0) & (matrices <= 1.0)).all():  # False at NaN as well
+        raise ValueError("noise matrix entries must lie in [0, 1]")
+    if isinstance(max_errors, bool) or not isinstance(max_errors, (int, np.integer)):
+        raise ValueError(f"max_errors must be an integer, got {max_errors!r}")
     if max_errors < 0:
         raise ValueError("max_errors must be >= 0")
+    check_binary_labels(truth)
 
     rng = np.random.default_rng(seed)
     flip_prob = np.where(truth == 1, matrices[:, 1, 0][None, :], matrices[:, 0, 1][None, :])
-    proposed = rng.random((n, k)) < flip_prob
+    flips = rng.random((n, k)) < flip_prob
+    for i in np.flatnonzero(flips.sum(axis=1) > max_errors):
+        kept = rng.choice(np.flatnonzero(flips[i]), size=max_errors, replace=False)
+        flips[i] = False
+        flips[i, kept] = True
 
     noisy = truth.copy()
-    for i in range(n):
-        flips = np.flatnonzero(proposed[i])
-        if flips.size > max_errors:
-            flips = rng.choice(flips, size=max_errors, replace=False)
-        noisy[i, flips] = 1 - noisy[i, flips]
+    noisy[flips] = 1 - noisy[flips]
     return noisy
 
 

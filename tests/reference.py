@@ -3,13 +3,14 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The two oracles at the end are the exception: they are numpy, literal
+The three oracles at the end are the exception: they are numpy, literal
 copies of the original code. One is the trainer's epoch loop (masked
 two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
-the other is the per-class loop of the multi-label flagger (one
-``np.add.at`` joint and one noise-rate matrix per class). Only the same
-floating-point operations can show that a rewrite gives bit-identical
-weights, probabilities, thresholds and noise rates.
+one is the per-class loop of the multi-label flagger (one ``np.add.at``
+joint and one noise-rate matrix per class); the last is the per-example
+loop of the noise injector. Only the same floating-point operations and
+the same RNG calls can show that a rewrite gives bit-identical weights,
+probabilities, thresholds, noise rates and noisy labels.
 """
 
 import math
@@ -344,3 +345,23 @@ def flag_multilabel(labels, probs):
         skipped_classes=tuple(skipped),
         thresholds=thresholds,
     )
+
+
+# --- noise injection: the original per-example loop -------------------------
+
+def inject_noise(true_labels, matrices, max_errors=3, seed=0):
+    """Noisy labels as the original loop made them, one example at a time."""
+    truth = np.asarray(true_labels)
+    matrices = np.asarray(matrices, dtype=np.float64)
+    n, k = truth.shape
+    rng = np.random.default_rng(seed)
+    flip_prob = np.where(truth == 1, matrices[:, 1, 0][None, :], matrices[:, 0, 1][None, :])
+    proposed = rng.random((n, k)) < flip_prob
+
+    noisy = truth.copy()
+    for i in range(n):
+        flips = np.flatnonzero(proposed[i])
+        if flips.size > max_errors:
+            flips = rng.choice(flips, size=max_errors, replace=False)
+        noisy[i, flips] = 1 - noisy[i, flips]
+    return noisy

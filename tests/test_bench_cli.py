@@ -141,6 +141,14 @@ class TestCli:
         for name in ("labels.csv", "truth.csv", "features.csv", "noise_spec.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_gen_doc_length_defaults_to_gen_config(self, tmp_path):
+        args = ["gen", "--n-samples", "40", "--n-features", "3", "--n-classes", "4",
+                "--expected-labels", "2", "--seed", "5"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.run(*args, "--out-dir", str(a)) == 0
+        assert self.run(*args, "--doc-length", "500", "--out-dir", str(b)) == 0
+        assert (a / "features.csv").read_bytes() == (b / "features.csv").read_bytes()
+
     def test_full_pipeline_and_benchmark_composability(self, tmp_path):
         """CLI gen -> train-predict -> score must equal the in-process
         benchmark replicate bit for bit (same derived seeds)."""
@@ -231,6 +239,23 @@ class TestCli:
         assert self.run("score", "--labels", "x.csv") == 1      # missing required
         assert self.run("frobnicate") == 1                       # unknown command
         assert self.run("gen", "--n-samples", "10") == 1         # incomplete custom
+
+    @pytest.mark.parametrize("flag, value", [("--max-errors", "-1"), ("--gamma-scale", "0"),
+                                             ("--gamma-shape", "-1")])
+    def test_gen_bad_noise_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        assert self.run("gen", "--preset", "small", flag, value, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n-samples", "100"), ("--n-features", "2"),
+                                             ("--n-classes", "3"), ("--expected-labels", "1"),
+                                             ("--doc-length", "0")])
+    def test_gen_preset_excludes_shape_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        assert self.run("gen", "--preset", "small", flag, value, "--out-dir", str(out)) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_bench_method_is_usage_error(self, tmp_path):
         assert self.run("bench", "--methods", "min,bogus",

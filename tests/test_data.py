@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
@@ -248,6 +248,39 @@ class TestCsvBytes:
         # csv quotes an empty field only when it is alone on its row
         save_labels_csv(tmp_path / "l.csv", ["", "a"], np.zeros((2, 0)))
         assert (tmp_path / "l.csv").read_bytes() == b'id\r\n""\r\na\r\n'
+
+    @pytest.mark.parametrize("value", [2, 0.5, -1, np.nan])
+    def test_labels_outside_0_1_not_written(self, tmp_path, value):
+        labels = np.array([[1, 0, 1], [0, 1, value]], dtype=type(value))
+        path = tmp_path / "l.csv"
+        with pytest.raises(ValueError) as info:
+            save_labels_csv(path, ["a", "b"], labels)
+        assert str(info.value) == f"label {labels[1, 2]} not in {{0,1}} at (example 1, class 2)"
+        assert not path.exists()
+
+    @settings(max_examples=60)
+    @given(n=st.sampled_from([0, 1, 999, 1000, 1001, 2500]) | st.integers(0, 2100),
+           k=st.sampled_from([0, 1, 50]),
+           dtype=st.sampled_from([bool, np.int8, np.float64]),
+           special=st.lists(st.tuples(st.integers(0, 2500),
+                                      st.text(alphabet='ab ,"\r\n', max_size=4)),
+                            max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_labels_written_as_csv_writer_writes_them(self, tmp_path_factory, n, k, dtype,
+                                                      special, seed):
+        # ids that need quoting, and empty ones, placed anywhere in the blocks
+        ids = [f"ex{i}" for i in range(n)]
+        for position, ex_id in special:
+            if n:
+                ids[position % n] = ex_id
+        labels = np.random.default_rng(seed).integers(0, 2, size=(n, k)).astype(dtype)
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        save_labels_csv(path, ids, labels)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["id"] + [f"label_{c}" for c in range(k)])
+        writer.writerows([ex_id, *("%d" % v for v in row)] for ex_id, row in zip(ids, labels))
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_first_bad_row_is_reported(self, tmp_path):
         # row 3 holds a bad cell, row 5 repeats an id: row 3 comes first

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from labelaudit.data import validate
 from labelaudit.synth import (
     LARGE,
@@ -193,6 +194,63 @@ class TestInjectNoise:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="2x2 matrices"):
             inject_noise(np.zeros((4, 3), dtype=int), np.broadcast_to(np.eye(2), (2, 2, 2)))
+
+    def test_label_outside_0_1_rejected(self):
+        truth = np.zeros((3, 2), dtype=int)
+        truth[1, 0] = 2
+        matrices = np.stack([build_noise_matrix(1.0)] * 2)
+        with pytest.raises(ValueError, match=r"label 2 not in \{0,1\} at \(example 1, class 0\)"):
+            inject_noise(truth, matrices, 2, seed=0)
+
+    def test_matrix_entry_outside_unit_interval_rejected(self):
+        truth = np.zeros((3, 2), dtype=int)
+        matrices = np.array([[[1.5, -0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+            inject_noise(truth, matrices, 2, seed=0)
+
+    def test_non_integer_cap_rejected(self):
+        truth = np.random.default_rng(6).integers(0, 2, size=(50, 6))
+        matrices = np.stack([build_noise_matrix(1.0)] * 6)  # many rows over the cap
+        with pytest.raises(ValueError, match="max_errors must be an integer"):
+            inject_noise(truth, matrices, 1.5, seed=0)
+        assert np.array_equal(inject_noise(truth, matrices, np.int64(2), seed=0),
+                              inject_noise(truth, matrices, 2, seed=0))
+
+
+class TestInjectNoiseOracle:
+    """The whole-matrix injector against the original per-example loop, bit for bit."""
+
+    @staticmethod
+    def check(truth, matrices, cap, seed):
+        got = inject_noise(truth, matrices, cap, seed)
+        want = reference.inject_noise(truth, matrices, cap, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("gamma_scale", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_example_loop(self, seed, gamma_scale):
+        k = 20
+        truth = np.random.default_rng(seed + 100).integers(0, 2, size=(500, k))
+        matrices = draw_noise_spec(k, gamma_scale=gamma_scale, seed=seed).matrices
+        # rows over each cap, counted from the uncapped output (cap K)
+        proposed = (reference.inject_noise(truth, matrices, k, seed) != truth).sum(axis=1)
+        for cap in (0, 1, 3, k):
+            self.check(truth, matrices, cap, seed)
+            self.check(truth.astype(bool), matrices, cap, seed)
+        assert (proposed > 1).sum() >= 10
+        if gamma_scale >= 0.1:
+            assert (proposed > 3).sum() >= 10
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_single_class_and_no_examples(self, cap):
+        matrices = np.stack([build_noise_matrix(1.0)])
+        truth = np.random.default_rng(7).integers(0, 2, size=(300, 1))
+        self.check(truth, matrices, cap, seed=4)
+        self.check(truth.astype(bool), matrices, cap, seed=4)
+        empty, five = np.zeros((0, 5), dtype=np.int64), np.stack([build_noise_matrix(1.0)] * 5)
+        self.check(empty, five, cap, seed=4)
+        assert inject_noise(empty, five, cap).shape == (0, 5)
 
 
 class TestNoiseSpec:
