@@ -30,7 +30,9 @@ from .data import MultiLabelDataset, _fmt_float
 from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_examples
-from .synth import LARGE, SMALL, GenConfig, draw_noise_spec, inject_noise, gen_multilabel
+from .synth import (
+    LARGE, SMALL, GenConfig, NoiseSpec, draw_noise_spec, gen_multilabel, inject_noise,
+)
 
 DEFAULT_METRICS = METRIC_NAMES
 
@@ -64,6 +66,12 @@ class BenchmarkPlan:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
+        n_samples = self.gen_config.n_samples
+        if (isinstance(self.n_folds, bool) or not isinstance(self.n_folds, (int, np.integer))
+                or not 2 <= self.n_folds <= n_samples):
+            raise ValueError(f"n_folds must be an integer in [2, {n_samples}], got {self.n_folds!r}")
+        # a spec with no traces yet: raises as draw_noise_spec would in each replicate
+        NoiseSpec(self.gamma_shape, self.gamma_scale, self.max_errors_per_example)
         unknown = set(self.metrics) - set(DEFAULT_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}; expected among {DEFAULT_METRICS}")

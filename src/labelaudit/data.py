@@ -12,7 +12,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -256,58 +256,122 @@ def _check_row(path, r: int, row: list[str], n_cells: int, seen: set[str]) -> No
     seen.add(row[0])
 
 
-def _parse_matrix_csv(path, prefix: str, convert, parse_cell) -> tuple[list[str], np.ndarray]:
-    """The ids and the N x width value matrix of a ``prefix`` matrix CSV.
+_BLOCK_LINES = 4096
+# A double quote changes how csv splits a line, and NUL is kept out of the
+# conversion. np.loadtxt strips \x1c-\x1f around a number as whitespace,
+# which float() does not.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
-    ``convert`` turns the list of N rows of cell strings into an array in
-    whole-array calls, or returns None when a cell fails its check. When it
-    does, or a row has another width or repeats an id, the rows are scanned
-    one cell at a time with ``parse_cell``, in file order: the first bad row
-    is the one reported, and a cell that only ``parse_cell`` accepts (a label
-    padded with spaces) still loads.
+
+def _plain_block(lines: list[str], width: int) -> bool:
+    """Whether ``csv.reader`` would split each line at its commas into ``width`` + 1 cells.
+
+    A line with a character of ``_NOT_PLAIN``, or longer than the csv
+    module's field limit, is not plain. The comma count is only a total
+    here: the caller's conversion rejects a line with fewer than ``width``
+    commas, so no line then has more.
+    """
+    text = "".join(lines)
+    return (not any(c in text for c in _NOT_PLAIN) and text.count(",") == width * len(lines)
+            and max(map(len, lines)) <= csv.field_size_limit())
+
+
+def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None:
+    """The ids and values of a CSV file read ``_BLOCK_LINES`` lines at a time, or None.
+
+    ``width_of`` checks the header's cells and returns the number of value
+    columns. ``convert`` turns a block of lines, each ending in ``"\\n"``,
+    into a ``(lines, width)`` array, or raises ``ValueError`` unless every
+    cell of the block is one it accepts. None means the file needs the
+    per-cell scan, which finds the same values or the first bad row: some
+    block is not plain, a cell is not accepted, an id repeats, or the file
+    cannot be opened or decoded. Only one block of text is held at a time.
+    """
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    try:
+        with Path(path).open() as fh:  # universal newlines, as csv splits lines
+            width = width_of(fh.readline().rstrip("\n").split(","))
+            while lines := list(islice(fh, _BLOCK_LINES)):
+                if not lines[-1].endswith("\n"):  # the file's last line
+                    lines[-1] += "\n"
+                if not _plain_block(lines, width):
+                    return None
+                ids += [line[:line.index(",")] for line in lines]
+                blocks.append(convert(lines, width))
+    except (OSError, ValueError):  # UnicodeDecodeError and DataFormatError are ValueErrors
+        return None
+    if len(set(ids)) != len(ids):
+        return None
+    return ids, np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _scan_matrix_csv(path, prefix: str, parse_cell) -> tuple[list[str], np.ndarray]:
+    """The ids and the N x width value matrix of a ``prefix`` matrix CSV, cell by cell.
+
+    Reads the file with ``csv.reader`` and parses each cell with
+    ``parse_cell``, in file order, so the first bad row is the one reported.
     """
     header, rows = _read_csv_rows(path)
     width = _check_header(path, header, prefix)
-    ids = [row[0] for row in rows if len(row) == width + 1]
-    if len(ids) == len(rows) and len(set(ids)) == len(ids):
-        data = convert([row[1:] for row in rows])
-        if data is not None:
-            return ids, data.reshape(len(rows), width)
     data = np.empty((len(rows), width), dtype=np.float64)
     seen: set[str] = set()
     for r, row in enumerate(rows):
         _check_row(path, r, row, width + 1, seen)
-        for c, cell in enumerate(row[1:]):
-            try:
-                data[r, c] = parse_cell(cell)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: row {r + 2}, column {header[c + 1]}: {exc}"
-                ) from None
+        try:
+            data[r] = [parse_cell(cell) for cell in row[1:]]
+        except ValueError:
+            for c, cell in enumerate(row[1:]):
+                try:
+                    parse_cell(cell)
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}: row {r + 2}, column {header[c + 1]}: {exc}"
+                    ) from None
     return [row[0] for row in rows], data
 
 
-def _convert_binary(cells: list[list[str]]) -> np.ndarray | None:
-    # A set test rather than a comparison of a numpy string array, which
-    # drops trailing NUL characters and so would take "1\0" for "1". Once
-    # every cell is "0" or "1", the joined cells are one ASCII byte each.
-    if not set(chain.from_iterable(cells)) <= {"0", "1"}:
-        return None
-    joined = "".join(chain.from_iterable(cells)).encode("ascii")
-    return np.frombuffer(joined, dtype=np.uint8) - ord("0")
+def _parse_matrix_csv(path, prefix: str, convert, parse_cell) -> tuple[list[str], np.ndarray]:
+    """The ids and the N x width value matrix of a ``prefix`` matrix CSV.
+
+    The file is read in blocks converted by ``convert`` (see
+    :func:`_read_blocks`). When that fails, :func:`_scan_matrix_csv` reads
+    it again: it reports the first bad row, and loads a cell that only
+    ``parse_cell`` accepts (a label padded with spaces, ``"1_0"``).
+    """
+    loaded = _read_blocks(path, lambda header: _check_header(path, header, prefix), convert)
+    return loaded if loaded is not None else _scan_matrix_csv(path, prefix, parse_cell)
 
 
-def _convert_float(cells: list[list[str]]) -> np.ndarray | None:
-    try:
-        return np.array(cells, dtype=np.float64)  # float() on each cell
-    except ValueError:
-        return None
+def _convert_binary(lines: list[str], width: int) -> np.ndarray:
+    # Byte by byte: past its id, each line must read ",d" per class, each
+    # d a "0" or "1" byte, then "\n". Once the commas and digits sit where
+    # they should, the lines' newlines can only be the last byte of each row.
+    tails = "".join([line[line.index(","):] for line in lines]).encode("ascii")
+    cells = np.frombuffer(tails, dtype=np.uint8)
+    if cells.size != len(lines) * (2 * width + 1):
+        raise ValueError("a label cell is not one byte")
+    cells = cells.reshape(len(lines), 2 * width + 1)
+    digits = cells[:, 1::2] - np.uint8(ord("0"))  # wraps below "0"
+    if not ((cells[:, 0:-1:2] == ord(",")).all() and (digits <= 1).all()):
+        raise ValueError("a label cell is not 0 or 1")
+    return digits
 
 
-def _convert_count(cells: list[list[str]]) -> np.ndarray | None:
-    data = _convert_float(cells)
-    if data is None or not (np.isfinite(data) & (data >= 0)).all():
-        return None
+def _convert_float(lines: list[str], width: int) -> np.ndarray:
+    # loadtxt parses a cell as float() does (PyOS_string_to_double after
+    # stripping whitespace), but rejects some that float() accepts, such as
+    # "1_0" and "１"; those go to the per-cell scan. With usecols it would
+    # also take a row with extra cells, which _plain_block's comma count
+    # rules out. It skips empty lines, but every line here holds a comma.
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                      usecols=range(1, width + 1), ndmin=2)
+
+
+def _convert_count(lines: list[str], width: int) -> np.ndarray:
+    data = _convert_float(lines, width)
+    if not (np.isfinite(data) & (data >= 0)).all():
+        raise ValueError("a feature value is not a non-negative number")
     return data
 
 
@@ -483,10 +547,19 @@ def save_scores_csv(path, ids: Sequence[str], scores: np.ndarray) -> None:
     write_csv_rows(path, ["id", "score"], ids, [scores], [_FLOAT_CELL])
 
 
-def load_scores_csv(path) -> tuple[list[str], np.ndarray]:
-    header, rows = _read_csv_rows(path)
+def _check_scores_header(path, header: list[str]) -> int:
     if header != ["id", "score"]:
         raise DataFormatError(f"{path}: expected header 'id,score', got {header}")
+    return 1
+
+
+def load_scores_csv(path) -> tuple[list[str], np.ndarray]:
+    loaded = _read_blocks(path, lambda header: _check_scores_header(path, header), _convert_float)
+    if loaded is not None:
+        ids, scores = loaded
+        return ids, scores.ravel()
+    header, rows = _read_csv_rows(path)
+    _check_scores_header(path, header)
     seen: set[str] = set()
     for r, row in enumerate(rows):
         _check_row(path, r, row, 2, seen)

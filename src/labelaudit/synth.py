@@ -65,10 +65,8 @@ class NoiseSpec:
     matrices: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
 
     def __post_init__(self):
-        if self.gamma_shape <= 0 or self.gamma_scale <= 0:
-            raise ValueError("gamma parameters must be positive")
-        if self.max_errors_per_example < 0:
-            raise ValueError("max_errors_per_example must be >= 0")
+        _check_gamma(self.gamma_shape, self.gamma_scale)
+        _check_cap("max_errors_per_example", self.max_errors_per_example)
         traces = np.array(self.traces, dtype=np.float64, copy=True)
         matrices = np.array(self.matrices, dtype=np.float64, copy=True)
         if traces.size and not ((traces > 0) & (traces <= 2)).all():
@@ -82,6 +80,18 @@ class NoiseSpec:
         matrices.setflags(write=False)
         object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "matrices", matrices)
+
+
+def _check_gamma(gamma_shape: float, gamma_scale: float) -> None:
+    if not (gamma_shape > 0 and gamma_scale > 0):  # False at NaN as well
+        raise ValueError("gamma parameters must be positive")
+
+
+def _check_cap(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def traces_from_draws(draws: np.ndarray) -> np.ndarray:
@@ -111,8 +121,7 @@ def sample_noise_traces(
     """Sample one trace per class in (0, 2]; trace 2 means a noise-free class."""
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
-    if gamma_shape <= 0 or gamma_scale <= 0:
-        raise ValueError("gamma parameters must be positive")
+    _check_gamma(gamma_shape, gamma_scale)
     rng = np.random.default_rng(seed)
     return traces_from_draws(rng.gamma(shape=gamma_shape, scale=gamma_scale, size=n_classes))
 
@@ -224,10 +233,7 @@ def inject_noise(
         raise ValueError(f"need {k} 2x2 matrices, got shape {matrices.shape}")
     if not ((matrices >= 0.0) & (matrices <= 1.0)).all():  # False at NaN as well
         raise ValueError("noise matrix entries must lie in [0, 1]")
-    if isinstance(max_errors, bool) or not isinstance(max_errors, (int, np.integer)):
-        raise ValueError(f"max_errors must be an integer, got {max_errors!r}")
-    if max_errors < 0:
-        raise ValueError("max_errors must be >= 0")
+    _check_cap("max_errors", max_errors)
     check_binary_labels(truth)
 
     rng = np.random.default_rng(seed)

@@ -77,6 +77,20 @@ class TestBenchmark:
         assert "bottom_j" in report.failures[0][1]
         assert report.metric_rows == ()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_errors_per_example", 1.5, "max_errors_per_example must be an integer"),
+        ("max_errors_per_example", True, "max_errors_per_example must be an integer"),
+        ("max_errors_per_example", -1, "max_errors_per_example must be >= 0"),
+        ("n_folds", 1, r"n_folds must be an integer in \[2, 150\], got 1"),
+        ("n_folds", 151, r"n_folds must be an integer in \[2, 150\], got 151"),
+        ("n_folds", 2.0, r"n_folds must be an integer in \[2, 150\], got 2.0"),
+        ("gamma_scale", -1.0, "gamma parameters must be positive"),
+        ("gamma_shape", 0.0, "gamma parameters must be positive"),
+    ])
+    def test_bad_plan_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(**{field: value})
+
     def test_nan_scores_fail_the_replicate(self, monkeypatch):
         def nan_scores(labels, probs, method):
             pooled = score_examples(labels, probs, method)
@@ -255,6 +269,12 @@ class TestCli:
         out = tmp_path / "data"
         assert self.run("gen", "--preset", "small", flag, value, "--out-dir", str(out)) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_one_fold_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert self.run("bench", "--replicates", "1", "--folds", "1", "--out-dir", str(out)) == 1
+        assert "n_folds must be an integer in [2, 5000], got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_bench_method_is_usage_error(self, tmp_path):

@@ -1,11 +1,14 @@
 import csv
 import io
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labelaudit import data
 from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
     DataFormatError,
@@ -203,6 +206,12 @@ GOLDEN_FLOAT_ROWS = (
 )
 
 
+FLOAT_CELLS = [
+    "1_0", " 1.5 ", "inf", "-nan", "１", "1e500", "-0", "+.5", "5.", "Infinity", "١٢",
+    "", "0x1p3", "1,5", "1__0", "nan(1)", "1d0", ".",
+]
+
+
 class TestCsvBytes:
     """The exact bytes of every CSV writer, and the loaders' first-error order."""
 
@@ -317,10 +326,7 @@ class TestCsvBytes:
             load_labels_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
-    @pytest.mark.parametrize("cell", [
-        "1_0", " 1.5 ", "inf", "-nan", "１", "1e500", "-0", "+.5", "5.", "Infinity", "١٢",
-        "", "0x1p3", "1,5", "1__0", "nan(1)", "1d0", ".",
-    ])
+    @pytest.mark.parametrize("cell", FLOAT_CELLS)
     def test_probability_cell_parsed_as_float_parses_it(self, tmp_path, cell):
         path = tmp_path / "p.csv"
         with path.open("w", newline="") as fh:
@@ -399,6 +405,151 @@ class TestCsvBytes:
         path.write_bytes(b"id,label_0\n\xff\xfe,1\n")
         with pytest.raises(DataFormatError, match="can't decode byte 0xff"):
             load_labels_csv(path)
+
+
+SCANS = {
+    load_probs_csv: ("prob", float),
+    load_labels_csv: ("label", data._parse_binary_cell),
+    load_features_csv: ("feat", data._parse_count_cell),
+}
+
+
+def _outcome(load, path):
+    """The ids and value bits ``load`` reads from ``path``, or its DataFormatError text."""
+    try:
+        ids, values = load(path)
+    except DataFormatError as exc:
+        return str(exc)
+    values = np.asarray(getattr(values, "values", values), dtype=np.float64)
+    return ids, values.shape, values.tobytes()
+
+
+def assert_loads_as_scan(load, path):
+    """``load`` reads ``path`` as csv.reader with a per-cell parse does, bit for bit."""
+    prefix, parse_cell = SCANS[load]
+    scanned = _outcome(lambda p: data._scan_matrix_csv(p, prefix, parse_cell), path)
+    assert _outcome(load, path) == scanned
+
+
+# Characters on which float() and np.loadtxt may disagree: signs, exponents,
+# underscores, comments, quotes, NUL, ASCII and Unicode whitespace (loadtxt
+# strips \x1c-\x1f, float() does not) and non-ASCII digits.
+CELL_CHARS = st.sampled_from(list("0123456789+-_.eE \t\x0b#\"\0,\x1c\x1fnaif") +
+                             ["١", "１", "　", "\x85"])
+
+
+class TestBlockReader:
+    """The block reader loads what the per-cell scan loads and fails where it fails."""
+
+    @pytest.mark.parametrize("cell", FLOAT_CELLS + ["\x1c1", "1\x1f", "1\0", '"1"', "#1", "1 #"])
+    def test_cell_loads_as_float_scan(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"id,prob_0\na,0.5\nb,{cell}\n".encode())
+        assert_loads_as_scan(load_probs_csv, path)
+
+    @given(cells=st.lists(st.text(CELL_CHARS, max_size=5), min_size=1, max_size=4))
+    def test_random_cells_load_as_float_scan(self, tmp_path_factory, cells):
+        path = tmp_path_factory.mktemp("cells") / "p.csv"
+        rows = "".join(f"e{i},{cell}\r\n" for i, cell in enumerate(cells))
+        path.write_bytes(("id,prob_0\r\n" + rows).encode())
+        assert_loads_as_scan(load_probs_csv, path)
+
+    @pytest.mark.parametrize("load", list(SCANS))
+    @pytest.mark.parametrize("body", [
+        "a,1,0\n\nb,0,1\n",                   # a blank line mid-file
+        "a,1,0\nb,0,1\n",                     # \n only
+        "a,1,0\rb,0,1\r",                     # \r only
+        "a,1,0\r\nb,0,1",                     # no final newline
+        "a,1,0\r\nb,0,1\n\n",                 # a blank last line
+        '"a,1",1,0\r\n"b,""2""",0,1\r\n',     # quoted ids holding commas and quotes
+        "a,1,0,1\nb,0,1\n",                   # a too-wide row
+        "a,1,0,1,1\n\n",                      # too wide then blank: the comma total fits
+        "a,1,0,1\nb,0\n",                     # too wide then too narrow: so does this
+        "a,1,0\na,0,1\n",                     # a repeated id
+        "a\nb,0,1,1\n",                       # an id alone
+        "",                                   # no rows
+    ])
+    def test_file_loads_as_scan(self, tmp_path, load, body):
+        path = tmp_path / "m.csv"
+        prefix = SCANS[load][0]
+        path.write_bytes(f"id,{prefix}_0,{prefix}_1\n{body}".encode())
+        assert_loads_as_scan(load, path)
+
+    @pytest.mark.parametrize("load", list(SCANS))
+    def test_second_block_loads_as_scan(self, tmp_path, load):
+        n = data._BLOCK_LINES + 100
+        prefix = SCANS[load][0]
+        rows = [f"e{i},1,0\n" for i in range(n)]
+        path = tmp_path / "m.csv"
+        for r, bad in [(n - 50, "e{i},1,x\n"), (n - 60, "e0,1,0\n"), (n - 70, '"e{i}",1,0\n'),
+                       (n - 80, "e{i},1\n")]:
+            changed = rows.copy()
+            changed[r] = bad.format(i=r)
+            path.write_bytes(f"id,{prefix}_0,{prefix}_1\n{''.join(changed)}".encode())
+            assert_loads_as_scan(load, path)
+
+    @settings(max_examples=60)
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from(["e0", "e1", "e2", "e3", '"e,4"', ""]),
+        st.lists(st.sampled_from(["0", "1", "0.5", " 1", "1_0", "x", ""]), max_size=3),
+        st.sampled_from(["\n", "\r\n", "\r"])), max_size=7))
+    def test_random_files_load_as_scan_in_small_blocks(self, tmp_path_factory, lines):
+        body = "".join(",".join([ex_id, *cells]) + end for ex_id, cells, end in lines)
+        path = tmp_path_factory.mktemp("files") / "m.csv"
+        with mock.patch.object(data, "_BLOCK_LINES", 2):
+            for load, (prefix, _) in SCANS.items():
+                path.write_bytes(f"id,{prefix}_0,{prefix}_1\n{body}".encode())
+                assert_loads_as_scan(load, path)
+
+    def test_field_size_limit_holds(self, tmp_path):
+        limit = csv.field_size_limit(100)
+        try:
+            path = tmp_path / "p.csv"
+            # a 130-character line of short fields loads
+            path.write_bytes(("id," + ",".join(f"prob_{k}" for k in range(32)) + "\n"
+                              "a" + ",0.5" * 32 + "\n").encode())
+            assert_loads_as_scan(load_probs_csv, path)
+            assert load_probs_csv(path)[1].values.tolist() == [[0.5] * 32]
+            path.write_bytes(("id,prob_0\na," + "0" * 101 + "\n").encode())
+            assert_loads_as_scan(load_probs_csv, path)
+            with pytest.raises(DataFormatError, match="field larger than field limit"):
+                load_probs_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("end, last", [("\n", "\n"), ("\r\n", ""), ("\r", "\r")])
+    def test_plain_file_is_read_in_blocks(self, tmp_path, end, last):
+        n = 2 * data._BLOCK_LINES + 3
+        ids = [f"e{i}" for i in range(n)]
+        path = tmp_path / "m.csv"
+
+        def write(header, cells):
+            path.write_bytes((end.join([header] + [f"{i},{cells}" for i in ids]) + last).encode())
+
+        with mock.patch.object(data, "_read_csv_rows", side_effect=AssertionError("scanned")):
+            write("id,prob_0,prob_1,prob_2", "0.25,1,0")
+            assert load_probs_csv(path)[1].values.tolist() == [[0.25, 1, 0]] * n
+            write("id,feat_0,feat_1,feat_2", "0.25,1,0")
+            assert load_features_csv(path)[1].tolist() == [[0.25, 1, 0]] * n
+            write("id,label_0,label_1", "1,0")
+            assert load_labels_csv(path)[1].tolist() == [[1, 0]] * n
+            write("id,score", "0.5")
+            assert load_scores_csv(path) == (ids, pytest.approx([0.5] * n))
+
+    def test_load_memory_is_bounded(self, tmp_path):
+        # every cell held as a Python string would take ~12x the array
+        rng = np.random.default_rng(5)
+        values = rng.random((20_000, 50))
+        path = tmp_path / "p.csv"
+        save_probs_csv(path, [f"ex{i}" for i in range(len(values))], values)
+        tracemalloc.start()
+        try:
+            _, probs = load_probs_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(probs.values, values)
+        assert peak < 3 * values.nbytes
 
 
 class TestJsonl:

@@ -270,6 +270,21 @@ class TestNoiseSpec:
             NoiseSpec(traces=np.array([1.9]),
                       matrices=np.array([[[0.95, 0.2], [0.05, 0.95]]]))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_errors_per_example", 1.5, "must be an integer"),
+        ("max_errors_per_example", True, "must be an integer"),
+        ("max_errors_per_example", -1, "must be >= 0"),
+        ("gamma_scale", -1.0, "gamma parameters must be positive"),
+        ("gamma_shape", 0.0, "gamma parameters must be positive"),
+        ("gamma_scale", math.nan, "gamma parameters must be positive"),
+    ])
+    def test_bad_parameter_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec(**{field: value})
+        if field == "max_errors_per_example":
+            with pytest.raises(ValueError, match=message):
+                draw_noise_spec(4, max_errors_per_example=value)
+
     def test_make_noisy_dataset_respects_cap_and_validates(self):
         config = GenConfig(n_samples=400, n_test=50, n_features=4, n_classes=6,
                            expected_labels_per_example=2.0, seed=1)
