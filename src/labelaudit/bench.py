@@ -245,8 +245,14 @@ def read_metrics_csv(path) -> list[tuple]:
         header = next(reader, None)
         if header != METRICS_HEADER:
             raise ValueError(f"{path}: expected header {METRICS_HEADER}, got {header}")
-        return [(row[0], int(row[1]), row[2], row[3], row[4],
-                 row[5], row[6], float(row[7]) if row[7] else math.nan) for row in reader]
+        rows = []
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(METRICS_HEADER):
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, "
+                                 f"expected {len(METRICS_HEADER)}")
+            rows.append((row[0], int(row[1]), row[2], row[3], row[4],
+                         row[5], row[6], float(row[7]) if row[7] else math.nan))
+        return rows
 
 
 AGGREGATE_HEADER = ["classifier", "method", "metric", "param_k", "mean", "std", "n_values"]

@@ -8,6 +8,7 @@ output directory for subcommands that take one.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -294,7 +295,7 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     try:
         rows = bench.read_metrics_csv(args.metrics)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataFormatError(str(exc)) from None
     aggregates = bench.aggregate_rows(rows)
     print(bench.render_aggregate_table(aggregates))

@@ -12,6 +12,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
@@ -204,6 +205,8 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # features: id,feat_0,...,feat_{D-1}       non-negative numbers
 # scores:   id,score
 # Ids must align row-wise between files that describe the same dataset.
+# All four loaders read through _parse_matrix_csv: numpy-converted blocks of
+# lines, else one streaming csv.reader scan that parses cell by cell.
 # ---------------------------------------------------------------------------
 
 # 17 significant digits round-trip float64 exactly; "%.17g" % x == _fmt_float(x).
@@ -212,25 +215,6 @@ _FLOAT_CELL = "%.17g"
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    return header, rows
 
 
 def _check_header(path, header: list[str], prefix: str) -> int:
@@ -279,19 +263,20 @@ def _plain_block(lines: list[str], width: int) -> bool:
 def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None:
     """The ids and values of a CSV file read ``_BLOCK_LINES`` lines at a time, or None.
 
-    ``width_of`` checks the header's cells and returns the number of value
-    columns. ``convert`` turns a block of lines, each ending in ``"\\n"``,
-    into a ``(lines, width)`` array, or raises ``ValueError`` unless every
-    cell of the block is one it accepts. None means the file needs the
-    per-cell scan, which finds the same values or the first bad row: some
-    block is not plain, a cell is not accepted, an id repeats, or the file
-    cannot be opened or decoded. Only one block of text is held at a time.
+    ``width_of(path, header)`` checks the header's cells and returns the
+    number of value columns. ``convert`` turns a block of lines, each ending
+    in ``"\\n"``, into a ``(lines, width)`` array, or raises ``ValueError``
+    unless every cell of the block is one it accepts. None means the file
+    needs the per-cell scan, which finds the same values or the first
+    problem: some block is not plain, a cell is not accepted, an id repeats,
+    or the file cannot be opened or decoded. Only one block of text is held
+    at a time.
     """
     ids: list[str] = []
     blocks: list[np.ndarray] = []
     try:
         with Path(path).open() as fh:  # universal newlines, as csv splits lines
-            width = width_of(fh.readline().rstrip("\n").split(","))
+            width = width_of(path, fh.readline().rstrip("\n").split(","))
             while lines := list(islice(fh, _BLOCK_LINES)):
                 if not lines[-1].endswith("\n"):  # the file's last line
                     lines[-1] += "\n"
@@ -306,41 +291,55 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
     return ids, np.concatenate(blocks) if blocks else np.empty((0, width))
 
 
-def _scan_matrix_csv(path, prefix: str, parse_cell) -> tuple[list[str], np.ndarray]:
-    """The ids and the N x width value matrix of a ``prefix`` matrix CSV, cell by cell.
-
-    Reads the file with ``csv.reader`` and parses each cell with
-    ``parse_cell``, in file order, so the first bad row is the one reported.
-    """
-    header, rows = _read_csv_rows(path)
-    width = _check_header(path, header, prefix)
-    data = np.empty((len(rows), width), dtype=np.float64)
+def _scan_cells(path, header: list[str], rows, parse_cell, ids: list[str]):
+    """Each value cell of ``rows`` parsed by ``parse_cell``; each row's id goes to ``ids``."""
     seen: set[str] = set()
     for r, row in enumerate(rows):
-        _check_row(path, r, row, width + 1, seen)
-        try:
-            data[r] = [parse_cell(cell) for cell in row[1:]]
-        except ValueError:
-            for c, cell in enumerate(row[1:]):
-                try:
-                    parse_cell(cell)
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"{path}: row {r + 2}, column {header[c + 1]}: {exc}"
-                    ) from None
-    return [row[0] for row in rows], data
+        _check_row(path, r, row, len(header), seen)
+        ids.append(row[0])
+        for column, cell in zip(header[1:], row[1:]):
+            try:
+                yield parse_cell(cell)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {r + 2}, column {column}: {exc}") from None
 
 
-def _parse_matrix_csv(path, prefix: str, convert, parse_cell) -> tuple[list[str], np.ndarray]:
-    """The ids and the N x width value matrix of a ``prefix`` matrix CSV.
+def _scan_matrix_csv(path, width_of, parse_cell) -> tuple[list[str], np.ndarray]:
+    """The ids and the N x width value matrix of a CSV file, cell by cell.
+
+    ``csv.reader`` streams the rows: ``width_of(path, header)`` checks the
+    header, :func:`_check_row` each row and ``parse_cell`` each value cell,
+    all in file order, so the first problem in the file is the one reported.
+    Only one row of text is held at a time.
+    """
+    ids: list[str] = []
+    try:
+        with Path(path).open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{Path(path)}: empty file")
+            width = width_of(path, header)
+            data = np.fromiter(_scan_cells(path, header, reader, parse_cell, ids), np.float64)
+    except OSError as exc:
+        raise DataFormatError(f"{Path(path)}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"{Path(path)}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{Path(path)}: {exc}") from None
+    return ids, data.reshape(-1, width)
+
+
+def _parse_matrix_csv(path, width_of, convert, parse_cell) -> tuple[list[str], np.ndarray]:
+    """The ids and the N x width value matrix of a CSV file whose header ``width_of`` checks.
 
     The file is read in blocks converted by ``convert`` (see
     :func:`_read_blocks`). When that fails, :func:`_scan_matrix_csv` reads
-    it again: it reports the first bad row, and loads a cell that only
-    ``parse_cell`` accepts (a label padded with spaces, ``"1_0"``).
+    it again: it reports the first problem in file order, and loads a cell
+    that only ``parse_cell`` accepts (a label padded with spaces, ``"1_0"``).
     """
-    loaded = _read_blocks(path, lambda header: _check_header(path, header, prefix), convert)
-    return loaded if loaded is not None else _scan_matrix_csv(path, prefix, parse_cell)
+    loaded = _read_blocks(path, width_of, convert)
+    return loaded if loaded is not None else _scan_matrix_csv(path, width_of, parse_cell)
 
 
 def _convert_binary(lines: list[str], width: int) -> np.ndarray:
@@ -382,10 +381,6 @@ def _parse_binary_cell(cell: str) -> int:
     return int(value)
 
 
-def _parse_float_cell(cell: str) -> float:
-    return float(cell)
-
-
 def _parse_count_cell(cell: str) -> float:
     value = float(cell)
     if not np.isfinite(value) or value < 0:
@@ -405,17 +400,20 @@ def check_ids_aligned(ids_a: Sequence[str], ids_b: Sequence[str], what: str) -> 
 
 
 def load_labels_csv(path) -> tuple[list[str], np.ndarray]:
-    ids, data = _parse_matrix_csv(path, "label", _convert_binary, _parse_binary_cell)
+    ids, data = _parse_matrix_csv(path, partial(_check_header, prefix="label"),
+                                  _convert_binary, _parse_binary_cell)
     return ids, data.astype(np.int64)
 
 
 def load_probs_csv(path) -> tuple[list[str], ProbMatrix]:
-    ids, data = _parse_matrix_csv(path, "prob", _convert_float, _parse_float_cell)
+    ids, data = _parse_matrix_csv(path, partial(_check_header, prefix="prob"),
+                                  _convert_float, float)
     return ids, ProbMatrix(data)
 
 
 def load_features_csv(path) -> tuple[list[str], np.ndarray]:
-    return _parse_matrix_csv(path, "feat", _convert_count, _parse_count_cell)
+    return _parse_matrix_csv(path, partial(_check_header, prefix="feat"),
+                             _convert_count, _parse_count_cell)
 
 
 def load_dataset(
@@ -554,20 +552,8 @@ def _check_scores_header(path, header: list[str]) -> int:
 
 
 def load_scores_csv(path) -> tuple[list[str], np.ndarray]:
-    loaded = _read_blocks(path, lambda header: _check_scores_header(path, header), _convert_float)
-    if loaded is not None:
-        ids, scores = loaded
-        return ids, scores.ravel()
-    header, rows = _read_csv_rows(path)
-    _check_scores_header(path, header)
-    seen: set[str] = set()
-    for r, row in enumerate(rows):
-        _check_row(path, r, row, 2, seen)
-    try:
-        scores = np.array([row[1] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: malformed score row: {exc}") from None
-    return [row[0] for row in rows], scores
+    ids, scores = _parse_matrix_csv(path, _check_scores_header, _convert_float, float)
+    return ids, scores.ravel()
 
 
 def save_jsonl(path, dataset: MultiLabelDataset, probs: ProbMatrix) -> None:
@@ -586,7 +572,7 @@ def save_jsonl(path, dataset: MultiLabelDataset, probs: ProbMatrix) -> None:
 def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
     """Read :func:`save_jsonl` output; the probabilities are None if no row has any."""
     path = Path(path)
-    ids: list[str] = []
+    ids: dict[str, None] = {}  # in file order
     labels: list[list[int]] = []
     probs: list[list[float]] = []
     with path.open() as fh:
@@ -598,14 +584,17 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
             try:
-                ids.append(str(obj["id"]))
+                ex_id = str(obj["id"])
                 row = [int(v) for v in obj["labels"]]
+                if any(v not in (0, 1) for v in row):
+                    raise ValueError("labels must be 0/1")
+                probs.append([float(v) for v in obj.get("probs", [])])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
-            if any(v not in (0, 1) for v in row):
-                raise DataFormatError(f"{path}: line {lineno}: labels must be 0/1")
+            if ex_id in ids:
+                raise DataFormatError(f"{path}: line {lineno}: duplicate example id {ex_id!r}")
+            ids[ex_id] = None
             labels.append(row)
-            probs.append([float(v) for v in obj.get("probs", [])])
     if not ids:
         raise DataFormatError(f"{path}: empty file")
     if not any(probs):  # a labels-only file
@@ -613,7 +602,5 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
     widths = {len(r) for r in labels} | {len(r) for r in probs}
     if len(widths) != 1:
         raise DataFormatError(f"{path}: inconsistent row widths {sorted(widths)}")
-    if len(set(ids)) != len(ids):
-        raise DataFormatError(f"{path}: duplicate example id")
     dataset = MultiLabelDataset(np.array(labels), tuple(ids))
     return dataset, ProbMatrix(np.array(probs)) if probs else None

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -283,6 +284,20 @@ class TestCli:
 
     def test_report_on_missing_file_is_data_error(self, tmp_path):
         assert self.run("report", "--metrics", str(tmp_path / "none.csv")) == 2
+
+    def test_report_on_ragged_metrics_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        bench.write_metrics_csv(path, [("tiny", 0, "logreg", "ema", "auprc", "", "", 0.5)] * 2)
+        with path.open("a", newline="") as fh:
+            fh.write("tiny,0,logreg,ema\r\n")
+        assert self.run("report", "--metrics", str(path)) == 2
+        assert capsys.readouterr().err == f"data error: {path}: row 4 has 4 cells, expected 8\n"
+
+    def test_report_on_csv_error_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_text(",".join(bench.METRICS_HEADER) + "\n" + "x" * (csv.field_size_limit() + 1))
+        assert self.run("report", "--metrics", str(path)) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
 
     def test_too_many_folds_is_usage_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\nc,1\n")

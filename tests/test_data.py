@@ -1,7 +1,9 @@
 import csv
 import io
+import json
 import sys
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -389,6 +391,19 @@ class TestCsvBytes:
         with pytest.raises(DataFormatError, match=r"duplicate example id 'ex0' at row 3"):
             load_scores_csv(path)
 
+    def test_scores_first_bad_row_is_reported(self, tmp_path):
+        # row 2 holds a bad score, row 4 repeats an id: row 2 comes first
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"id,score\r\nex0,x\r\nex1,0.5\r\nex0,0.7\r\n")
+        with pytest.raises(DataFormatError) as info:
+            load_scores_csv(path)
+        assert str(info.value) == (
+            f"{path}: row 2, column score: could not convert string to float: 'x'"
+        )
+        path.write_bytes(b"id,score\r\nex0,0.5\r\nex1,1_0\r\nex0,x\r\n")
+        with pytest.raises(DataFormatError, match=r"duplicate example id 'ex0' at row 4"):
+            load_scores_csv(path)
+
     def test_empty_matrix_loads(self, tmp_path):
         save_probs_csv(tmp_path / "p.csv", [], np.zeros((0, 3)))
         ids, probs = load_probs_csv(tmp_path / "p.csv")
@@ -427,7 +442,8 @@ def _outcome(load, path):
 def assert_loads_as_scan(load, path):
     """``load`` reads ``path`` as csv.reader with a per-cell parse does, bit for bit."""
     prefix, parse_cell = SCANS[load]
-    scanned = _outcome(lambda p: data._scan_matrix_csv(p, prefix, parse_cell), path)
+    width_of = partial(data._check_header, prefix=prefix)
+    scanned = _outcome(lambda p: data._scan_matrix_csv(p, width_of, parse_cell), path)
     assert _outcome(load, path) == scanned
 
 
@@ -517,6 +533,24 @@ class TestBlockReader:
         finally:
             csv.field_size_limit(limit)
 
+    @pytest.mark.parametrize("body", [
+        "a,0.5\nb,-1e-3\n",                   # plain
+        '"a,1",0.5\r\n"b",1_0\r\n',            # quoted ids, a cell only float() takes
+        "a,0.5\nb,x\nc,0.5,1\n",               # a bad cell before a too-wide row
+        "a,0.5\n\nb,0.5\n",                    # a blank line
+        "a,0.5\na,x\n",                        # a repeated id before a bad cell
+    ])
+    def test_scores_file_loads_as_scan(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes(f"id,score\n{body}".encode())
+
+        def load_as_column(p):
+            ids, scores = load_scores_csv(p)
+            return ids, scores[:, None]
+
+        scan = partial(data._scan_matrix_csv, width_of=data._check_scores_header, parse_cell=float)
+        assert _outcome(load_as_column, path) == _outcome(scan, path)
+
     @pytest.mark.parametrize("end, last", [("\n", "\n"), ("\r\n", ""), ("\r", "\r")])
     def test_plain_file_is_read_in_blocks(self, tmp_path, end, last):
         n = 2 * data._BLOCK_LINES + 3
@@ -526,7 +560,7 @@ class TestBlockReader:
         def write(header, cells):
             path.write_bytes((end.join([header] + [f"{i},{cells}" for i in ids]) + last).encode())
 
-        with mock.patch.object(data, "_read_csv_rows", side_effect=AssertionError("scanned")):
+        with mock.patch.object(data, "_scan_matrix_csv", side_effect=AssertionError("scanned")):
             write("id,prob_0,prob_1,prob_2", "0.25,1,0")
             assert load_probs_csv(path)[1].values.tolist() == [[0.25, 1, 0]] * n
             write("id,feat_0,feat_1,feat_2", "0.25,1,0")
@@ -536,12 +570,14 @@ class TestBlockReader:
             write("id,score", "0.5")
             assert load_scores_csv(path) == (ids, pytest.approx([0.5] * n))
 
-    def test_load_memory_is_bounded(self, tmp_path):
-        # every cell held as a Python string would take ~12x the array
+    @pytest.mark.parametrize("id_format", ["ex{}", "ex,{}"], ids=["plain", "quoted"])
+    def test_load_memory_is_bounded(self, tmp_path, id_format):
+        # every cell held as a Python string would take ~12x the array; a
+        # quoted id sends the file through the per-cell scan
         rng = np.random.default_rng(5)
         values = rng.random((20_000, 50))
         path = tmp_path / "p.csv"
-        save_probs_csv(path, [f"ex{i}" for i in range(len(values))], values)
+        save_probs_csv(path, [id_format.format(i) for i in range(len(values))], values)
         tracemalloc.start()
         try:
             _, probs = load_probs_csv(path)
@@ -591,6 +627,25 @@ class TestJsonl:
                         '{"id": "b", "labels": [1, 1]}\n')
         with pytest.raises(DataFormatError, match=r"inconsistent row widths \[0, 2\]"):
             load_dataset(path, format="jsonl")
+
+    @pytest.mark.parametrize("probs", ['[0.1, "x"]', "null", "[0.1, null]", "0.5"])
+    def test_bad_probs_entry_names_its_line(self, tmp_path, probs):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": [0, 1], "probs": [0.1, 0.2]}\n'
+                        f'{{"id": "b", "labels": [1, 1], "probs": {probs}}}\n')
+        with pytest.raises((TypeError, ValueError)) as parsed:
+            [float(v) for v in json.loads(probs)]
+        with pytest.raises(DataFormatError) as info:
+            load_jsonl(path)
+        assert str(info.value) == f"{path}: line 2: {parsed.value}"
+
+    def test_duplicate_id_named(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": [0]}\n{"id": "b", "labels": [1]}\n'
+                        '{"id": "a", "labels": [1]}\n')
+        with pytest.raises(DataFormatError) as info:
+            load_jsonl(path)
+        assert str(info.value) == f"{path}: line 3: duplicate example id 'a'"
 
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "d.jsonl"
