@@ -250,8 +250,14 @@ def read_metrics_csv(path) -> list[tuple]:
             if len(row) != len(METRICS_HEADER):
                 raise ValueError(f"{path}: row {r} has {len(row)} cells, "
                                  f"expected {len(METRICS_HEADER)}")
-            rows.append((row[0], int(row[1]), row[2], row[3], row[4],
-                         row[5], row[6], float(row[7]) if row[7] else math.nan))
+            column = "seed"
+            try:
+                seed = int(row[1])
+                column = "value"
+                value = float(row[7]) if row[7] else math.nan
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {r}, column {column}: {exc}") from None
+            rows.append((row[0], seed, row[2], row[3], row[4], row[5], row[6], value))
         return rows
 
 
@@ -273,7 +279,7 @@ def render_aggregate_table(aggregates: Sequence[tuple]) -> str:
         cells[(method, metric)] = "--" if math.isnan(mean) else f"{mean:.4f}±{std:.4f}"
     widths = {m: max(len(m), *(len(cells.get((mm, m), "--")) for mm in methods))
               for m in metrics}
-    name_w = max(len("method"), *(len(m) for m in methods))
+    name_w = max([len("method"), *(len(m) for m in methods)])
     lines = ["  ".join(["method".ljust(name_w)] + [m.rjust(widths[m]) for m in metrics])]
     for method in methods:
         lines.append("  ".join(

@@ -30,7 +30,7 @@ from .data import (
     validate,
     MultiLabelDataset,
 )
-from .model import CVConfig, TrainConfig, cross_val_pred_probs
+from .model import CVConfig, TrainConfig, TrainingDivergedError, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, rescale_for_display, score_examples
 from .synth import (
     LARGE,
@@ -237,6 +237,8 @@ def _cmd_train_predict(args) -> int:
         probs = cross_val_pred_probs(dataset, cv, train_config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except TrainingDivergedError as exc:
+        raise UsageError(f"training diverged ({exc}); try a smaller --lr") from None
     save_probs_csv(args.out, ids, probs)
     print(f"wrote {probs.n_examples}x{probs.n_classes} probabilities to {args.out}")
     return EXIT_OK
@@ -285,7 +287,8 @@ def _cmd_bench(args) -> int:
         raise UsageError(str(exc)) from None
     report = bench.run_benchmark(plan, jobs=max(1, args.jobs))
     paths = bench.write_report(report, out_dir)
-    print(bench.render_aggregate_table(bench.aggregate_rows(report.metric_rows)))
+    if report.metric_rows:
+        print(bench.render_aggregate_table(bench.aggregate_rows(report.metric_rows)))
     for replicate, error in report.failures:
         print(f"replicate {replicate} failed: {error}", file=sys.stderr)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
@@ -297,6 +300,8 @@ def _cmd_report(args) -> int:
         rows = bench.read_metrics_csv(args.metrics)
     except (OSError, ValueError, csv.Error) as exc:
         raise DataFormatError(str(exc)) from None
+    if not rows:
+        raise DataFormatError(f"{args.metrics}: no metric rows")
     aggregates = bench.aggregate_rows(rows)
     print(bench.render_aggregate_table(aggregates))
     if args.out:

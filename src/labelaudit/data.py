@@ -585,9 +585,10 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
             try:
                 ex_id = str(obj["id"])
-                row = [int(v) for v in obj["labels"]]
-                if any(v not in (0, 1) for v in row):
-                    raise ValueError("labels must be 0/1")
+                row = obj["labels"]
+                bad = [v for v in row if type(v) is not int or v not in (0, 1)]
+                if bad:  # type(), since bool is an int subclass
+                    raise ValueError(f"labels must be 0/1, got {bad[0]!r}")
                 probs.append([float(v) for v in obj.get("probs", [])])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None

@@ -7,16 +7,22 @@ transformed and standardized with statistics computed on the training folds
 only. This closes the benchmark loop; it is not meant to be a competitive
 multi-label classifier.
 
-Each epoch of :func:`train` takes one ``exp`` pass: from ``e = exp(-|z|)``
-come both the loss, ``max(z, 0) + log1p(e) - y*z``, and the sigmoid,
-``1/(1+e)`` where ``z >= 0`` and ``e/(1+e)`` elsewhere. The epoch writes
-into ``(n, K)`` buffers allocated once per fit, and the folds of
-:func:`cross_val_pred_probs` are fitted one after another, so peak memory is
-that of one fold.
+Each epoch of :func:`train` takes one ``exp`` pass, ``e = exp(-|z|)``, for
+the sigmoid ``1/(1+e)`` where ``z >= 0`` and ``e/(1+e)`` elsewhere; no
+weight update reads the loss. The full loss, ``max(z, 0) + log1p(e) - y*z``
+summed, is computed only on the epochs ``loss_history`` records and on any
+epoch where a cheap bound cannot show it finite: each cell lies in
+``[0, |z| + 1]``, so the loss is finite while the cell count times
+``max|z| + 1`` and the L2 penalty both stay below 1e300. The divergence
+error therefore names the same epoch whichever epochs are recorded. The
+epoch writes into ``(n, K)`` buffers allocated once per fit, and the folds
+of :func:`cross_val_pred_probs` are fitted one after another, so peak memory
+is that of one fold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,7 @@ import numpy as np
 from .data import MultiLabelDataset, ProbMatrix
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
+_FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,14 +42,18 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     epochs: int = 500
+    loss_every: int = 50  # loss_history records every loss_every-th epoch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
+        for name in ("epochs", "loss_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,9 @@ class LogRegModel:
     biases: np.ndarray         # (K,)
     feature_mean: np.ndarray   # (D,) mean of log1p(features) on training data
     feature_scale: np.ndarray  # (D,) std of log1p(features), floored at 1
-    loss_history: np.ndarray   # (epochs + 1,) total loss across trained classes
+    # total loss across trained classes at epoch 0, every config.loss_every-th
+    # epoch and the last epoch, in epoch order
+    loss_history: np.ndarray
     config: TrainConfig = TrainConfig()
 
     def __post_init__(self):
@@ -106,6 +119,16 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None 
     return np.divide(out, e, out=out)
 
 
+def _loss_surely_finite(z: np.ndarray, penalty) -> bool:
+    """True only if the summed loss of logits ``z`` plus ``penalty`` is finite.
+
+    Each loss cell, ``max(z, 0) + log1p(exp(-|z|)) - y*z``, lies in
+    ``[0, |z| + 1]``. A NaN in ``z`` or ``penalty`` fails the comparisons.
+    """
+    z_abs_max = max(z.max(initial=0.0), -z.min(initial=0.0))
+    return z.size * (z_abs_max + 1.0) < _FINITE_BOUND and penalty < _FINITE_BOUND
+
+
 def binary_loss_and_grad(
     weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
@@ -147,8 +170,9 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
     """Fit one independent logistic regression per class by full-batch descent.
 
     Classes whose labels are all identical get a bias-only constant model at
-    the smoothed base rate. Raises :class:`TrainingDivergedError` if the
-    loss ever becomes non-finite (e.g. a too-large learning rate).
+    the smoothed base rate. Raises :class:`TrainingDivergedError` at the first
+    epoch whose loss is non-finite (e.g. a too-large learning rate), whether
+    or not that epoch is recorded in ``loss_history``.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -177,16 +201,22 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
         for epoch in range(config.epochs + 1):
             np.matmul(X, W.T, out=Z)
             Z += b
-            _exp_neg_abs(Z, out=E)
-            np.log1p(E, out=L)
-            _sigmoid(Z, E, out=P)  # consumes E
-            # L = softplus(Z) - Y*Z = max(Z, 0) + log1p(exp(-|Z|)) - Y*Z
-            L += np.maximum(Z, 0.0, out=E)
-            L -= np.multiply(Y, Z, out=E)
-            loss = float(L.sum() / n + 0.5 * config.l2 * (W * W).sum())
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            losses.append(loss)
+            penalty = 0.5 * config.l2 * (W * W).sum()
+            recorded = epoch % config.loss_every == 0 or epoch == config.epochs
+            if not recorded and _loss_surely_finite(Z, penalty):
+                _sigmoid(Z, _exp_neg_abs(Z, out=E), out=P)
+            else:
+                _exp_neg_abs(Z, out=E)
+                np.log1p(E, out=L)
+                _sigmoid(Z, E, out=P)  # consumes E
+                # L = softplus(Z) - Y*Z = max(Z, 0) + log1p(exp(-|Z|)) - Y*Z
+                L += np.maximum(Z, 0.0, out=E)
+                L -= np.multiply(Y, Z, out=E)
+                loss = float(L.sum() / n + penalty)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                if recorded:
+                    losses.append(loss)
             if epoch == config.epochs:
                 break
             residual = np.subtract(P, Y, out=P)

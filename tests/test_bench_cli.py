@@ -127,6 +127,22 @@ class TestBenchmark:
         values = {row[4]: row[7] for row in report.metric_rows if row[3] == "ema"}
         assert values["neg_spearman"] == pytest.approx(-values["spearman"], abs=1e-15)
 
+    def test_render_table_of_no_rows_is_the_header(self):
+        assert bench.render_aggregate_table([]) == "method"
+
+    @pytest.mark.parametrize("row, column, bad", [
+        ("tiny,zero,logreg,ema,auprc,,,0.5", "seed", "'zero'"),
+        ("tiny,0,logreg,ema,auprc,,,half", "value", "'half'"),
+    ])
+    def test_bad_metrics_cell_names_file_row_and_column(self, tmp_path, row, column, bad):
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"{','.join(bench.METRICS_HEADER)}\ntiny,0,logreg,ema,auprc,,,0.5\n"
+                        f"{row}\n")
+        with pytest.raises(ValueError) as info:
+            bench.read_metrics_csv(path)
+        assert str(info.value).startswith(f"{path}: row 3, column {column}: ")
+        assert str(info.value).endswith(bad)
+
     def test_render_table_mentions_every_method_and_metric(self):
         report = bench.run_benchmark(tiny_plan())
         table = bench.render_aggregate_table(bench.aggregate_rows(report.metric_rows))
@@ -245,6 +261,50 @@ class TestCli:
         shown = capsys.readouterr().out
         assert "ema" in shown and "auprc" in shown
         assert (out / "agg2.csv").read_bytes() == (out / "aggregate.csv").read_bytes()
+
+    def test_bench_with_every_replicate_failed_reports_them(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert self.run("bench", "--preset", "small", "--replicates", "2", "--epochs", "40",
+                        "--lr", "1e10", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        for replicate in (0, 1):
+            assert f"replicate {replicate} failed: TrainingDivergedError" in err
+        assert (out / "metrics.csv").read_text().strip() == ",".join(bench.METRICS_HEADER)
+
+    def test_report_on_header_only_metrics_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        bench.write_metrics_csv(path, [])
+        assert self.run("report", "--metrics", str(path)) == 2
+        assert capsys.readouterr().err == f"data error: {path}: no metric rows\n"
+
+    @pytest.mark.parametrize("command", ["train-predict", "bench"])
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--l2", "nan")])
+    def test_non_finite_hyperparameter_is_usage_error(self, tmp_path, capsys, command,
+                                                      flag, value):
+        (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\nc,1\nd,0\n")
+        (tmp_path / "f.csv").write_text("id,feat_0\na,3\nb,1\nc,2\nd,0\n")
+        argv = {"train-predict": ["--labels", str(tmp_path / "l.csv"),
+                                  "--features", str(tmp_path / "f.csv"),
+                                  "--out", str(tmp_path / "p.csv"), "--folds", "2"],
+                "bench": ["--replicates", "1", "--out-dir", str(tmp_path / "bench")]}[command]
+        assert self.run(command, *argv, flag, value) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "bench").exists()
+
+    def test_diverged_train_predict_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        ids = [f"e{i}" for i in range(20)]
+        (tmp_path / "l.csv").write_text("id,label_0\n" + "".join(
+            f"{i},{v}\n" for i, v in zip(ids, [0, 1] * 10)))
+        (tmp_path / "f.csv").write_text("id,feat_0,feat_1\n" + "".join(
+            f"{i},{a},{b}\n" for i, (a, b) in zip(ids, rng.integers(0, 9, size=(20, 2)))))
+        assert self.run("train-predict", "--labels", str(tmp_path / "l.csv"),
+                        "--features", str(tmp_path / "f.csv"), "--out", str(tmp_path / "p.csv"),
+                        "--lr", "1e10") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged (non-finite loss at epoch ")
+        assert err.endswith("); try a smaller --lr\n")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_large_preset_gated(self, tmp_path):
         code = self.run("bench", "--preset", "large", "--out-dir", str(tmp_path))

@@ -613,6 +613,15 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="labels must be 0/1"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("label", ["0.7", "1.0", "true", "false", '"1"', "null", "[1]"])
+    def test_non_integer_label_names_its_line(self, tmp_path, label):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": [0, 1]}\n'
+                        f'{{"id": "b", "labels": [{label}, 1]}}\n')
+        with pytest.raises(DataFormatError) as info:
+            load_jsonl(path)
+        assert str(info.value) == f"{path}: line 2: labels must be 0/1, got {json.loads(label)!r}"
+
     def test_labels_only_file_loads(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "labels": [0, 1]}\n{"id": "b", "labels": [1, 1]}\n')

@@ -51,7 +51,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         features = rng.poisson(20.0, size=(80, 5)).astype(float)
         labels = rng.integers(0, 2, size=(80, 3))
-        model = train(features, labels)
+        model = train(features, labels, TrainConfig(loss_every=1))
         diffs = np.diff(model.loss_history)
         assert (diffs <= 1e-9).all()
 
@@ -92,6 +92,65 @@ class TestTrain:
         with pytest.raises(ValueError, match="incompatible shapes"):
             train(np.zeros((5, 2)), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", float("nan"), "learning_rate must be finite and positive"),
+        ("learning_rate", float("inf"), "learning_rate must be finite and positive"),
+        ("learning_rate", 0.0, "learning_rate must be finite and positive"),
+        ("l2", float("nan"), "l2 must be finite and non-negative"),
+        ("l2", float("inf"), "l2 must be finite and non-negative"),
+        ("l2", -1e-4, "l2 must be finite and non-negative"),
+        ("epochs", 2.5, r"epochs must be an integer >= 1, got 2.5"),
+        ("epochs", True, r"epochs must be an integer >= 1, got True"),
+        ("epochs", 0, r"epochs must be an integer >= 1, got 0"),
+        ("loss_every", 0, r"loss_every must be an integer >= 1, got 0"),
+        ("loss_every", -1, r"loss_every must be an integer >= 1, got -1"),
+        ("loss_every", 2.5, r"loss_every must be an integer >= 1, got 2.5"),
+        ("loss_every", True, r"loss_every must be an integer >= 1, got True"),
+    ])
+    def test_bad_config_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+
+class TestLossRecording:
+    """Epochs off the record skip the loss but not the divergence check."""
+
+    def test_default_history_is_the_full_history_at_recorded_epochs(self):
+        features, labels, _ = oracle_case("constant_everywhere")
+        full = train(features, labels, TrainConfig(epochs=120, loss_every=1)).loss_history
+        sparse = train(features, labels, TrainConfig(epochs=120)).loss_history
+        assert np.array_equal(sparse.view(np.uint64), full[[0, 50, 100, 120]].view(np.uint64))
+
+    @pytest.mark.parametrize("n, d, k", [(12, 3, 1), (80, 5, 3), (60, 4, 2)])
+    def test_same_epoch_raised_or_same_fit_bits(self, n, d, k):
+        rng = np.random.default_rng(n + d + k)
+        features = rng.poisson(5.0, size=(n, d)).astype(float)
+        labels = rng.integers(0, 2, size=(n, k))
+        labels[:, -1] = 1  # for k > 1, the last class gets no fit of its own
+        labels[:2, 0] = (0, 1)
+        outcomes = set()
+        for learning_rate in 10.0 ** np.arange(-2, 13):
+            for l2 in (0.0, 1e-4):
+                fits = []
+                for loss_every in (1, 50):
+                    config = TrainConfig(learning_rate=float(learning_rate), l2=l2,
+                                         epochs=200, loss_every=loss_every)
+                    try:
+                        model = train(features, labels, config)
+                        fits.append((model.weights.tobytes(), model.biases.tobytes()))
+                    except TrainingDivergedError as exc:
+                        fits.append(str(exc))
+                assert fits[0] == fits[1], (learning_rate, l2)
+                outcomes.add(isinstance(fits[0], str))
+        assert outcomes == {False, True}  # the sweep both converges and diverges
+
+    def test_bias_alone_overflowing_the_loss_raises_on_time(self):
+        # all-zero features scale to zero, so only the unpenalized bias moves:
+        # the penalty stays 0 and only the bound on |z| sees the loss overflow
+        labels = (np.arange(40) < 21).astype(int)[:, None]
+        with pytest.raises(TrainingDivergedError, match=r"epoch 2$"):
+            train(np.zeros((40, 2)), labels, TrainConfig(learning_rate=1e308, epochs=100))
+
 
 def oracle_case(case, seed=11):
     """Features, labels and CV settings for one trainer-oracle case."""
@@ -129,7 +188,7 @@ class TestTrainerOracle:
     @pytest.mark.parametrize("case", CASES)
     def test_train_and_cv_match_oracle(self, case):
         features, labels, cv = oracle_case(case)
-        config = TrainConfig(epochs=100)
+        config = TrainConfig(epochs=100, loss_every=1)
         model = train(features, labels, config)
         weights, biases, losses, _, _ = reference.train(features, labels, epochs=100)
         assert np.array_equal(model.weights, weights)
