@@ -603,5 +603,7 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
     widths = {len(r) for r in labels} | {len(r) for r in probs}
     if len(widths) != 1:
         raise DataFormatError(f"{path}: inconsistent row widths {sorted(widths)}")
+    if widths == {0}:
+        raise DataFormatError(f"{path}: no label columns (every labels list is empty)")
     dataset = MultiLabelDataset(np.array(labels), tuple(ids))
     return dataset, ProbMatrix(np.array(probs)) if probs else None

@@ -4,7 +4,10 @@ Generation: each class owns a word distribution drawn once from a uniform
 Dirichlet over the vocabulary. Per example, a Poisson label count (resampled
 while it exceeds K; zero-label examples are kept) picks that many distinct
 classes, and a Poisson-length document is drawn from the mixture of the
-chosen classes' word distributions.
+chosen classes' word distributions. The classes are picked for all examples
+at once: each row holds a uniform random permutation of 0..K-1, and the
+classes at positions below the row's count form a uniform random subset of
+that size.
 
 Noise: per class k a 2x2 row-stochastic flip matrix is built from a sampled
 trace; flips are applied independently per (example, class) and capped at a
@@ -22,6 +25,13 @@ import numpy as np
 from .data import MultiLabelDataset, check_binary_labels
 
 
+def _check_count(name: str, value, minimum: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Shape and scale of one generated dataset group."""
@@ -36,15 +46,16 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("n_samples", "n_test", "n_features", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name), minimum=1)
         if not 0 < self.expected_labels_per_example <= self.n_classes:
             raise ValueError(
                 f"expected_labels_per_example must be in (0, {self.n_classes}], "
                 f"got {self.expected_labels_per_example}"
             )
-        if self.expected_doc_length <= 0:
-            raise ValueError("expected_doc_length must be positive")
+        if not 0 < self.expected_doc_length < np.inf:  # False at NaN as well
+            raise ValueError(
+                f"expected_doc_length must be positive and finite, got {self.expected_doc_length}"
+            )
 
 
 SMALL = GenConfig(n_samples=5000, n_test=1000, n_features=3, n_classes=4,
@@ -66,7 +77,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_gamma(self.gamma_shape, self.gamma_scale)
-        _check_cap("max_errors_per_example", self.max_errors_per_example)
+        _check_count("max_errors_per_example", self.max_errors_per_example)
         traces = np.array(self.traces, dtype=np.float64, copy=True)
         matrices = np.array(self.matrices, dtype=np.float64, copy=True)
         if traces.size and not ((traces > 0) & (traces <= 2)).all():
@@ -85,13 +96,6 @@ class NoiseSpec:
 def _check_gamma(gamma_shape: float, gamma_scale: float) -> None:
     if not (gamma_shape > 0 and gamma_scale > 0):  # False at NaN as well
         raise ValueError("gamma parameters must be positive")
-
-
-def _check_cap(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
 
 
 def traces_from_draws(draws: np.ndarray) -> np.ndarray:
@@ -189,10 +193,10 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     while over.any():
         label_counts[over] = rng.poisson(config.expected_labels_per_example, size=int(over.sum()))
         over = label_counts > k
-    labels = np.zeros((n, k), dtype=np.int64)
-    for i in range(n):
-        if label_counts[i]:
-            labels[i, rng.choice(k, size=label_counts[i], replace=False)] = 1
+    # One uniform permutation of the classes per row; the classes placed below
+    # the row's count are its labels, a uniform subset of exactly that size.
+    positions = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+    labels = (positions < label_counts[:, None]).astype(np.int64)
 
     # Words drawn from the mixture of each example's class distributions;
     # unlabeled examples fall back to a uniform mixture over the vocabulary.
@@ -233,7 +237,7 @@ def inject_noise(
         raise ValueError(f"need {k} 2x2 matrices, got shape {matrices.shape}")
     if not ((matrices >= 0.0) & (matrices <= 1.0)).all():  # False at NaN as well
         raise ValueError("noise matrix entries must lie in [0, 1]")
-    _check_cap("max_errors", max_errors)
+    _check_count("max_errors", max_errors)
     check_binary_labels(truth)
 
     rng = np.random.default_rng(seed)

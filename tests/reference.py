@@ -3,14 +3,16 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The three oracles at the end are the exception: they are numpy, literal
+The four oracles at the end are the exception: they are numpy, literal
 copies of the original code. One is the trainer's epoch loop (masked
 two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
 one is the per-class loop of the multi-label flagger (one ``np.add.at``
-joint and one noise-rate matrix per class); the last is the per-example
-loop of the noise injector. Only the same floating-point operations and
-the same RNG calls can show that a rewrite gives bit-identical weights,
-probabilities, thresholds, noise rates and noisy labels.
+joint and one noise-rate matrix per class); one is the per-example loop of
+the noise injector. Only the same floating-point operations and the same
+RNG calls can show that a rewrite gives bit-identical weights,
+probabilities, thresholds, noise rates and noisy labels. The last is the
+generator's per-example label loop; the batched draw that replaced it
+consumes the RNG differently, so only its per-row label counts must match.
 """
 
 import math
@@ -365,3 +367,22 @@ def inject_noise(true_labels, matrices, max_errors=3, seed=0):
             flips = rng.choice(flips, size=max_errors, replace=False)
         noisy[i, flips] = 1 - noisy[i, flips]
     return noisy
+
+
+# --- label generation: the original per-example loop ------------------------
+
+def gen_label_loop(config):
+    """True labels as the original generator drew them, one ``choice`` per example."""
+    rng = np.random.default_rng(config.seed)
+    n, d, k = config.n_samples, config.n_features, config.n_classes
+    rng.dirichlet(np.ones(d), size=k)  # the word distributions come first in the stream
+    label_counts = rng.poisson(config.expected_labels_per_example, size=n)
+    over = label_counts > k
+    while over.any():
+        label_counts[over] = rng.poisson(config.expected_labels_per_example, size=int(over.sum()))
+        over = label_counts > k
+    labels = np.zeros((n, k), dtype=np.int64)
+    for i in range(n):
+        if label_counts[i]:
+            labels[i, rng.choice(k, size=label_counts[i], replace=False)] = 1
+    return labels

@@ -332,6 +332,16 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_non_finite_doc_length_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        assert self.run("gen", "--n-samples", "10", "--n-features", "3", "--n-classes", "4",
+                        "--expected-labels", "2", "--doc-length", value,
+                        "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected_doc_length must be positive and finite")
+        assert not out.exists()
+
     def test_bench_one_fold_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert self.run("bench", "--replicates", "1", "--folds", "1", "--out-dir", str(out)) == 1

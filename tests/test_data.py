@@ -630,6 +630,14 @@ class TestJsonl:
         assert dataset.given_labels.tolist() == [[0, 1], [1, 1]]
         assert load_jsonl(path)[1] is None
 
+    def test_empty_label_lists_rejected(self, tmp_path):
+        # the CSV loaders reject the same data: "no label columns in header"
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "labels": []}\n{"id": "b", "labels": []}\n')
+        with pytest.raises(DataFormatError) as info:
+            load_jsonl(path)
+        assert str(info.value) == f"{path}: no label columns (every labels list is empty)"
+
     def test_probs_on_some_rows_only_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "labels": [0, 1], "probs": [0.1, 0.2]}\n'

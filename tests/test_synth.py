@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import reference
 from labelaudit.data import validate
@@ -24,6 +25,8 @@ from labelaudit.synth import (
 
 TEST_CONFIG = GenConfig(n_samples=5000, n_test=500, n_features=3, n_classes=4,
                         expected_labels_per_example=2.0, seed=42)
+WIDE_CONFIG = GenConfig(n_samples=2000, n_test=400, n_features=5, n_classes=50,
+                        expected_labels_per_example=5.0, seed=3)
 
 
 def truncated_poisson_stats(lam: float, kmax: int) -> tuple[float, float]:
@@ -37,10 +40,12 @@ def truncated_poisson_stats(lam: float, kmax: int) -> tuple[float, float]:
 
 class TestGenerator:
     def test_deterministic_given_seed(self):
+        for config in (TEST_CONFIG, WIDE_CONFIG):
+            a, b = gen_multilabel(config), gen_multilabel(config)
+            assert a.example_ids == b.example_ids
+            for name in ("given_labels", "true_labels", "features"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
         a = gen_multilabel(TEST_CONFIG)
-        b = gen_multilabel(TEST_CONFIG)
-        assert np.array_equal(a.given_labels, b.given_labels)
-        assert np.array_equal(a.features, b.features)
         c = gen_multilabel(GenConfig(**{**TEST_CONFIG.__dict__, "seed": 43}))
         assert not np.array_equal(a.features, c.features)
 
@@ -78,12 +83,66 @@ class TestGenerator:
             GenConfig(n_samples=10, n_test=1, n_features=2, n_classes=2,
                       expected_labels_per_example=5.0)
 
+    @pytest.mark.parametrize("name", ["n_samples", "n_test", "n_features", "n_classes"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "5"])
+    def test_non_integer_shape_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GenConfig(**{**TEST_CONFIG.__dict__, name: value})
+
+    def test_numpy_integer_shape_accepted(self):
+        config = GenConfig(**{**TEST_CONFIG.__dict__, "n_samples": np.int64(50),
+                              "n_classes": np.int32(4)})
+        assert gen_multilabel(config).true_labels.shape == (50, 4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_doc_length_rejected(self, value):
+        with pytest.raises(ValueError, match="expected_doc_length must be positive and finite"):
+            GenConfig(**{**TEST_CONFIG.__dict__, "expected_doc_length": value})
+
     def test_presets_match_documented_table(self):
         assert (SMALL.n_samples, SMALL.n_features, SMALL.n_classes) == (5000, 3, 4)
         assert SMALL.expected_labels_per_example == 2.0
         assert (LARGE.n_samples, LARGE.n_features, LARGE.n_classes) == (30000, 20, 50)
         assert LARGE.expected_labels_per_example == 5.0
         assert SMALL.expected_doc_length == 500.0
+
+
+class TestLabelDraw:
+    """The batched label draw: the old loop's per-row counts, uniform subsets."""
+
+    @pytest.mark.parametrize("config", [SMALL, WIDE_CONFIG], ids=["small", "2000x50"])
+    def test_row_counts_match_per_example_loop(self, config):
+        got = gen_multilabel(config).true_labels
+        want = reference.gen_label_loop(config)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.sum(axis=1), want.sum(axis=1))
+        assert not np.array_equal(got, want)  # same counts, another draw of the classes
+
+    def test_two_label_subsets_are_uniform(self):
+        # K=4, c=2: each of the 6 pairs should hold 1/6 of the two-label rows
+        config = GenConfig(n_samples=120_000, n_test=1, n_features=1, n_classes=4,
+                           expected_labels_per_example=2.0, expected_doc_length=1.0, seed=11)
+        labels = gen_multilabel(config).true_labels
+        pairs = labels[labels.sum(axis=1) == 2]
+        assert len(pairs) >= 30_000
+        codes = pairs @ (1 << np.arange(4))  # one bit per class
+        observed = np.unique(codes, return_counts=True)[1]
+        assert observed.size == math.comb(4, 2)
+        assert scipy.stats.chisquare(observed).pvalue > 0.01
+
+    def test_class_marginals_match_count_over_k(self):
+        # given the counts c_i, class j is in row i with probability c_i / K, so
+        # its column sum has mean sum(c) / K and variance sum(p (1 - p)), p = c / K;
+        # every class must lie within 5 standard errors of that mean
+        config = GenConfig(**{**WIDE_CONFIG.__dict__, "n_samples": 20_000})
+        labels = gen_multilabel(config).true_labels
+        p = labels.sum(axis=1) / config.n_classes
+        se = math.sqrt((p * (1 - p)).sum())
+        assert np.abs(labels.sum(axis=0) - p.sum()).max() < 5 * se
+        for c in (1, 5, 9):  # and per label count, c / K within 5 standard errors
+            rows = labels[labels.sum(axis=1) == c]
+            tol = 5 * math.sqrt(c / 50 * (1 - c / 50) / len(rows))
+            assert np.abs(rows.mean(axis=0) - c / 50).max() < tol
 
 
 class TestTraces:
