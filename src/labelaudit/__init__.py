@@ -43,6 +43,7 @@ from .scoring import (
     PoolingMethod,
     QualityScoreVector,
     pool,
+    score_all,
     score_examples,
     self_confidence,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "sample_noise_traces",
     "save_jsonl",
     "save_scores_csv",
+    "score_all",
     "score_examples",
     "self_confidence",
     "spearman",

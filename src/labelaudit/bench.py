@@ -29,7 +29,7 @@ from .confident import flag_multilabel
 from .data import MultiLabelDataset, _fmt_float
 from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, cross_val_pred_probs
-from .scoring import POOLER_NAMES, PoolingMethod, score_examples
+from .scoring import POOLER_NAMES, PoolingMethod, score_all
 from .synth import (
     LARGE, SMALL, GenConfig, NoiseSpec, draw_noise_spec, gen_multilabel, inject_noise,
 )
@@ -135,12 +135,11 @@ def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
         )
 
         metric_rows = [
-            (plan.dataset_name, gen_seed, plan.classifier, method.name, result.name,
+            (plan.dataset_name, gen_seed, plan.classifier, scores.method.name, result.name,
              "" if result.param_t is None else result.param_t,
              "" if result.param_k is None else result.param_k, result.value)
-            for method in plan.methods
-            for result in evaluate(score_examples(dataset.given_labels, probs.values,
-                                                  method).values, truth, plan.metrics)
+            for scores in score_all(dataset.given_labels, probs.values, plan.methods)
+            for result in evaluate(scores.values, truth, plan.metrics)
         ]
 
         report = flag_multilabel(dataset.given_labels, probs.values)

@@ -211,12 +211,11 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     clean = gen_multilabel(config)
     noisy = inject_noise(clean.true_labels, noise.matrices,
                          noise.max_errors_per_example, noise_seed)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_labels_csv(out_dir / "labels.csv", clean.example_ids, noisy)
     save_labels_csv(out_dir / "truth.csv", clean.example_ids, clean.true_labels)
     save_features_csv(out_dir / "features.csv", clean.example_ids, clean.features)

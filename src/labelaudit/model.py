@@ -11,13 +11,26 @@ Each epoch of :func:`train` takes one ``exp`` pass, ``e = exp(-|z|)``, for
 the sigmoid ``1/(1+e)`` where ``z >= 0`` and ``e/(1+e)`` elsewhere; no
 weight update reads the loss. The full loss, ``max(z, 0) + log1p(e) - y*z``
 summed, is computed only on the epochs ``loss_history`` records and on any
-epoch where a cheap bound cannot show it finite: each cell lies in
-``[0, |z| + 1]``, so the loss is finite while the cell count times
-``max|z| + 1`` and the L2 penalty both stay below 1e300. The divergence
-error therefore names the same epoch whichever epochs are recorded. The
-epoch writes into ``(n, K)`` buffers allocated once per fit, and the folds
-of :func:`cross_val_pred_probs` are fitted one after another, so peak memory
-is that of one fold.
+epoch where a bound taken from the weights cannot show it finite. Each cell
+lies in ``[0, |z| + 1]``, and ``|z| <= max_i sum_d |x_id| * max|W| + max|b|``
+(the row sum is taken once per fit), so the loss is finite while the cell
+count times that bound plus 1, and the L2 penalty, both stay below 1e300.
+The divergence error therefore names the same epoch whichever epochs are
+recorded.
+
+An epoch runs matmul, ``+ b``, ``exp(-|z|)``, the sigmoid (and the loss
+cells) and ``- y`` over row blocks of about ``_BLOCK_CELLS`` cells, so the
+logits and ``exp(-|z|)`` live in block-sized scratch that stays in cache.
+Each block has at least two rows: a block of two or more rows gets the
+same product bits as the whole matrix, while a one-row block goes through
+gemv and does not. The residual and the loss cells are whole ``(n, K)``
+buffers, read by the gradient product and the sum.
+
+:func:`cross_val_pred_probs` takes ``log1p`` of the features and the float
+labels once for the whole set and fits the folds one after another through
+the same path as :func:`train`. Its peak memory is those two arrays plus
+one fold's training rows of both, its standardized features, two ``(n, K)``
+buffers and two blocks of scratch.
 """
 
 from __future__ import annotations
@@ -31,6 +44,10 @@ from .data import MultiLabelDataset, ProbMatrix
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
+_BLOCK_CELLS = 32768  # cells per row block of an epoch: its scratch stays in cache
+_BIAS_ROW_CELLS = 256  # row length of the bias add's view at few classes
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = 5e-324  # the smallest subnormal float64
 
 
 class TrainingDivergedError(RuntimeError):
@@ -119,16 +136,6 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None 
     return np.divide(out, e, out=out)
 
 
-def _loss_surely_finite(z: np.ndarray, penalty) -> bool:
-    """True only if the summed loss of logits ``z`` plus ``penalty`` is finite.
-
-    Each loss cell, ``max(z, 0) + log1p(exp(-|z|)) - y*z``, lies in
-    ``[0, |z| + 1]``. A NaN in ``z`` or ``penalty`` fails the comparisons.
-    """
-    z_abs_max = max(z.max(initial=0.0), -z.min(initial=0.0))
-    return z.size * (z_abs_max + 1.0) < _FINITE_BOUND and penalty < _FINITE_BOUND
-
-
 def binary_loss_and_grad(
     weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
@@ -148,22 +155,49 @@ def binary_loss_and_grad(
     return loss, grad_w, grad_b
 
 
-def _fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logged = np.log1p(features)
-    mean = logged.mean(axis=0)
-    scale = logged.std(axis=0)
-    scale = np.where(scale < 1e-12, 1.0, scale)
-    return mean, scale
-
-
-def _apply_scaler(features, mean, scale) -> np.ndarray:
-    return (np.log1p(features) - mean) / scale
-
-
 def _base_rate_bias(y: np.ndarray) -> float:
     # Laplace-smoothed log-odds; finite even when all labels agree.
     rate = (y.sum() + 0.5) / (y.shape[0] + 1.0)
     return float(np.log(rate / (1.0 - rate)))
+
+
+def _logit_bound(x_abs_sum: float, W: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on every ``|x @ W.T + b|`` whose row has ``sum |x_d| <= x_abs_sum``.
+
+    ``|x . w_k + b_k| <= sum_d |x_d| * max|W| + max|b|``. The padding, a few
+    ulps and a few subnormals per feature, covers the rounding of the computed
+    logits and of the bound itself. A NaN anywhere gives NaN.
+    """
+    d = W.shape[1]
+    bound = x_abs_sum * np.abs(W).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    return bound * (1.0 + (2 * d + 4) * _EPS) + (d + 2) * _TINY
+
+
+def _row_blocks(n: int, k: int) -> list[tuple[int, int]]:
+    """Row ranges of about ``_BLOCK_CELLS`` cells each, none of them a single row.
+
+    A one-row product goes through gemv, whose sums can differ in the last bit
+    from the gemm that computes a block of two or more rows, so a one-row
+    remainder joins the block before it.
+    """
+    rows = max(2, _BLOCK_CELLS // max(k, 1))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _add_bias(z: np.ndarray, b: np.ndarray, b_tiled: np.ndarray) -> None:
+    """``z += b``, given ``b_tiled``, a (t, K) array of t copies of ``b``.
+
+    All rows but the last ``len(z) % t`` are added as rows of t*K cells:
+    with few classes, a plain broadcast runs an inner loop only K long.
+    """
+    t = b_tiled.shape[0]
+    whole = z.shape[0] - z.shape[0] % t
+    wide = z[:whole].reshape(whole // t, b_tiled.size)  # a view: z is C-contiguous
+    wide += b_tiled.reshape(-1)
+    z[whole:] += b
 
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainConfig()) -> LogRegModel:
@@ -180,50 +214,74 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
         raise ValueError(
             f"incompatible shapes: features {features.shape}, labels {labels.shape}"
         )
-    n, d = features.shape
+    return _fit(np.log1p(features), labels, config)
+
+
+def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegModel:
+    """:func:`train` on ``log1p(features)`` and float64 labels."""
+    n, d = logged.shape
     k = labels.shape[1]
     if n < 2:
         raise ValueError("need at least 2 examples to train")
 
-    mean, scale = _fit_scaler(features)
-    X = _apply_scaler(features, mean, scale)
+    mean = logged.mean(axis=0)
+    scale = logged.std(axis=0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    X = (logged - mean) / scale
+    x_abs_sum = np.abs(X).sum(axis=1).max()
 
-    col_min = labels.min(axis=0)
-    active = col_min != labels.max(axis=0)
-    Y = np.ascontiguousarray(labels[:, active])  # the boolean column pick is F-ordered
+    active = labels.min(axis=0) != labels.max(axis=0)
+    # the boolean column pick is F-ordered, and C-ordered buffers sized from
+    # an F-ordered Y changed the BLAS call
+    Y = labels if active.all() else np.ascontiguousarray(labels[:, active])
+    ka = Y.shape[1]
 
-    W = np.zeros((Y.shape[1], d))
-    b = np.zeros(Y.shape[1])
-    Z, E, P, L = (np.empty(Y.shape) for _ in range(4))
+    W = np.zeros((ka, d))
+    b = np.zeros(ka)
+    blocks = _row_blocks(n, ka)
+    most_rows = max(hi - lo for lo, hi in blocks)
+    Z, E = np.empty((most_rows, ka)), np.empty((most_rows, ka))
+    P, L = np.empty(Y.shape), np.empty(Y.shape)
+    b_tiled = np.empty((max(1, _BIAS_ROW_CELLS // max(ka, 1)), ka))
     losses = []
     # overflow here is the divergence signal, reported as an error below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
-            np.matmul(X, W.T, out=Z)
-            Z += b
             penalty = 0.5 * config.l2 * (W * W).sum()
-            recorded = epoch % config.loss_every == 0 or epoch == config.epochs
-            if not recorded and _loss_surely_finite(Z, penalty):
-                _sigmoid(Z, _exp_neg_abs(Z, out=E), out=P)
-            else:
-                _exp_neg_abs(Z, out=E)
-                np.log1p(E, out=L)
-                _sigmoid(Z, E, out=P)  # consumes E
-                # L = softplus(Z) - Y*Z = max(Z, 0) + log1p(exp(-|Z|)) - Y*Z
-                L += np.maximum(Z, 0.0, out=E)
-                L -= np.multiply(Y, Z, out=E)
+            last = epoch == config.epochs
+            recorded = last or epoch % config.loss_every == 0
+            # each loss cell lies in [0, |z| + 1]; a NaN fails the comparisons
+            with_loss = recorded or not (
+                Y.size * (_logit_bound(x_abs_sum, W, b) + 1.0) < _FINITE_BOUND
+                and penalty < _FINITE_BOUND)
+            b_tiled[...] = b
+            for lo, hi in blocks:
+                z, e, p, y = Z[:hi - lo], E[:hi - lo], P[lo:hi], Y[lo:hi]
+                np.matmul(X[lo:hi], W.T, out=z)
+                _add_bias(z, b, b_tiled)
+                _exp_neg_abs(z, out=e)
+                if with_loss:
+                    cells = np.log1p(e, out=L[lo:hi])
+                    _sigmoid(z, e, out=p)  # consumes e
+                    # softplus(z) - y*z = max(z, 0) + log1p(exp(-|z|)) - y*z
+                    cells += np.maximum(z, 0.0, out=e)
+                    cells -= np.multiply(y, z, out=e)
+                else:
+                    _sigmoid(z, e, out=p)
+                if not last:
+                    p -= y  # the residual
+            if with_loss:
                 loss = float(L.sum() / n + penalty)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                 if recorded:
                     losses.append(loss)
-            if epoch == config.epochs:
+            if last:
                 break
-            residual = np.subtract(P, Y, out=P)
-            W -= config.learning_rate * (residual.T @ X / n + config.l2 * W)
-            # einsum sums the rows in order, as residual.mean(axis=0) does,
-            # so the bias bits match it at a third of the cost
-            b -= config.learning_rate * (np.einsum("ij->j", residual) / n)
+            W -= config.learning_rate * (P.T @ X / n + config.l2 * W)
+            # einsum sums the rows in order, as P.mean(axis=0) does, so the
+            # bias bits match it at a third of the cost
+            b -= config.learning_rate * (np.einsum("ij->j", P) / n)
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)
@@ -242,9 +300,13 @@ def predict_proba(model: LogRegModel, features: np.ndarray) -> ProbMatrix:
         raise ValueError(
             f"features shape {features.shape} incompatible with model width {model.n_features}"
         )
-    X = _apply_scaler(features, model.feature_mean, model.feature_scale)
+    return ProbMatrix(_predict_logged(model, np.log1p(features)))
+
+
+def _predict_logged(model: LogRegModel, logged: np.ndarray) -> np.ndarray:
+    X = (logged - model.feature_mean) / model.feature_scale
     probs = _sigmoid(X @ model.weights.T + model.biases)
-    return ProbMatrix(np.clip(probs, _PROB_CLIP, 1.0 - _PROB_CLIP))
+    return np.clip(probs, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 def fold_assignments(n_examples: int, cv: CVConfig) -> np.ndarray:
@@ -267,9 +329,12 @@ def cross_val_pred_probs(
     if dataset.features is None:
         raise ValueError("dataset has no features to train on")
     folds = fold_assignments(dataset.n_examples, cv)
+    # elementwise, so each fold's slice holds the bits train() would compute
+    logged = np.log1p(dataset.features)
+    labels = dataset.given_labels.astype(np.float64)
     probs = np.empty((dataset.n_examples, dataset.n_classes))
     for f in range(cv.n_folds):
         held_out = folds == f
-        model = train(dataset.features[~held_out], dataset.given_labels[~held_out], config)
-        probs[held_out] = predict_proba(model, dataset.features[held_out]).values
+        model = _fit(logged[~held_out], labels[~held_out], config)
+        probs[held_out] = _predict_logged(model, logged[held_out])
     return ProbMatrix(probs)

@@ -35,6 +35,14 @@ period-P moving-window sum over the sorted row (P = 1 and P = K are the mean).
 The other two are not L-statistics: ``softmin(tau)`` averages the scores
 with weights proportional to exp((1 - score) / tau), and ``log(eps)`` is the
 mean of log(score + eps), finite even where a score is 0.
+
+:func:`score_all` scores a list of methods in one pass. It checks the labels
+and probabilities once, computes self-confidence once, and sorts the rows
+once, and only if an L-statistic is asked for. Each L-statistic but the
+last weights the shared sorted matrix into one reused buffer, which softmin
+and log use for their temporaries too; the last weights it in place.
+:func:`score_examples` and :func:`pool` are its one-method views, so a
+method gives the same bits alone or in a list.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -151,6 +159,11 @@ _SORTED_WEIGHTS = {
 
 def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
     """Apply the named pooling method to an N x K matrix of finite per-class scores."""
+    return _pool_all(per_class_scores, (method,))[0]
+
+
+def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) -> list[np.ndarray]:
+    """Every method's pooled scores, in order, from one check and at most one sort."""
     scores = np.asarray(per_class_scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"per-class scores must be 2-D, got shape {scores.shape}")
@@ -159,21 +172,37 @@ def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
     if not np.isfinite(scores).all():
         raise ValueError("per-class scores must be finite")
     n_classes = scores.shape[1]
-    method.check_n_classes(n_classes)
-    if method.name == "softmin":
-        # Subtracting the row's largest exponent keeps any temperature from overflowing.
-        z = (1.0 - scores) / method.tau
-        w = np.exp(z - z.max(axis=1, keepdims=True))
-        return (scores * w).sum(axis=1) / w.sum(axis=1)
-    if method.name == "log":
-        return np.log(scores + method.eps).mean(axis=1)
-    weights = _SORTED_WEIGHTS[method.name](method, np.arange(1.0, n_classes + 1), n_classes)
-    # Not `@`: a BLAS product can sum equal rows in different orders, and
-    # ranks at ties need equal rows pooled to bit-equal values. Weighting in
-    # place saves a second (N, K) temporary, which costs as much as the sort.
-    ordered = np.sort(scores, axis=1)
-    ordered *= weights
-    return ordered.sum(axis=1)
+    for method in methods:
+        method.check_n_classes(n_classes)
+    sorting = [i for i, method in enumerate(methods) if method.name in _SORTED_WEIGHTS]
+    ordered = np.sort(scores, axis=1) if sorting else None
+    work = None
+    pooled = []
+    for i, method in enumerate(methods):
+        # The last L-statistic weights the sorted scores in place; every other
+        # (N, K) temporary goes into one reused buffer. One method then needs
+        # no second (N, K) array, and ten need one.
+        if sorting and i == sorting[-1]:
+            out = ordered
+        else:
+            out = work = np.empty_like(scores) if work is None else work
+        if method.name == "softmin":
+            # weights exp((1 - s)/tau - row max); subtracting the row's largest
+            # exponent keeps any temperature from overflowing
+            z = np.subtract(1.0, scores, out=out)
+            z /= method.tau
+            z -= z.max(axis=1, keepdims=True)
+            w = np.exp(z, out=z)
+            total = w.sum(axis=1)
+            pooled.append(np.multiply(scores, w, out=w).sum(axis=1) / total)
+        elif method.name == "log":
+            pooled.append(np.log(np.add(scores, method.eps, out=out), out=out).mean(axis=1))
+        else:
+            weights = _SORTED_WEIGHTS[method.name](method, np.arange(1.0, n_classes + 1), n_classes)
+            # Not `@`: a BLAS product can sum equal rows in different orders,
+            # and ranks at ties need equal rows pooled to bit-equal values.
+            pooled.append(np.multiply(ordered, weights, out=out).sum(axis=1))
+    return pooled
 
 
 def score_examples(labels: np.ndarray, probs: np.ndarray, method: PoolingMethod) -> QualityScoreVector:
@@ -182,8 +211,17 @@ def score_examples(labels: np.ndarray, probs: np.ndarray, method: PoolingMethod)
     Raises ``ValueError`` for a label outside {0,1} or a probability that is
     not a finite number in [0, 1].
     """
+    return score_all(labels, probs, (method,))[0]
+
+
+def score_all(
+    labels: np.ndarray, probs: np.ndarray, methods: Sequence[PoolingMethod]
+) -> tuple[QualityScoreVector, ...]:
+    """:func:`score_examples` for each method, in order, from one input check,
+    one self-confidence matrix and at most one sort; raises as it does."""
     per_class = self_confidence(*check_labels_probs(labels, probs))
-    return QualityScoreVector(pool(per_class, method), method)
+    return tuple(QualityScoreVector(values, method)
+                 for values, method in zip(_pool_all(per_class, methods), methods))
 
 
 def rescale_for_display(scores: np.ndarray) -> np.ndarray:

@@ -32,6 +32,10 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+# numpy's largest Poisson mean (``lam``): int64 max - 10 sqrt(int64 max)
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Shape and scale of one generated dataset group."""
@@ -55,6 +59,11 @@ class GenConfig:
         if not 0 < self.expected_doc_length < np.inf:  # False at NaN as well
             raise ValueError(
                 f"expected_doc_length must be positive and finite, got {self.expected_doc_length}"
+            )
+        if self.expected_doc_length > POISSON_LAM_MAX:
+            raise ValueError(
+                f"expected_doc_length must be at most {POISSON_LAM_MAX!r} (the largest "
+                f"Poisson mean numpy draws from), got {self.expected_doc_length}"
             )
 
 

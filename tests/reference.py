@@ -3,16 +3,18 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The four oracles at the end are the exception: they are numpy, literal
+The five oracles at the end are the exception: they are numpy, literal
 copies of the original code. One is the trainer's epoch loop (masked
 two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
 one is the per-class loop of the multi-label flagger (one ``np.add.at``
 joint and one noise-rate matrix per class); one is the per-example loop of
-the noise injector. Only the same floating-point operations and the same
-RNG calls can show that a rewrite gives bit-identical weights,
-probabilities, thresholds, noise rates and noisy labels. The last is the
-generator's per-example label loop; the batched draw that replaced it
-consumes the RNG differently, so only its per-row label counts must match.
+the noise injector; one is the one-method-per-call scorer (its own sort and
+temporaries for every method). Only the same floating-point operations and
+the same RNG calls can show that a rewrite gives bit-identical weights,
+probabilities, thresholds, noise rates, noisy labels and pooled scores. The
+fifth is the generator's per-example label loop; the batched draw that
+replaced it consumes the RNG differently, so only its per-row label counts
+must match.
 """
 
 import math
@@ -386,3 +388,25 @@ def gen_label_loop(config):
         if label_counts[i]:
             labels[i, rng.choice(k, size=label_counts[i], replace=False)] = 1
     return labels
+
+
+# --- scoring: one call per pooling method -----------------------------------
+
+def score_one_method(labels, probs, method):
+    """Pooled scores as a call scoring only ``method`` computed them: its own
+    self-confidence, and for the L-statistics its own sort, weighted in place.
+    The weight table is the library's; only the pass around it is copied."""
+    from labelaudit.scoring import _SORTED_WEIGHTS
+
+    probs = np.asarray(probs, dtype=np.float64)
+    scores = np.where(np.asarray(labels) == 1, probs, 1.0 - probs)
+    k = scores.shape[1]
+    if method.name == "softmin":
+        z = (1.0 - scores) / method.tau
+        w = np.exp(z - z.max(axis=1, keepdims=True))
+        return (scores * w).sum(axis=1) / w.sum(axis=1)
+    if method.name == "log":
+        return np.log(scores + method.eps).mean(axis=1)
+    ordered = np.sort(scores, axis=1)
+    ordered *= _SORTED_WEIGHTS[method.name](method, np.arange(1.0, k + 1), k)
+    return ordered.sum(axis=1)

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from labelaudit import bench
+from labelaudit import bench, cli
 from labelaudit.cli import main
 from labelaudit.data import load_probs_csv, load_scores_csv
 from labelaudit.model import TrainConfig
-from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_examples
+from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_all
 from labelaudit.synth import GenConfig
 
 TINY_GEN = GenConfig(n_samples=150, n_test=30, n_features=3, n_classes=4,
@@ -93,12 +93,13 @@ class TestBenchmark:
             tiny_plan(**{field: value})
 
     def test_nan_scores_fail_the_replicate(self, monkeypatch):
-        def nan_scores(labels, probs, method):
-            pooled = score_examples(labels, probs, method)
-            return QualityScoreVector(np.where(np.arange(len(pooled.values)) == 7, np.nan,
-                                               pooled.values), method)
+        def nan_scores(labels, probs, methods):
+            return tuple(
+                QualityScoreVector(np.where(np.arange(len(pooled.values)) == 7, np.nan,
+                                            pooled.values), pooled.method)
+                for pooled in score_all(labels, probs, methods))
 
-        monkeypatch.setattr(bench, "score_examples", nan_scores)
+        monkeypatch.setattr(bench, "score_all", nan_scores)
         report = bench.run_benchmark(tiny_plan())
         assert report.failures == ((0, "ValueError: scores contain NaN"),)
 
@@ -340,6 +341,25 @@ class TestCli:
                         "--out-dir", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: expected_doc_length must be positive and finite")
+        assert not out.exists()
+
+    def test_gen_doc_length_past_poisson_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert self.run("gen", "--n-samples", "10", "--n-features", "3", "--n-classes", "4",
+                        "--expected-labels", "2", "--doc-length", "1e19",
+                        "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected_doc_length must be at most 9.223372006484771e+18")
+        assert not out.exists()
+
+    def test_gen_makes_no_out_dir_when_generation_fails(self, tmp_path, capsys, monkeypatch):
+        def failing_gen(config):
+            raise RuntimeError("generation failed")
+
+        monkeypatch.setattr(cli, "gen_multilabel", failing_gen)
+        out = tmp_path / "data"
+        assert self.run("gen", "--preset", "small", "--out-dir", str(out)) == 3
+        assert "generation failed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_one_fold_is_usage_error(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import reference
+from labelaudit import model as model_module
 from labelaudit.data import MultiLabelDataset, validate
 from labelaudit.model import (
     CVConfig,
@@ -9,6 +11,8 @@ from labelaudit.model import (
     TrainConfig,
     TrainingDivergedError,
     _exp_neg_abs,
+    _logit_bound,
+    _row_blocks,
     _sigmoid,
     binary_loss_and_grad,
     cross_val_pred_probs,
@@ -122,6 +126,13 @@ class TestLossRecording:
         assert np.array_equal(sparse.view(np.uint64), full[[0, 50, 100, 120]].view(np.uint64))
 
     @pytest.mark.parametrize("n, d, k", [(12, 3, 1), (80, 5, 3), (60, 4, 2)])
+    def test_same_epoch_raised_or_same_fit_bits_in_small_blocks(self, n, d, k, monkeypatch):
+        # four row blocks, the last one short for n = 60 and 80; the last
+        # class of k > 1 is constant, so k - 1 classes are fitted
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", (n - 1) // 3 * max(1, k - 1))
+        self.test_same_epoch_raised_or_same_fit_bits(n, d, k)
+
+    @pytest.mark.parametrize("n, d, k", [(12, 3, 1), (80, 5, 3), (60, 4, 2)])
     def test_same_epoch_raised_or_same_fit_bits(self, n, d, k):
         rng = np.random.default_rng(n + d + k)
         features = rng.poisson(5.0, size=(n, d)).astype(float)
@@ -170,6 +181,27 @@ def oracle_case(case, seed=11):
     return features, labels, cv
 
 
+def oracle_fits(case):
+    """(rows, active classes) of each fit a trainer-oracle case makes: the
+    whole set, then each fold's training rows."""
+    features, labels, cv = oracle_case(case)
+    folds = fold_assignments(features.shape[0], cv)
+    fits = [labels] + [labels[folds != f] for f in range(cv.n_folds)]
+    return [(y.shape[0], int((y.min(axis=0) != y.max(axis=0)).sum())) for y in fits]
+
+
+def shrunk_block_cells(fits):
+    """The smallest ``_BLOCK_CELLS`` from 100 up that splits every fit into at
+    least 3 row blocks, leaves one fit a short last block and another a
+    one-row remainder, which must join the block before it."""
+    for cells in range(100, 4000):
+        rows = [(n, max(2, cells // k)) for n, k in fits]
+        if (all(n // r >= 3 for n, r in rows) and any(n % r == 1 for n, r in rows)
+                and any(n % r > 1 for n, r in rows)):
+            return cells
+    raise AssertionError(f"no block size splits {fits} as wanted")
+
+
 class TestTrainerOracle:
     """The in-place kernel against a literal copy of the original epoch loop."""
 
@@ -186,6 +218,19 @@ class TestTrainerOracle:
         assert labels[:, 2].min() == 1
 
     @pytest.mark.parametrize("case", CASES)
+    def test_train_and_cv_match_oracle_in_small_blocks(self, case, monkeypatch):
+        fits = oracle_fits(case)
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", shrunk_block_cells(fits))
+        spans = [_row_blocks(n, k) for n, k in fits]
+        assert min(len(span) for span in spans) >= 3
+        # one fit merged a one-row remainder into a longer last block, and
+        # another ends on a short one
+        lasts = [(span[-1][1] - span[-1][0], span[0][1]) for span in spans]
+        assert any(last == rows + 1 for last, rows in lasts)
+        assert any(last < rows for last, rows in lasts)
+        self.test_train_and_cv_match_oracle(case)
+
+    @pytest.mark.parametrize("case", CASES)
     def test_train_and_cv_match_oracle(self, case):
         features, labels, cv = oracle_case(case)
         config = TrainConfig(epochs=100, loss_every=1)
@@ -199,6 +244,50 @@ class TestTrainerOracle:
         probs = cross_val_pred_probs(MultiLabelDataset(labels, ids, features=features), cv, config)
         expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed, epochs=100)
         assert np.array_equal(probs.values, expected)
+
+
+class TestRowBlocks:
+    @given(n=st.integers(2, 3000), k=st.integers(0, 60), cells=st.integers(1, 5000))
+    def test_blocks_tile_the_rows_with_no_single_row(self, n, k, cells):
+        rows = max(2, cells // max(k, 1))
+        default = model_module._BLOCK_CELLS
+        try:  # hypothesis runs many examples per test, so no monkeypatch fixture
+            model_module._BLOCK_CELLS = cells
+            blocks = _row_blocks(n, k)
+        finally:
+            model_module._BLOCK_CELLS = default
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(2 <= hi - lo <= rows + 1 for lo, hi in blocks)
+        assert all(hi - lo == rows for lo, hi in blocks[:-1])
+
+
+finite = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@given(data=st.data())
+def test_logits_never_exceed_the_weight_bound(data):
+    n, d, k = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)),
+               data.draw(st.integers(0, 6)))
+    X = np.array(data.draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+    W = np.array(data.draw(st.lists(finite, min_size=k * d, max_size=k * d))).reshape(k, d)
+    b = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
+    bound = _logit_bound(np.abs(X).sum(axis=1).max(), W, b)
+    assert np.abs(X @ W.T + b).max(initial=0.0) <= bound
+
+
+def test_weight_bound_covers_subnormal_rounding():
+    # each product 0.6 * 5e-324 rounds up to 5e-324, so the logit is 3 subnormals,
+    # while the unpadded bound, 1.8 * 5e-324, rounds to 2
+    X, W = np.full((1, 3), 0.6), np.full((1, 3), 5e-324)
+    assert (X @ W.T)[0, 0] == 3 * 5e-324
+    assert _logit_bound(np.abs(X).sum(axis=1).max(), W, np.zeros(1)) >= 3 * 5e-324
+
+
+def test_weight_bound_is_nan_at_nan_weights():
+    W = np.array([[1.0, np.nan]])
+    assert np.isnan(_logit_bound(2.0, W, np.zeros(1)))
+    assert np.isnan(_logit_bound(2.0, np.ones((1, 2)), np.array([np.nan])))
 
 
 class TestSigmoid:

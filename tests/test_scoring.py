@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from labelaudit import scoring
 from labelaudit.scoring import (
     POOLER_NAMES,
     PoolingMethod,
     pool,
     rescale_for_display,
+    score_all,
     score_examples,
     self_confidence,
 )
@@ -377,6 +379,94 @@ def test_matches_brute_force_oracle(name):
         first = {}
         for r, value in zip(scores, mine):
             assert first.setdefault(r.tobytes(), value) == value
+
+
+def every_method(k):
+    return tuple(PoolingMethod(name, bottom_j=min(2, k), period=min(2, k))
+                 for name in POOLER_NAMES)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestScoreAll:
+    """One check, one self-confidence matrix and one sort for every method."""
+
+    @staticmethod
+    def labels_probs(case):
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        n, k = (300, 1) if case == "one_class" else (300, 9)
+        labels = rng.integers(0, 2, size=(n, k))
+        if case == "ties":  # few distinct scores, so most rows hold ties
+            probs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n, k))
+        else:
+            probs = rng.random((n, k))
+        if case == "repeated_rows":
+            rows = rng.integers(0, 25, size=n)
+            labels, probs = labels[rows], probs[rows]
+        return labels, probs
+
+    @pytest.mark.parametrize("case", ["random", "one_class", "ties", "repeated_rows"])
+    def test_bit_equal_to_one_method_calls(self, case):
+        labels, probs = self.labels_probs(case)
+        methods = every_method(labels.shape[1])
+        together = score_all(labels, probs, methods)
+        assert [scored.method for scored in together] == list(methods)
+        for scored, method in zip(together, methods):
+            alone = score_examples(labels, probs, method).values
+            assert np.array_equal(bits(scored.values), bits(alone)), method.name
+            expected = reference.score_one_method(labels, probs, method)
+            assert np.array_equal(bits(scored.values), bits(expected)), method.name
+        if case == "repeated_rows":  # equal rows pool to equal bits, so ranks tie
+            for scored in together:
+                first = {}
+                for r, value in zip(np.column_stack([labels, probs]), scored.values):
+                    assert first.setdefault(r.tobytes(), value) == value
+
+    def test_mixed_methods_come_back_in_input_order(self):
+        labels, probs = self.labels_probs("random")
+        methods = (PoolingMethod("sma", period=3), PoolingMethod("log"),
+                   PoolingMethod("ema", alpha=0.5), PoolingMethod("softmin", tau=0.2),
+                   PoolingMethod("min"), PoolingMethod("ema", alpha=1.0))
+        together = score_all(labels, probs, methods)
+        assert tuple(scored.method for scored in together) == methods
+        for scored, method in zip(together, methods):
+            assert np.array_equal(bits(scored.values),
+                                  bits(score_examples(labels, probs, method).values))
+        assert score_all(labels, probs, ()) == ()
+
+    @pytest.mark.parametrize("labels, probs, message", [
+        ([[0, 2]], [[0.5, 0.5]], r"label 2 not in \{0,1\} at \(example 0, class 1\)"),
+        ([[0, 1]], [[0.5, np.nan]], r"non-finite probability \(nan\) at \(example 0, class 1\)"),
+        ([[0, 1]], [[1.5, 0.5]], r"probability out of \[0,1\] \(1.5\) at \(example 0, class 0\)"),
+        ([[0, 1]], [[0.5, 0.5, 0.5]], r"labels shape \(1, 2\) != probs shape \(1, 3\)"),
+        ([0, 1], [0.5, 0.5], "must be 2-D"),
+    ])
+    def test_bad_input_raises_as_score_examples(self, labels, probs, message):
+        with pytest.raises(ValueError, match=message):
+            score_examples(labels, probs, PoolingMethod("ema"))
+        with pytest.raises(ValueError, match=message):
+            score_all(labels, probs, every_method(2))
+
+    def test_bad_method_for_class_count_raises_before_pooling(self):
+        methods = (PoolingMethod("min"), PoolingMethod("cumavg_bottom", bottom_j=3))
+        with pytest.raises(ValueError, match="bottom_j=3 exceeds the 2 classes"):
+            score_all([[0, 1]], [[0.5, 0.5]], methods)
+
+    def test_sorts_once_and_only_for_l_statistics(self, monkeypatch):
+        labels, probs = self.labels_probs("random")
+        real_sort, calls = np.sort, []
+
+        def counting_sort(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(scoring.np, "sort", counting_sort)
+        score_all(labels, probs, (PoolingMethod("softmin"), PoolingMethod("log")))
+        assert calls == []
+        score_all(labels, probs, every_method(labels.shape[1]))
+        assert calls == [labels.shape]
 
 
 def test_rescale_for_display():

@@ -9,6 +9,7 @@ import reference
 from labelaudit.data import validate
 from labelaudit.synth import (
     LARGE,
+    POISSON_LAM_MAX,
     SMALL,
     GenConfig,
     NoiseSpec,
@@ -98,6 +99,17 @@ class TestGenerator:
     def test_bad_doc_length_rejected(self, value):
         with pytest.raises(ValueError, match="expected_doc_length must be positive and finite"):
             GenConfig(**{**TEST_CONFIG.__dict__, "expected_doc_length": value})
+
+    def test_doc_length_limit_is_numpys_poisson_limit(self):
+        config = GenConfig(**{**TEST_CONFIG.__dict__, "n_samples": 3,
+                              "expected_doc_length": POISSON_LAM_MAX})
+        assert (gen_multilabel(config).features.sum(axis=1) > 0).all()
+        too_large = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(too_large)
+        for value in (too_large, 1e19):
+            with pytest.raises(ValueError, match=r"expected_doc_length must be at most"):
+                GenConfig(**{**TEST_CONFIG.__dict__, "expected_doc_length": value})
 
     def test_presets_match_documented_table(self):
         assert (SMALL.n_samples, SMALL.n_features, SMALL.n_classes) == (5000, 3, 4)
