@@ -95,6 +95,14 @@ class ProbMatrix:
             raise ValueError(f"probabilities must be 2-D, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> ProbMatrix:
+        """Wrap ``values``, a 2-D float64 array no caller holds, read-only and without a copy."""
+        values.setflags(write=False)
+        probs = object.__new__(cls)
+        object.__setattr__(probs, "values", values)
+        return probs
+
     @property
     def n_examples(self) -> int:
         return self.values.shape[0]
@@ -240,7 +248,9 @@ def _check_row(path, r: int, row: list[str], n_cells: int, seen: set[str]) -> No
     seen.add(row[0])
 
 
-_BLOCK_LINES = 4096
+# A block's text is held twice (its lines and their join); at 512 lines of a
+# K=50 probability file that is ~1 MB, small beside the values it adds to.
+_BLOCK_LINES = 512
 # A double quote changes how csv splits a line, and NUL is kept out of the
 # conversion. np.loadtxt strips \x1c-\x1f around a number as whitespace,
 # which float() does not.
@@ -270,10 +280,12 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
     needs the per-cell scan, which finds the same values or the first
     problem: some block is not plain, a cell is not accepted, an id repeats,
     or the file cannot be opened or decoded. Only one block of text is held
-    at a time.
+    at a time, and each block's values are appended to one array that is
+    resized in place (a realloc, which the allocator can often do without a
+    copy), so the values are never held twice.
     """
     ids: list[str] = []
-    blocks: list[np.ndarray] = []
+    values = None
     try:
         with Path(path).open() as fh:  # universal newlines, as csv splits lines
             width = width_of(path, fh.readline().rstrip("\n").split(","))
@@ -282,13 +294,18 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
                     lines[-1] += "\n"
                 if not _plain_block(lines, width):
                     return None
+                rows = len(ids)
                 ids += [line[:line.index(",")] for line in lines]
-                blocks.append(convert(lines, width))
+                block = convert(lines, width)
+                if values is None:
+                    values = np.empty((0, width), dtype=block.dtype)
+                values.resize((len(ids), width), refcheck=False)  # no view of it exists
+                values[rows:] = block
     except (OSError, ValueError):  # UnicodeDecodeError and DataFormatError are ValueErrors
         return None
-    if len(set(ids)) != len(ids):
+    if len(dict.fromkeys(ids)) != len(ids):  # a dict's table is a quarter of a set's
         return None
-    return ids, np.concatenate(blocks) if blocks else np.empty((0, width))
+    return ids, values if values is not None else np.empty((0, width))
 
 
 def _scan_cells(path, header: list[str], rows, parse_cell, ids: list[str]):
@@ -408,7 +425,7 @@ def load_labels_csv(path) -> tuple[list[str], np.ndarray]:
 def load_probs_csv(path) -> tuple[list[str], ProbMatrix]:
     ids, data = _parse_matrix_csv(path, partial(_check_header, prefix="prob"),
                                   _convert_float, float)
-    return ids, ProbMatrix(data)
+    return ids, ProbMatrix._adopt(data)
 
 
 def load_features_csv(path) -> tuple[list[str], np.ndarray]:
@@ -534,7 +551,26 @@ def save_probs_csv(path, ids: Sequence[str], probs: ProbMatrix | np.ndarray) -> 
 
 
 def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
-    _write_matrix_csv(path, "feat", ids, np.asarray(features), _FLOAT_CELL)
+    """Write a non-negative feature matrix; ``ValueError`` at the first negative or non-finite cell.
+
+    A matrix of whole numbers in [0, 2**53) without a ``-0.0`` is written as
+    integers with ``"%d"``: for each such number that gives the bytes of
+    ``"%.17g"``, and faster. Any other matrix is written with ``"%.17g"``.
+    """
+    data = np.asarray(features, dtype=np.float64)
+    header = _matrix_header("feat", ids, data)
+    valid = (data >= 0.0) & (data < np.inf)  # False at NaN as well
+    if not valid.all():
+        i, d = np.argwhere(~valid)[0]
+        raise ValueError(
+            f"feature value {data[i, d]} is not a non-negative number at (example {i}, column {d})"
+        )
+    cells, cell_fmt = data, _FLOAT_CELL
+    if (data < 2.0**53).all() and not np.signbit(data).any():
+        counts = data.astype(np.int64)  # in range, so the cast is exact for whole numbers
+        if (counts == data).all():
+            cells, cell_fmt = counts, "%d"
+    write_csv_rows(path, header, ids, cells.T, [cell_fmt] * data.shape[1])
 
 
 def save_scores_csv(path, ids: Sequence[str], scores: np.ndarray) -> None:

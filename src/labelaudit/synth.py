@@ -7,7 +7,9 @@ classes, and a Poisson-length document is drawn from the mixture of the
 chosen classes' word distributions. The classes are picked for all examples
 at once: each row holds a uniform random permutation of 0..K-1, and the
 classes at positions below the row's count form a uniform random subset of
-that size.
+that size. The word counts are drawn as independent Poisson(lambda * p_d)
+counts, lambda the expected document length and p the row's mixture: the
+same distribution as a Poisson(lambda) length split multinomially over p.
 
 Noise: per class k a 2x2 row-stochastic flip matrix is built from a sampled
 trace; flips are applied independently per (example, class) and capped at a
@@ -209,11 +211,13 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
 
     # Words drawn from the mixture of each example's class distributions;
     # unlabeled examples fall back to a uniform mixture over the vocabulary.
+    # A Poisson(lambda) length split multinomially over the mixture p gives
+    # independent Poisson(lambda * p_d) counts, so each cell is drawn as one.
+    # Every p_d <= 1, so no mean exceeds expected_doc_length.
     mixtures = labels @ word_dists
     counts = label_counts.astype(np.float64)
     mixtures = np.where(counts[:, None] > 0, mixtures / np.maximum(counts, 1.0)[:, None], 1.0 / d)
-    doc_lengths = rng.poisson(config.expected_doc_length, size=n)
-    features = rng.multinomial(doc_lengths, mixtures).astype(np.float64)
+    features = rng.poisson(config.expected_doc_length * mixtures)  # made float64 by the dataset
 
     ids = tuple(f"ex{i}" for i in range(n))
     return MultiLabelDataset(labels, ids, true_labels=labels, features=features)

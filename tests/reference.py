@@ -3,7 +3,7 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The five oracles at the end are the exception: they are numpy, literal
+The six oracles at the end are the exception: they are numpy, literal
 copies of the original code. One is the trainer's epoch loop (masked
 two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
 one is the per-class loop of the multi-label flagger (one ``np.add.at``
@@ -14,7 +14,9 @@ the same RNG calls can show that a rewrite gives bit-identical weights,
 probabilities, thresholds, noise rates, noisy labels and pooled scores. The
 fifth is the generator's per-example label loop; the batched draw that
 replaced it consumes the RNG differently, so only its per-row label counts
-must match.
+must match. The sixth is the generator with its multinomial word draw: the
+word counts come after the labels in the RNG stream, so the independent
+Poisson counts that replaced it leave the labels bit for bit as they were.
 """
 
 import math
@@ -388,6 +390,27 @@ def gen_label_loop(config):
         if label_counts[i]:
             labels[i, rng.choice(k, size=label_counts[i], replace=False)] = 1
     return labels
+
+
+def gen_multinomial(config):
+    """True labels and word counts as the generator drew them with one
+    Poisson document length per row, split multinomially over its mixture."""
+    rng = np.random.default_rng(config.seed)
+    n, d, k = config.n_samples, config.n_features, config.n_classes
+    word_dists = rng.dirichlet(np.ones(d), size=k)
+    label_counts = rng.poisson(config.expected_labels_per_example, size=n)
+    over = label_counts > k
+    while over.any():
+        label_counts[over] = rng.poisson(config.expected_labels_per_example, size=int(over.sum()))
+        over = label_counts > k
+    positions = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+    labels = (positions < label_counts[:, None]).astype(np.int64)
+    mixtures = labels @ word_dists
+    counts = label_counts.astype(np.float64)
+    mixtures = np.where(counts[:, None] > 0, mixtures / np.maximum(counts, 1.0)[:, None], 1.0 / d)
+    doc_lengths = rng.poisson(config.expected_doc_length, size=n)
+    features = rng.multinomial(doc_lengths, mixtures).astype(np.float64)
+    return labels, features
 
 
 # --- scoring: one call per pooling method -----------------------------------

@@ -120,6 +120,19 @@ class TestContainers:
         with pytest.raises(ValueError):
             probs.values[0, 0] = 0.5
 
+    def test_prob_matrix_copies_the_callers_array(self):
+        values = np.array([[0.25, 0.5], [0.75, 1.0]])
+        probs = ProbMatrix(values)
+        values[0, 0] = 0.0
+        assert probs.values.tolist() == [[0.25, 0.5], [0.75, 1.0]]
+        # also an array the caller made read-only and can make writable again
+        values.setflags(write=False)
+        probs = ProbMatrix(values)
+        values.setflags(write=True)
+        values[1, 1] = 0.0
+        assert probs.values[1, 1] == 1.0
+        assert not probs.values.flags.writeable
+
 
 class TestCsv:
     def test_labels_parse(self, tmp_path):
@@ -224,12 +237,57 @@ class TestCsvBytes:
             b'"two\nlines",0,0\r\n'
         )
 
-    @pytest.mark.parametrize("save, prefix", [(save_probs_csv, b"prob"),
-                                              (save_features_csv, b"feat")])
+    @pytest.mark.parametrize("save, prefix", [(save_probs_csv, b"prob")])
     def test_float_matrix_bytes(self, tmp_path, save, prefix):
         save(tmp_path / "m.csv", GOLDEN_IDS, GOLDEN_FLOATS)
         header = b"id,%s_0,%s_1\r\n" % (prefix, prefix)
         assert (tmp_path / "m.csv").read_bytes() == header + GOLDEN_FLOAT_ROWS
+
+    def test_features_golden_floats_not_written(self, tmp_path):
+        # -0.0 is a valid count; the nan after it is the first bad cell
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError) as info:
+            save_features_csv(path, GOLDEN_IDS, GOLDEN_FLOATS)
+        assert str(info.value) == (
+            "feature value nan is not a non-negative number at (example 0, column 1)"
+        )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("features, message", [
+        ([[1, -2], [np.nan, 3]], "feature value -2.0 is not a non-negative number at (example 0, column 1)"),
+        ([[1, 2], [np.nan, 3]], "feature value nan is not a non-negative number at (example 1, column 0)"),
+        ([[1, 2], [3, np.inf]], "feature value inf is not a non-negative number at (example 1, column 1)"),
+        ([[1, 2], [-np.inf, 0]], "feature value -inf is not a non-negative number at (example 1, column 0)"),
+        ([[0.5, -1e-300]], "feature value -1e-300 is not a non-negative number at (example 0, column 1)"),
+    ], ids=["negative", "nan", "inf", "-inf", "tiny-negative"])
+    def test_features_outside_domain_not_written(self, tmp_path, features, message):
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError) as info:
+            save_features_csv(path, [f"e{i}" for i in range(len(features))], np.array(features))
+        assert str(info.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("features, cell_fmt", [
+        ([[0.0, 1.0, 2.0**53 - 1], [2.0**53 - 2, 12345.0, 0.0]], "%d"),
+        (np.arange(2**53 - 3000, 2**53, dtype=np.int64).reshape(1000, 3), "%d"),
+        ([[1.0, 2.0], [3.5, 4.0]], "%.17g"),
+        ([[0.0, -0.0], [1.0, 2.0]], "%.17g"),
+        ([[1e17, 2.0**53], [1.0, 0.0]], "%.17g"),
+        ([[2.0**53, 1.0]], "%.17g"),
+    ], ids=["whole", "whole-near-2**53", "one-fraction", "negative-zero", "1e17", "2**53"])
+    def test_features_bytes_are_the_float_rendering(self, tmp_path, features, cell_fmt):
+        # whole counts below 2**53 go through "%d", which writes the bytes "%.17g" writes
+        values = np.asarray(features, dtype=np.float64)
+        ids = [f"e{i}" for i in range(len(values))]
+        path = tmp_path / "f.csv"
+        with mock.patch.object(data, "write_csv_rows", wraps=data.write_csv_rows) as write:
+            save_features_csv(path, ids, features)
+        assert set(write.call_args.args[4]) == {cell_fmt}
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["id"] + [f"feat_{d}" for d in range(values.shape[1])])
+        writer.writerows([ex_id, *map(data._fmt_float, row)] for ex_id, row in zip(ids, values))
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_probs_bytes_from_prob_matrix(self, tmp_path):
         save_probs_csv(tmp_path / "p.csv", GOLDEN_IDS, ProbMatrix(GOLDEN_FLOATS))
@@ -586,6 +644,23 @@ class TestBlockReader:
             tracemalloc.stop()
         assert np.array_equal(probs.values, values)
         assert peak < 3 * values.nbytes
+
+    def test_block_load_holds_the_values_once(self, tmp_path):
+        # the blocks grow one array and the ProbMatrix takes it without a copy
+        rng = np.random.default_rng(6)
+        values = rng.random((20_000, 50))
+        path = tmp_path / "p.csv"
+        save_probs_csv(path, [f"ex{i}" for i in range(len(values))], values)
+        with mock.patch.object(data, "_scan_matrix_csv", side_effect=AssertionError("scanned")):
+            tracemalloc.start()
+            try:
+                _, probs = load_probs_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(probs.values, values)
+        assert not probs.values.flags.writeable
+        assert peak < 1.5 * values.nbytes
 
 
 class TestJsonl:

@@ -157,6 +157,43 @@ class TestLabelDraw:
             assert np.abs(rows.mean(axis=0) - c / 50).max() < tol
 
 
+class TestWordDraw:
+    """Word counts as independent Poisson(lambda * p) cells: the law of the
+    Poisson-length multinomial draw they replaced, after the same labels."""
+
+    @pytest.mark.parametrize("config", [SMALL, WIDE_CONFIG], ids=["small", "2000x50"])
+    def test_labels_match_multinomial_generator(self, config):
+        dataset = gen_multilabel(config)
+        labels, features = reference.gen_multinomial(config)
+        assert np.array_equal(dataset.true_labels, labels)
+        assert dataset.features.shape == features.shape
+        assert not np.array_equal(dataset.features, features)  # the words are redrawn
+
+    def test_cells_of_one_mixture_are_independent_poissons(self):
+        # rows with one label set share one mixture p; a Poisson(lambda * p_d)
+        # cell has variance equal to its mean and no covariance with another
+        # cell, where a fixed-length multinomial has variance L p_d (1 - p_d)
+        # and covariance -L p_d p_e
+        config = GenConfig(n_samples=20_000, n_test=1, n_features=3, n_classes=2,
+                           expected_labels_per_example=0.5, seed=5)
+        dataset = gen_multilabel(config)
+        codes = dataset.true_labels @ np.array([1, 2])
+        for code in (0, 1):  # no label (p = 1/3 each) and class 0 alone
+            cells = dataset.features[codes == code]
+            n = len(cells)
+            assert n >= 2000
+            mean = cells.mean(axis=0)
+            var = cells.var(axis=0, ddof=1)
+            # the sample variance of a Poisson(m) cell has variance (m + 2 m^2) / n
+            assert (np.abs(var - mean) < 5 * np.sqrt((mean + 2 * mean**2) / n)).all()
+            cov = np.cov(cells, rowvar=False)
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                assert abs(cov[a, b]) < 5 * math.sqrt(mean[a] * mean[b] / n)
+        uniform = dataset.features[codes == 0]
+        se = math.sqrt(500.0 / 3 / len(uniform))
+        assert np.abs(uniform.mean(axis=0) - 500.0 / 3).max() < 5 * se
+
+
 class TestTraces:
     def test_hand_value_half(self):
         # draw 0.5 at ascending rank 1 of 10: Y = 0.5 * (1 - 1/20) = 0.475
