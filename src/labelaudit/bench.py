@@ -266,24 +266,32 @@ write_aggregate_csv = partial(_write_csv, AGGREGATE_HEADER)
 
 
 def render_aggregate_table(aggregates: Sequence[tuple]) -> str:
-    """Aligned text table: one row per method, one column pair per metric."""
+    """Aligned text table: one row per (classifier, method), one column per metric.
+
+    The classifier column is shown only when the rows hold more than one.
+    """
     metrics: list[str] = []
-    methods: list[str] = []
-    cells: dict[tuple[str, str], str] = {}
+    rows: list[tuple[str, str]] = []
+    cells: dict[tuple[str, str, str], str] = {}
     for classifier, method, metric, _k, mean, std, n in aggregates:
         if metric not in metrics:
             metrics.append(metric)
-        if method not in methods:
-            methods.append(method)
-        cells[(method, metric)] = "--" if math.isnan(mean) else f"{mean:.4f}±{std:.4f}"
-    widths = {m: max(len(m), *(len(cells.get((mm, m), "--")) for mm in methods))
+        if (classifier, method) not in rows:
+            rows.append((classifier, method))
+        cells[(classifier, method, metric)] = "--" if math.isnan(mean) else f"{mean:.4f}±{std:.4f}"
+    if len({classifier for classifier, _ in rows}) > 1:
+        keys, names = ["classifier", "method"], rows
+    else:
+        keys, names = ["method"], [(method,) for _, method in rows]
+    key_w = [max([len(key), *(len(name[i]) for name in names)]) for i, key in enumerate(keys)]
+    widths = {m: max(len(m), *(len(cells.get((*row, m), "--")) for row in rows))
               for m in metrics}
-    name_w = max([len("method"), *(len(m) for m in methods)])
-    lines = ["  ".join(["method".ljust(name_w)] + [m.rjust(widths[m]) for m in metrics])]
-    for method in methods:
+    lines = ["  ".join([key.ljust(w) for key, w in zip(keys, key_w)]
+                       + [m.rjust(widths[m]) for m in metrics])]
+    for row, name in zip(rows, names):
         lines.append("  ".join(
-            [method.ljust(name_w)]
-            + [cells.get((method, m), "--").rjust(widths[m]) for m in metrics]
+            [part.ljust(w) for part, w in zip(name, key_w)]
+            + [cells.get((*row, m), "--").rjust(widths[m]) for m in metrics]
         ))
     return "\n".join(lines)
 

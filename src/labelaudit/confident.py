@@ -83,10 +83,12 @@ class FlagReport:
 
 def _thresholds(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """(K, 2) rows [mean p | given 1, mean 1-p | given 0]; NaN for one-sided classes."""
-    pos = labels == 1
-    out = np.full((labels.shape[1], 2), np.nan)
-    for k in np.flatnonzero(pos.any(axis=0) & ~pos.all(axis=0)):
-        out[k] = probs[pos[:, k], k].mean(), (1.0 - probs[~pos[:, k], k]).mean()
+    # class-major copies: each class's gathers then read one contiguous row
+    pos = np.ascontiguousarray((labels == 1).T)
+    probs = np.ascontiguousarray(probs.T)
+    out = np.full((pos.shape[0], 2), np.nan)
+    for k in np.flatnonzero(pos.any(axis=1) & ~pos.all(axis=1)):
+        out[k] = probs[k, pos[k]].mean(), (1.0 - probs[k, ~pos[k]]).mean()
     return out
 
 

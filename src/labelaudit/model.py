@@ -7,30 +7,31 @@ transformed and standardized with statistics computed on the training folds
 only. This closes the benchmark loop; it is not meant to be a competitive
 multi-label classifier.
 
-Each epoch of :func:`train` takes one ``exp`` pass, ``e = exp(-|z|)``, for
-the sigmoid ``1/(1+e)`` where ``z >= 0`` and ``e/(1+e)`` elsewhere; no
-weight update reads the loss. The full loss, ``max(z, 0) + log1p(e) - y*z``
-summed, is computed only on the epochs ``loss_history`` records and on any
-epoch where a bound taken from the weights cannot show it finite. Each cell
-lies in ``[0, |z| + 1]``, and ``|z| <= max_i sum_d |x_id| * max|W| + max|b|``
-(the row sum is taken once per fit), so the loss is finite while the cell
-count times that bound plus 1, and the L2 penalty, both stay below 1e300.
-The divergence error therefore names the same epoch whichever epochs are
-recorded.
+:func:`train` splits the rows into blocks of about ``_BLOCK_CELLS`` cells
+and, once per fit, makes class-major copies of each block: its
+standardized features as ``(D, m)`` and its labels as ``(K, m)``. An epoch
+then runs every step on one block while the block is in cache: the negated
+logits ``-z = (-W) @ X_blk.T - b`` (negation is exact), the sigmoid
+``1/(1 + exp(-z))`` in three passes, the residual ``p - y``, and the block's
+share of the gradient, ``(p - y) @ X_blk`` and its row sums. The only
+scratch is three ``(K, m)`` arrays, shared by all blocks. Each block has at
+least two rows: a one-row product goes through gemv, whose sums can differ
+in the last bit from gemm's.
 
-An epoch runs matmul, ``+ b``, ``exp(-|z|)``, the sigmoid (and the loss
-cells) and ``- y`` over row blocks of about ``_BLOCK_CELLS`` cells, so the
-logits and ``exp(-|z|)`` live in block-sized scratch that stays in cache.
-Each block has at least two rows: a block of two or more rows gets the
-same product bits as the whole matrix, while a one-row block goes through
-gemv and does not. The residual and the loss cells are whole ``(n, K)``
-buffers, read by the gradient product and the sum.
+No weight update reads the loss. Its cells, ``log1p(exp(-|z|)) + max(z, 0)
+- y*z``, are summed per block only on the epochs ``loss_history`` records
+and on any epoch where a bound taken from the weights cannot show the loss
+finite. Each cell lies in ``[0, |z| + 1]``, and ``|z| <= max_i sum_d |x_id|
+* max|W| + max|b|`` (the row sum is taken once per fit), so the loss is
+finite while the cell count times that bound plus 1, and the L2 penalty,
+both stay below 1e300. The divergence error therefore names the same epoch
+whichever epochs are recorded.
 
 :func:`cross_val_pred_probs` takes ``log1p`` of the features and the float
 labels once for the whole set and fits the folds one after another through
 the same path as :func:`train`. Its peak memory is those two arrays plus
-one fold's training rows of both, its standardized features, two ``(n, K)``
-buffers and two blocks of scratch.
+one fold's training rows of both, its standardized features, their
+class-major copies and the labels' copies, and the three blocks of scratch.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .data import MultiLabelDataset, ProbMatrix
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
 _BLOCK_CELLS = 32768  # cells per row block of an epoch: its scratch stays in cache
-_BIAS_ROW_CELLS = 256  # row length of the bias add's view at few classes
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = 5e-324  # the smallest subnormal float64
 
@@ -110,49 +110,16 @@ class LogRegModel:
         return self.weights.shape[1]
 
 
-def _exp_neg_abs(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-|z|): at most 1, so it never overflows.
+def _sigmoid_of_negated(q: np.ndarray) -> np.ndarray:
+    """Overwrite ``q``, which holds ``-z``, with the logistic ``1 / (1 + exp(-z))``.
 
-    -|z| is taken as min(z, -z), which keeps the sign bit of a NaN.
+    Three passes: ``exp``, ``+ 1`` and a reciprocal. ``exp`` overflows to inf
+    only where ``z < -709.78``; there the logistic is below 5.6e-309, and the
+    result is exactly 0. NaN stays NaN.
     """
-    out = np.negative(z, out=out)
-    np.minimum(z, out, out=out)
-    return np.exp(out, out=out)
-
-
-def _sigmoid(z: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable logistic: 1/(1+e) where z >= 0 and e/(1+e) elsewhere, e = exp(-|z|).
-
-    Branch-free: the numerator max(e, [z >= 0]) is 1 where z >= 0 (e <= 1
-    there) and e elsewhere, and NaN stays NaN. A given ``e`` must hold
-    exp(-|z|) and is overwritten with 1 + e; ``out`` may be any float
-    buffer shaped like ``z`` other than ``z`` and ``e``.
-    """
-    if e is None:
-        e = _exp_neg_abs(z)
-    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
-    np.maximum(e, out, out=out)
-    e += 1.0
-    return np.divide(out, e, out=out)
-
-
-def binary_loss_and_grad(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean binary cross-entropy + (l2/2)||w||^2 and its exact gradient.
-
-    The bias is excluded from the penalty. Exposed separately so the
-    analytic gradient can be checked against finite differences.
-    """
-    z = X @ weights + bias
-    e = _exp_neg_abs(z)
-    # mean of softplus(z) - y*z equals the mean binary cross-entropy.
-    bce = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
-    loss = bce + 0.5 * l2 * float(weights @ weights)
-    residual = _sigmoid(z, e) - y
-    grad_w = X.T @ residual / X.shape[0] + l2 * weights
-    grad_b = float(residual.mean())
-    return loss, grad_w, grad_b
+    np.exp(q, out=q)
+    q += 1.0
+    return np.divide(1.0, q, out=q)
 
 
 def _base_rate_bias(y: np.ndarray) -> float:
@@ -187,19 +154,6 @@ def _row_blocks(n: int, k: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _add_bias(z: np.ndarray, b: np.ndarray, b_tiled: np.ndarray) -> None:
-    """``z += b``, given ``b_tiled``, a (t, K) array of t copies of ``b``.
-
-    All rows but the last ``len(z) % t`` are added as rows of t*K cells:
-    with few classes, a plain broadcast runs an inner loop only K long.
-    """
-    t = b_tiled.shape[0]
-    whole = z.shape[0] - z.shape[0] % t
-    wide = z[:whole].reshape(whole // t, b_tiled.size)  # a view: z is C-contiguous
-    wide += b_tiled.reshape(-1)
-    z[whole:] += b
-
-
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainConfig()) -> LogRegModel:
     """Fit one independent logistic regression per class by full-batch descent.
 
@@ -231,18 +185,19 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
     x_abs_sum = np.abs(X).sum(axis=1).max()
 
     active = labels.min(axis=0) != labels.max(axis=0)
-    # the boolean column pick is F-ordered, and C-ordered buffers sized from
-    # an F-ordered Y changed the BLAS call
-    Y = labels if active.all() else np.ascontiguousarray(labels[:, active])
-    ka = Y.shape[1]
+    ka = int(active.sum())
+    spans = _row_blocks(n, ka)
+    scratch = np.empty((3, ka * max(hi - lo for lo, hi in spans)))
+    # per block: its rows of X, class-major copies of its features (D, m) and
+    # labels (K, m), and three (K, m) scratch views
+    blocks = [(X[lo:hi], np.ascontiguousarray(X[lo:hi].T),
+               np.ascontiguousarray(labels[lo:hi, active].T),
+               *(buf[:ka * (hi - lo)].reshape(ka, hi - lo) for buf in scratch))
+              for lo, hi in spans]
 
     W = np.zeros((ka, d))
     b = np.zeros(ka)
-    blocks = _row_blocks(n, ka)
-    most_rows = max(hi - lo for lo, hi in blocks)
-    Z, E = np.empty((most_rows, ka)), np.empty((most_rows, ka))
-    P, L = np.empty(Y.shape), np.empty(Y.shape)
-    b_tiled = np.empty((max(1, _BIAS_ROW_CELLS // max(ka, 1)), ka))
+    G, g = np.empty((ka, d)), np.empty(ka)
     losses = []
     # overflow here is the divergence signal, reported as an error below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,36 +207,39 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
             recorded = last or epoch % config.loss_every == 0
             # each loss cell lies in [0, |z| + 1]; a NaN fails the comparisons
             with_loss = recorded or not (
-                Y.size * (_logit_bound(x_abs_sum, W, b) + 1.0) < _FINITE_BOUND
+                n * ka * (_logit_bound(x_abs_sum, W, b) + 1.0) < _FINITE_BOUND
                 and penalty < _FINITE_BOUND)
-            b_tiled[...] = b
-            for lo, hi in blocks:
-                z, e, p, y = Z[:hi - lo], E[:hi - lo], P[lo:hi], Y[lo:hi]
-                np.matmul(X[lo:hi], W.T, out=z)
-                _add_bias(z, b, b_tiled)
-                _exp_neg_abs(z, out=e)
+            minus_W, minus_b = -W, -b[:, None]
+            cell_sum = 0.0
+            G.fill(0.0)
+            g.fill(0.0)
+            for x, xt, yt, q, cells, tmp in blocks:
+                np.matmul(minus_W, xt, out=q)
+                q += minus_b  # -z, exactly: negation is exact
                 if with_loss:
-                    cells = np.log1p(e, out=L[lo:hi])
-                    _sigmoid(z, e, out=p)  # consumes e
-                    # softplus(z) - y*z = max(z, 0) + log1p(exp(-|z|)) - y*z
-                    cells += np.maximum(z, 0.0, out=e)
-                    cells -= np.multiply(y, z, out=e)
-                else:
-                    _sigmoid(z, e, out=p)
-                if not last:
-                    p -= y  # the residual
+                    # softplus(z) - y*z = log1p(exp(-|z|)) + max(z, 0) - y*z
+                    # with q = -z: max(z, 0) = -min(q, 0) and -y*z = y*q
+                    np.negative(np.abs(q, out=cells), out=cells)
+                    np.log1p(np.exp(cells, out=cells), out=cells)
+                    cells -= np.minimum(q, 0.0, out=tmp)
+                    cells += np.multiply(yt, q, out=tmp)
+                    cell_sum += cells.sum()
+                if last:
+                    continue
+                _sigmoid_of_negated(q)
+                q -= yt  # the residual
+                G += q @ x
+                g += q.sum(axis=1)
             if with_loss:
-                loss = float(L.sum() / n + penalty)
+                loss = float(cell_sum / n + penalty)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                 if recorded:
                     losses.append(loss)
             if last:
                 break
-            W -= config.learning_rate * (P.T @ X / n + config.l2 * W)
-            # einsum sums the rows in order, as P.mean(axis=0) does, so the
-            # bias bits match it at a third of the cost
-            b -= config.learning_rate * (np.einsum("ij->j", P) / n)
+            W -= config.learning_rate * (G / n + config.l2 * W)
+            b -= config.learning_rate * (g / n)
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)
@@ -305,7 +263,8 @@ def predict_proba(model: LogRegModel, features: np.ndarray) -> ProbMatrix:
 
 def _predict_logged(model: LogRegModel, logged: np.ndarray) -> np.ndarray:
     X = (logged - model.feature_mean) / model.feature_scale
-    probs = _sigmoid(X @ model.weights.T + model.biases)
+    with np.errstate(over="ignore"):
+        probs = _sigmoid_of_negated(-(X @ model.weights.T + model.biases))
     return np.clip(probs, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 

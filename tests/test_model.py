@@ -10,11 +10,9 @@ from labelaudit.model import (
     LogRegModel,
     TrainConfig,
     TrainingDivergedError,
-    _exp_neg_abs,
     _logit_bound,
     _row_blocks,
-    _sigmoid,
-    binary_loss_and_grad,
+    _sigmoid_of_negated,
     cross_val_pred_probs,
     fold_assignments,
     predict_proba,
@@ -203,7 +201,8 @@ def shrunk_block_cells(fits):
 
 
 class TestTrainerOracle:
-    """The in-place kernel against a literal copy of the original epoch loop."""
+    """The trainer against a literal statement of its class-major epoch, bit
+    for bit, and against the original masked-sigmoid loop to 1e-12."""
 
     CASES = ["equal_folds", "unequal_folds", "constant_in_one_fold", "constant_everywhere"]
 
@@ -235,14 +234,23 @@ class TestTrainerOracle:
         features, labels, cv = oracle_case(case)
         config = TrainConfig(epochs=100, loss_every=1)
         model = train(features, labels, config)
-        weights, biases, losses, _, _ = reference.train(features, labels, epochs=100)
+        blocks = _row_blocks(*oracle_fits(case)[0])
+        weights, biases, losses, _, _ = reference.train_class_major(
+            features, labels, blocks, epochs=100)
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.biases, biases)
+        assert np.array_equal(model.loss_history, losses)
+        # the sums run in another order than the original loop's, and its
+        # sigmoid takes e/(1+e) for z < 0: the fits differ by rounding alone
+        weights, biases, losses, _, _ = reference.train(features, labels, epochs=100)
+        np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.biases, biases, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.loss_history, losses, rtol=1e-12, atol=0)
 
         ids = tuple(f"e{i}" for i in range(features.shape[0]))
         probs = cross_val_pred_probs(MultiLabelDataset(labels, ids, features=features), cv, config)
-        expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed, epochs=100)
+        expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed,
+                                                  _row_blocks, epochs=100)
         assert np.array_equal(probs.values, expected)
 
 
@@ -298,19 +306,33 @@ class TestSigmoid:
         normals = np.random.default_rng(12).normal(size=10**5) * 50
         return np.concatenate([edges, -edges, normals])
 
-    def test_branch_free_equals_masked_formula_bit_for_bit(self):
+    def test_three_passes_equal_the_literal_formula_bit_for_bit(self):
         z = self.inputs()
         # the negated edges carry the sign bit, so -0.0 and -nan are covered
         assert np.signbit(z[len(self.EDGES):2 * len(self.EDGES)]).all()
-        expected = reference.masked_sigmoid(z).view(np.uint64)
-        assert np.array_equal(_sigmoid(z).view(np.uint64), expected)
+        q = -z
+        with np.errstate(over="ignore"):
+            expected = (1.0 / (1.0 + np.exp(-z))).view(np.uint64)
+            assert _sigmoid_of_negated(q) is q
+        assert np.array_equal(q.view(np.uint64), expected)
 
-    def test_buffer_path_equals_masked_formula_bit_for_bit(self):
-        z = self.inputs().reshape(-1, 2)
-        out = np.empty_like(z)
-        result = _sigmoid(z, _exp_neg_abs(z, out=np.empty_like(z)), out=out)
-        assert result is out
-        assert np.array_equal(out.view(np.uint64), reference.masked_sigmoid(z).view(np.uint64))
+    def test_within_four_ulps_of_the_masked_formula(self):
+        z = self.inputs()
+        with np.errstate(over="ignore"):
+            p = _sigmoid_of_negated(-z)
+        masked = reference.masked_sigmoid(z)
+        # where z >= 0 both take 1/(1 + exp(-z)); elsewhere the masked
+        # formula takes e/(1 + e), which keeps subnormal results; each of
+        # exp, + 1 and the division rounds once, so each formula is within
+        # two ulps of the logistic
+        pos = z >= 0
+        assert np.array_equal(p[pos].view(np.uint64), masked[pos].view(np.uint64))
+        assert np.array_equal(np.isnan(p), np.isnan(masked))
+        tiny = np.finfo(np.float64).tiny
+        normal = ~pos & (masked >= tiny)
+        assert (np.abs(p[normal] - masked[normal]) <= 4 * np.spacing(masked[normal])).all()
+        subnormal = ~pos & (masked < tiny)
+        assert subnormal.sum() == 4 and (np.abs(p - masked)[subnormal] < tiny).all()
 
 
 class TestKernelMatchesCheckedGradient:
@@ -321,7 +343,7 @@ class TestKernelMatchesCheckedGradient:
         config = TrainConfig(learning_rate=0.1, l2=1e-3, epochs=1)
         model = train(features, y[:, None], config)
         X = (np.log1p(features) - model.feature_mean) / model.feature_scale
-        loss, grad_w, grad_b = binary_loss_and_grad(np.zeros(4), 0.0, X, y, config.l2)
+        loss, grad_w, grad_b = reference.binary_loss_and_grad(np.zeros(4), 0.0, X, y, config.l2)
         assert abs(model.loss_history[0] - loss) <= 1e-15
         np.testing.assert_allclose(model.weights[0], -config.learning_rate * grad_w,
                                    rtol=0, atol=1e-15)
@@ -339,16 +361,16 @@ class TestGradient:
             w = rng.normal(size=d)
             b = float(rng.normal())
             l2 = float(rng.choice([0.0, 1e-4, 0.1]))
-            _, grad_w, grad_b = binary_loss_and_grad(w, b, X, y, l2)
+            _, grad_w, grad_b = reference.binary_loss_and_grad(w, b, X, y, l2)
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                up = binary_loss_and_grad(w + e, b, X, y, l2)[0]
-                down = binary_loss_and_grad(w - e, b, X, y, l2)[0]
+                up = reference.binary_loss_and_grad(w + e, b, X, y, l2)[0]
+                down = reference.binary_loss_and_grad(w - e, b, X, y, l2)[0]
                 fd = (up - down) / (2 * h)
                 assert abs(grad_w[j] - fd) / max(1e-8, abs(grad_w[j]) + abs(fd)) < 1e-5
-            fd_b = (binary_loss_and_grad(w, b + h, X, y, l2)[0]
-                    - binary_loss_and_grad(w, b - h, X, y, l2)[0]) / (2 * h)
+            fd_b = (reference.binary_loss_and_grad(w, b + h, X, y, l2)[0]
+                    - reference.binary_loss_and_grad(w, b - h, X, y, l2)[0]) / (2 * h)
             assert abs(grad_b - fd_b) / max(1e-8, abs(grad_b) + abs(fd_b)) < 1e-5
 
 
