@@ -7,22 +7,28 @@ transformed and standardized with statistics computed on the training folds
 only. This closes the benchmark loop; it is not meant to be a competitive
 multi-label classifier.
 
-:func:`train` splits the rows into blocks of about ``_BLOCK_CELLS`` cells
-and, once per fit, makes class-major copies of each block: its
-standardized features as ``(D, m)`` and its labels as ``(K, m)``. An epoch
-then runs every step on one block while the block is in cache: the negated
-logits ``-z = (-W) @ X_blk.T - b`` (negation is exact), the sigmoid
-``1/(1 + exp(-z))`` in three passes, the residual ``p - y``, and the block's
-share of the gradient, ``(p - y) @ X_blk`` and its row sums. The only
-scratch is three ``(K, m)`` arrays, shared by all blocks. Each block has at
-least two rows: a one-row product goes through gemv, whose sums can differ
-in the last bit from gemm's.
+The weights and biases are one ``(K, D+1)`` matrix ``A``: ``W = A[:, :D]``
+and ``b = A[:, D]``. :func:`train` splits the rows into blocks of about
+``_BLOCK_CELLS`` cells and, once per fit, standardizes each block straight
+into a class-major ``(D+1, m)`` copy whose last row is all ones, beside a
+``(K, m)`` copy of its labels. An epoch then runs every step on one block
+while the block is in cache: the negated logits ``-z = (-A) @ X_blk``, one
+product that takes in the bias through the row of ones (negation is exact),
+the sigmoid ``1/(1 + exp(-z))`` in three passes, the residual ``p - y``, and
+the block's share of the weight and bias gradients together, ``(p - y) @
+X_blk.T``. One update with a per-column decay, ``l2`` on the weights and 0
+on the bias, then moves ``A``. The only scratch is three ``(K, m)`` arrays,
+shared by all blocks. Each block has at least two rows: a one-row product
+goes through gemv, whose sums can differ in the last bit from gemm's. A
+``small`` fold epoch (4000×4, D=3) costs ~75 µs and a 24000×50, D=20 one
+~8.5 ms (2-core x86-64, numpy 2.4.6).
 
 No weight update reads the loss. Its cells, ``log1p(exp(-|z|)) + max(z, 0)
 - y*z``, are summed per block only on the epochs ``loss_history`` records
-and on any epoch where a bound taken from the weights cannot show the loss
-finite. Each cell lies in ``[0, |z| + 1]``, and ``|z| <= max_i sum_d |x_id|
-* max|W| + max|b|`` (the row sum is taken once per fit), so the loss is
+and on any epoch where a bound taken from ``A`` cannot show the loss
+finite. Each cell lies in ``[0, |z| + 1]``, and ``|z| <= max_i (1 + sum_d
+|x_id|) * max|A|`` (the sum over each row and its 1 is taken once per fit,
+from the class-major blocks), so the loss is
 finite while the cell count times that bound plus 1, and the L2 penalty,
 both stay below 1e300. The divergence error therefore names the same epoch
 whichever epochs are recorded.
@@ -30,8 +36,9 @@ whichever epochs are recorded.
 :func:`cross_val_pred_probs` takes ``log1p`` of the features and the float
 labels once for the whole set and fits the folds one after another through
 the same path as :func:`train`. Its peak memory is those two arrays plus
-one fold's training rows of both, its standardized features, their
-class-major copies and the labels' copies, and the three blocks of scratch.
+one fold's training rows of both, the class-major copies of its
+standardized features and of its labels, and the three blocks of scratch;
+no row-major standardized copy is made.
 """
 
 from __future__ import annotations
@@ -54,6 +61,10 @@ class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
@@ -69,7 +80,7 @@ class TrainConfig:
             raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
         for name in ("epochs", "loss_every"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -77,6 +88,12 @@ class TrainConfig:
 class CVConfig:
     n_folds: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_integer(self.n_folds) or self.n_folds < 2:
+            raise ValueError(f"n_folds must be an integer >= 2, got {self.n_folds!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -128,15 +145,15 @@ def _base_rate_bias(y: np.ndarray) -> float:
     return float(np.log(rate / (1.0 - rate)))
 
 
-def _logit_bound(x_abs_sum: float, W: np.ndarray, b: np.ndarray) -> float:
-    """An upper bound on every ``|x @ W.T + b|`` whose row has ``sum |x_d| <= x_abs_sum``.
+def _logit_bound(x_abs_sum: float, A: np.ndarray) -> float:
+    """An upper bound on every ``|A @ x|`` whose column has ``sum |x_d| <= x_abs_sum``.
 
-    ``|x . w_k + b_k| <= sum_d |x_d| * max|W| + max|b|``. The padding, a few
-    ulps and a few subnormals per feature, covers the rounding of the computed
+    ``|a_k . x| <= sum_d |x_d| * max|A|``. The padding, a few ulps and a few
+    subnormals per column of ``A``, covers the rounding of the computed
     logits and of the bound itself. A NaN anywhere gives NaN.
     """
-    d = W.shape[1]
-    bound = x_abs_sum * np.abs(W).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    d = A.shape[1]
+    bound = x_abs_sum * np.abs(A).max(initial=0.0)
     return bound * (1.0 + (2 * d + 4) * _EPS) + (d + 2) * _TINY
 
 
@@ -152,6 +169,17 @@ def _row_blocks(n: int, k: int) -> list[tuple[int, int]]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _standardized_block(logged: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``(logged - mean) / scale`` for the rows of ``logged``, written class-major
+    as ``(D+1, m)`` above a row of ones, which multiplies the bias."""
+    m, d = logged.shape
+    xt = np.empty((d + 1, m))
+    np.subtract(logged.T, mean[:, None], out=xt[:d])
+    xt[:d] /= scale[:, None]
+    xt[d] = 1.0
+    return xt
 
 
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainConfig()) -> LogRegModel:
@@ -181,23 +209,23 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
     mean = logged.mean(axis=0)
     scale = logged.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    X = (logged - mean) / scale
-    x_abs_sum = np.abs(X).sum(axis=1).max()
 
     active = labels.min(axis=0) != labels.max(axis=0)
     ka = int(active.sum())
     spans = _row_blocks(n, ka)
     scratch = np.empty((3, ka * max(hi - lo for lo, hi in spans)))
-    # per block: its rows of X, class-major copies of its features (D, m) and
-    # labels (K, m), and three (K, m) scratch views
-    blocks = [(X[lo:hi], np.ascontiguousarray(X[lo:hi].T),
+    # per block: its standardized features (D+1, m) above a row of ones and
+    # its labels (K, m), both class-major, and three (K, m) scratch views
+    blocks = [(_standardized_block(logged[lo:hi], mean, scale),
                np.ascontiguousarray(labels[lo:hi, active].T),
                *(buf[:ka * (hi - lo)].reshape(ka, hi - lo) for buf in scratch))
               for lo, hi in spans]
+    x_abs_sum = max(np.abs(xt).sum(axis=0).max() for xt, *_ in blocks)
 
-    W = np.zeros((ka, d))
-    b = np.zeros(ka)
-    G, g = np.empty((ka, d)), np.empty(ka)
+    A = np.zeros((ka, d + 1))  # weights A[:, :d], biases A[:, d]
+    W = A[:, :d]
+    G = np.empty((ka, d + 1))
+    decay = np.append(np.full(d, config.l2), 0.0)  # the bias is not penalized
     losses = []
     # overflow here is the divergence signal, reported as an error below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -207,15 +235,13 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
             recorded = last or epoch % config.loss_every == 0
             # each loss cell lies in [0, |z| + 1]; a NaN fails the comparisons
             with_loss = recorded or not (
-                n * ka * (_logit_bound(x_abs_sum, W, b) + 1.0) < _FINITE_BOUND
+                n * ka * (_logit_bound(x_abs_sum, A) + 1.0) < _FINITE_BOUND
                 and penalty < _FINITE_BOUND)
-            minus_W, minus_b = -W, -b[:, None]
+            minus_A = -A
             cell_sum = 0.0
             G.fill(0.0)
-            g.fill(0.0)
-            for x, xt, yt, q, cells, tmp in blocks:
-                np.matmul(minus_W, xt, out=q)
-                q += minus_b  # -z, exactly: negation is exact
+            for xt, yt, q, cells, tmp in blocks:
+                np.matmul(minus_A, xt, out=q)  # -z, exactly: negation is exact
                 if with_loss:
                     # softplus(z) - y*z = log1p(exp(-|z|)) + max(z, 0) - y*z
                     # with q = -z: max(z, 0) = -min(q, 0) and -y*z = y*q
@@ -228,8 +254,7 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
                     continue
                 _sigmoid_of_negated(q)
                 q -= yt  # the residual
-                G += q @ x
-                g += q.sum(axis=1)
+                G += q @ xt.T  # the weight gradient, and the bias's in column d
             if with_loss:
                 loss = float(cell_sum / n + penalty)
                 if not np.isfinite(loss):
@@ -238,13 +263,16 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
                     losses.append(loss)
             if last:
                 break
-            W -= config.learning_rate * (G / n + config.l2 * W)
-            b -= config.learning_rate * (g / n)
+            # A -= learning_rate * (G / n + decay * A), in G's buffer
+            G /= n
+            G += decay * A
+            G *= config.learning_rate
+            A -= G
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)
     weights[active] = W
-    biases[active] = b
+    biases[active] = A[:, d]
     for j in np.flatnonzero(~active):
         biases[j] = _base_rate_bias(labels[:, j])
 

@@ -7,7 +7,8 @@ The oracles at the end are the exception: they are numpy, literal copies
 of code the library replaced or statements of what it computes. Two are
 trainers. The original epoch loop (masked two-sided sigmoid,
 ``np.logaddexp`` loss, fresh temporaries every epoch) is a cross-check
-within a rounding tolerance. The class-major epoch, with fresh temporaries
+within a rounding tolerance. The class-major epoch, with the bias folded
+into its products as a column of the parameter matrix, fresh temporaries
 and the row blocks passed in, must give the library's weights, losses and
 probabilities bit for bit. ``binary_loss_and_grad`` is the one-class loss
 and gradient that the finite-difference checks and the trainer's first step
@@ -278,9 +279,13 @@ def train_class_major(features, labels, blocks, learning_rate=0.1, l2=1e-4, epoc
     """Return (weights, biases, loss_history, feature_mean, feature_scale) as
     the class-major trainer computes them over the row ranges ``blocks``.
 
-    Each block forms ``-z`` as ``-W @ X_blk.T - b``, its loss cells as
-    ``log1p(exp(-|z|)) + max(z, 0) - y*z`` written in ``-z``, the sigmoid as
-    ``1/(1 + exp(-z))`` and its share of the gradient, summed block by block.
+    The weights and biases are one matrix ``A = [W | b]``, and each block's
+    features are ``[X_blk.T; 1]``, a row of ones below them. Each block forms
+    ``-z`` as ``-A @ [X_blk.T; 1]``, its loss cells as ``log1p(exp(-|z|)) +
+    max(z, 0) - y*z`` written in ``-z``, the sigmoid as ``1/(1 + exp(-z))``
+    and its share of the weight and bias gradients as one product ``(p - y)
+    @ [X_blk.T; 1].T``, summed block by block. One update moves ``A``, with
+    decay ``l2`` on the weights and 0 on the bias.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -294,32 +299,33 @@ def train_class_major(features, labels, blocks, learning_rate=0.1, l2=1e-4, epoc
 
     active = labels.min(axis=0) != labels.max(axis=0)
     Y = labels[:, active]
-    W = np.zeros((Y.shape[1], d))
-    b = np.zeros(Y.shape[1])
+    A = np.zeros((Y.shape[1], d + 1))
+    decay = np.array([l2] * d + [0.0])
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):
             cell_sum = 0.0
-            G = np.zeros(W.shape)
-            g = np.zeros(b.shape)
+            G = np.zeros(A.shape)
             for lo, hi in blocks:
-                minus_z = -W @ np.ascontiguousarray(X[lo:hi].T) - b[:, None]
+                # class-major and C-ordered, as the trainer holds it: the
+                # products then run the same gemm (vstack alone gives F order)
+                xt = np.ascontiguousarray(np.vstack([X[lo:hi].T, np.ones(hi - lo)]))
+                minus_z = -A @ xt
                 y = Y[lo:hi].T
                 cells = np.log1p(np.exp(-np.abs(minus_z))) - np.minimum(minus_z, 0.0) + y * minus_z
                 cell_sum += cells.sum()
                 residual = 1.0 / (1.0 + np.exp(minus_z)) - y
-                G += residual @ X[lo:hi]
-                g += residual.sum(axis=1)
+                G += residual @ xt.T
+            W = A[:, :d]
             losses.append(float(cell_sum / n + 0.5 * l2 * (W * W).sum()))
             if epoch == epochs:
                 break
-            W -= learning_rate * (G / n + l2 * W)
-            b -= learning_rate * (g / n)
+            A -= learning_rate * (G / n + decay * A)
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)
-    weights[active] = W
-    biases[active] = b
+    weights[active] = A[:, :d]
+    biases[active] = A[:, d]
     for j in np.flatnonzero(~active):
         rate = (labels[:, j].sum() + 0.5) / (n + 1.0)
         biases[j] = np.log(rate / (1.0 - rate))

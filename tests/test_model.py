@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from labelaudit.model import (
     _logit_bound,
     _row_blocks,
     _sigmoid_of_negated,
+    _standardized_block,
     cross_val_pred_probs,
     fold_assignments,
     predict_proba,
@@ -71,6 +74,33 @@ class TestTrain:
         probs = predict_proba(model, features).values[:, 0]
         assert np.all(probs == probs[0])
         assert probs[0] == pytest.approx(20.5 / 21.0, abs=1e-12)
+
+    def test_every_class_constant_fits_no_parameters(self):
+        features = np.random.default_rng(14).poisson(5.0, size=(10, 3)).astype(float)
+        labels = np.column_stack([np.ones(10, dtype=int), np.zeros(10, dtype=int)])
+        model = train(features, labels)
+        assert np.array_equal(model.weights, np.zeros((2, 3)))
+        np.testing.assert_allclose(model.biases, [np.log(10.5 / 0.5), np.log(0.5 / 10.5)],
+                                   rtol=1e-15, atol=0)
+        assert np.array_equal(model.loss_history, np.zeros(11))  # epochs 0, 50, ..., 500
+
+    def test_fit_holds_no_row_major_copy_of_the_features(self):
+        # the fit holds class-major copies of the features, with their row
+        # of ones, and of the labels, plus one block's scratch and
+        # temporaries; a row-major standardized copy beside them would add
+        # another n * d floats
+        n, d, k = 40000, 20, 4
+        rng = np.random.default_rng(16)
+        logged = np.log1p(rng.poisson(5.0, size=(n, d)).astype(float))
+        labels = rng.integers(0, 2, size=(n, k)).astype(float)
+        tracemalloc.start()
+        try:
+            model_module._fit(logged, labels, TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copies = (n * (d + 1) + n * k) * 8
+        assert copies < peak < copies + n * d * 8 / 2
 
     def test_huge_l2_drives_weights_to_zero_constant_predictions(self):
         features, y = random_training_set(3, n=30)
@@ -273,29 +303,40 @@ class TestRowBlocks:
 finite = st.floats(-1e100, 1e100, allow_nan=False)
 
 
+def class_major(X):
+    """``X``'s rows as the trainer holds them: ``(D+1, n)`` above a row of ones."""
+    return _standardized_block(X, np.zeros(X.shape[1]), np.ones(X.shape[1]))
+
+
 @given(data=st.data())
 def test_logits_never_exceed_the_weight_bound(data):
     n, d, k = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)),
                data.draw(st.integers(0, 6)))
     X = np.array(data.draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
-    W = np.array(data.draw(st.lists(finite, min_size=k * d, max_size=k * d))).reshape(k, d)
-    b = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
-    bound = _logit_bound(np.abs(X).sum(axis=1).max(), W, b)
-    assert np.abs(X @ W.T + b).max(initial=0.0) <= bound
+    A = np.array(data.draw(st.lists(finite, min_size=k * (d + 1),
+                                    max_size=k * (d + 1)))).reshape(k, d + 1)
+    xt = class_major(X)
+    assert np.array_equal(xt[:d], X.T) and (xt[d] == 1.0).all()
+    # the column sum and the product as the fit takes them
+    bound = _logit_bound(np.abs(xt).sum(axis=0).max(), A)
+    assert np.abs(np.matmul(-A, xt)).max(initial=0.0) <= bound
+    assert np.abs(X @ A[:, :d].T + A[:, d]).max(initial=0.0) <= bound
 
 
 def test_weight_bound_covers_subnormal_rounding():
-    # each product 0.6 * 5e-324 rounds up to 5e-324, so the logit is 3 subnormals,
-    # while the unpadded bound, 1.8 * 5e-324, rounds to 2
-    X, W = np.full((1, 3), 0.6), np.full((1, 3), 5e-324)
-    assert (X @ W.T)[0, 0] == 3 * 5e-324
-    assert _logit_bound(np.abs(X).sum(axis=1).max(), W, np.zeros(1)) >= 3 * 5e-324
+    # each product 0.6 * 5e-324 rounds up to 5e-324, so the logit is 6
+    # subnormals, while the unpadded bound, (6 * 0.6 + 1) * 5e-324, rounds to 5
+    xt = class_major(np.full((2, 6), 0.6))
+    A = np.append(np.full(6, 5e-324), 0.0)[None, :]
+    x_abs_sum = np.abs(xt).sum(axis=0).max()
+    assert (np.matmul(-A, xt) == -6 * 5e-324).all()
+    assert x_abs_sum * 5e-324 < 6 * 5e-324
+    assert _logit_bound(x_abs_sum, A) >= 6 * 5e-324
 
 
 def test_weight_bound_is_nan_at_nan_weights():
-    W = np.array([[1.0, np.nan]])
-    assert np.isnan(_logit_bound(2.0, W, np.zeros(1)))
-    assert np.isnan(_logit_bound(2.0, np.ones((1, 2)), np.array([np.nan])))
+    assert np.isnan(_logit_bound(3.0, np.array([[1.0, np.nan, 0.0]])))
+    assert np.isnan(_logit_bound(3.0, np.array([[1.0, 1.0, np.nan]])))
 
 
 class TestSigmoid:
@@ -423,6 +464,51 @@ class TestCrossValidation:
     def test_invalid_fold_count(self):
         with pytest.raises(ValueError, match="n_folds"):
             fold_assignments(4, CVConfig(n_folds=5))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_folds", 2.5, r"n_folds must be an integer >= 2, got 2.5"),
+        # numpy 2 writes np.float64(3.0), older versions 3.0
+        ("n_folds", np.float64(3.0), r"n_folds must be an integer >= 2, got (np\.float64\()?3\.0"),
+        ("n_folds", True, r"n_folds must be an integer >= 2, got True"),
+        ("n_folds", 1, r"n_folds must be an integer >= 2, got 1"),
+        ("n_folds", "5", r"n_folds must be an integer >= 2, got '5'"),
+        ("seed", 1.5, r"seed must be a non-negative integer, got 1.5"),
+        ("seed", -1, r"seed must be a non-negative integer, got -1"),
+        ("seed", False, r"seed must be a non-negative integer, got False"),
+        ("seed", None, r"seed must be a non-negative integer, got None"),
+    ])
+    def test_bad_config_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CVConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cv = CVConfig(n_folds=np.int64(4), seed=np.int32(3))
+        assert np.array_equal(fold_assignments(20, cv), fold_assignments(20, CVConfig(4, 3)))
+
+    def test_every_class_constant_in_every_fold(self, monkeypatch):
+        # 10 rows all 1 in class 0 and all 0 in class 1: each fold's 8
+        # training rows fit a (0, D+1) parameter matrix
+        rng = np.random.default_rng(15)
+        labels = np.column_stack([np.ones(10, dtype=int), np.zeros(10, dtype=int)])
+        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(10)),
+                                    features=rng.poisson(5.0, size=(10, 3)).astype(float))
+        fits = []
+        fit = model_module._fit
+
+        def recording_fit(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(model_module, "_fit", recording_fit)
+        probs = cross_val_pred_probs(dataset, CVConfig(), TrainConfig(epochs=20))
+        assert len(fits) == 5
+        log_odds = np.log(8.5 / 0.5)
+        for model in fits:
+            assert np.array_equal(model.weights, np.zeros((2, 3)))
+            np.testing.assert_allclose(model.biases, [log_odds, -log_odds], rtol=1e-15, atol=0)
+            assert np.array_equal(model.loss_history, np.zeros(2))  # epochs 0 and 20
+        np.testing.assert_allclose(probs.values, np.tile([8.5 / 9, 0.5 / 9], (10, 1)),
+                                   rtol=1e-14, atol=0)
 
     def test_same_seed_identical_probabilities(self):
         rng = np.random.default_rng(7)
