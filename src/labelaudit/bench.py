@@ -31,7 +31,8 @@ from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_all
 from .synth import (
-    LARGE, SMALL, GenConfig, NoiseSpec, draw_noise_spec, gen_multilabel, inject_noise,
+    LARGE, SMALL, GenConfig, NoiseSpec, _check_count, draw_noise_spec, gen_multilabel,
+    inject_noise,
 )
 
 DEFAULT_METRICS = METRIC_NAMES
@@ -64,8 +65,8 @@ class BenchmarkPlan:
     metrics: tuple[str, ...] = DEFAULT_METRICS
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ValueError("n_replicates must be >= 1")
+        _check_count("n_replicates", self.n_replicates, minimum=1)
+        _check_count("base_seed", self.base_seed)
         n_samples = self.gen_config.n_samples
         if (isinstance(self.n_folds, bool) or not isinstance(self.n_folds, (int, np.integer))
                 or not 2 <= self.n_folds <= n_samples):

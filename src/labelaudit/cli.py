@@ -186,21 +186,21 @@ def _flag(dest: str) -> str:
 
 def _cmd_gen(args) -> int:
     given = {dest: getattr(args, dest) for dest in _GEN_SHAPE if getattr(args, dest) is not None}
-    if args.preset:
-        if given:
-            raise UsageError(f"{_flag(next(iter(given)))} cannot be combined with --preset")
-        config = replace({"small": SMALL, "large": LARGE}[args.preset], seed=args.seed)
-    else:
-        missing = [dest for dest in _GEN_SHAPE if dest not in given and dest != "doc_length"]
-        if missing:
-            raise UsageError(f"without --preset, set {_flag(missing[0])}")
-        try:
+    try:
+        if args.preset:
+            if given:
+                raise UsageError(f"{_flag(next(iter(given)))} cannot be combined with --preset")
+            config = replace({"small": SMALL, "large": LARGE}[args.preset], seed=args.seed)
+        else:
+            missing = [dest for dest in _GEN_SHAPE if dest not in given and dest != "doc_length"]
+            if missing:
+                raise UsageError(f"without --preset, set {_flag(missing[0])}")
             config = GenConfig(
                 n_test=max(1, args.n_samples // 5), seed=args.seed,
                 **{_GEN_SHAPE[dest]: value for dest, value in given.items()},
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     noise_seed = args.noise_seed if args.noise_seed is not None else args.seed + 10_000
     try:
         noise = draw_noise_spec(

@@ -10,35 +10,39 @@ multi-label classifier.
 The weights and biases are one ``(K, D+1)`` matrix ``A``: ``W = A[:, :D]``
 and ``b = A[:, D]``. :func:`train` splits the rows into blocks of about
 ``_BLOCK_CELLS`` cells and, once per fit, standardizes each block straight
-into a class-major ``(D+1, m)`` copy whose last row is all ones, beside a
-``(K, m)`` copy of its labels. An epoch then runs every step on one block
-while the block is in cache: the negated logits ``-z = (-A) @ X_blk``, one
-product that takes in the bias through the row of ones (negation is exact),
-the sigmoid ``1/(1 + exp(-z))`` in three passes, the residual ``p - y``, and
-the block's share of the weight and bias gradients together, ``(p - y) @
-X_blk.T``. One update with a per-column decay, ``l2`` on the weights and 0
-on the bias, then moves ``A``. The only scratch is three ``(K, m)`` arrays,
-shared by all blocks. Each block has at least two rows: a one-row product
-goes through gemv, whose sums can differ in the last bit from gemm's. A
-``small`` fold epoch (4000×4, D=3) costs ~75 µs and a 24000×50, D=20 one
-~8.5 ms (2-core x86-64, numpy 2.4.6).
+into a class-major ``(D+1, m)`` copy whose last row is all ones; its labels
+are a ``(K, m)`` view of the fit's class-major ``(K, n)`` labels. An epoch
+then runs every step on one block while the block is in cache: the negated
+logits ``-z = (-A) @ X_blk``, one product that takes in the bias through the
+row of ones (negation is exact), the sigmoid ``1/(1 + exp(-z))`` in three
+passes, the residual ``p - y``, and the block's share of the weight and bias
+gradients together, ``(p - y) @ X_blk.T``. One update with a per-column
+decay, ``l2`` on the weights and 0 on the bias, then moves ``A``. The only
+scratch is three ``(K, m)`` arrays, shared by all blocks. Each block has at
+least two rows: a one-row product goes through gemv, whose sums can differ
+in the last bit from gemm's. A ``small`` fold epoch (4000×4, D=3) costs
+~75 µs and a 24000×50, D=20 one ~8.5 ms (2-core x86-64, numpy 2.4.6).
 
 No weight update reads the loss. Its cells, ``log1p(exp(-|z|)) + max(z, 0)
-- y*z``, are summed per block only on the epochs ``loss_history`` records
-and on any epoch where a bound taken from ``A`` cannot show the loss
-finite. Each cell lies in ``[0, |z| + 1]``, and ``|z| <= max_i (1 + sum_d
-|x_id|) * max|A|`` (the sum over each row and its 1 is taken once per fit,
-from the class-major blocks), so the loss is
+- y*z``, are summed per block only on the epochs ``loss_history`` records and
+on any epoch where a bound taken from ``A`` cannot show the loss finite. A
+cross-validation fit, whose model is dropped once it has predicted, records
+no loss: the bound alone guards it, and its last epoch, which makes no
+update, runs only where the bound fails. Each cell lies in ``[0, |z| + 1]``,
+and ``|z| <= max_i (1 + sum_d |x_id|) * max|A|`` (the sum over each row and
+its 1 is taken once per fit, from the class-major blocks), so the loss is
 finite while the cell count times that bound plus 1, and the L2 penalty,
 both stay below 1e300. The divergence error therefore names the same epoch
-whichever epochs are recorded.
+whichever epochs are recorded, and whether any is.
 
-:func:`cross_val_pred_probs` takes ``log1p`` of the features and the float
-labels once for the whole set and fits the folds one after another through
-the same path as :func:`train`. Its peak memory is those two arrays plus
-one fold's training rows of both, the class-major copies of its
-standardized features and of its labels, and the three blocks of scratch;
-no row-major standardized copy is made.
+:func:`cross_val_pred_probs` takes ``log1p`` of the features once and
+builds the labels once as a class-major float ``(K, N)`` array, then fits
+the folds one after another through the same path as :func:`train`, each
+taking its training rows of both with one integer index. Its peak memory
+is those two arrays plus one fold's logged training rows, its class-major
+``(K, n_train)`` label copy, the class-major copies of its standardized
+features and the three blocks of scratch; no row-major standardized copy
+and no per-block label copy is made.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiLabelDataset, ProbMatrix
+from .data import MultiLabelDataset, ProbMatrix, check_binary_labels
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
@@ -139,9 +143,9 @@ def _sigmoid_of_negated(q: np.ndarray) -> np.ndarray:
     return np.divide(1.0, q, out=q)
 
 
-def _base_rate_bias(y: np.ndarray) -> float:
+def _base_rate_bias(positives: float, n: int) -> float:
     # Laplace-smoothed log-odds; finite even when all labels agree.
-    rate = (y.sum() + 0.5) / (y.shape[0] + 1.0)
+    rate = (positives + 0.5) / (n + 1.0)
     return float(np.log(rate / (1.0 - rate)))
 
 
@@ -155,6 +159,14 @@ def _logit_bound(x_abs_sum: float, A: np.ndarray) -> float:
     d = A.shape[1]
     bound = x_abs_sum * np.abs(A).max(initial=0.0)
     return bound * (1.0 + (2 * d + 4) * _EPS) + (d + 2) * _TINY
+
+
+def _std_about(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``np.std(x, axis=0)`` from its column ``mean``, by np.std's own steps:
+    the same bits, without taking the mean again."""
+    centred = x - mean
+    centred *= centred
+    return np.sqrt(centred.sum(axis=0) / x.shape[0])
 
 
 def _row_blocks(n: int, k: int) -> list[tuple[int, int]]:
@@ -186,38 +198,46 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
     """Fit one independent logistic regression per class by full-batch descent.
 
     Classes whose labels are all identical get a bias-only constant model at
-    the smoothed base rate. Raises :class:`TrainingDivergedError` at the first
-    epoch whose loss is non-finite (e.g. a too-large learning rate), whether
-    or not that epoch is recorded in ``loss_history``.
+    the smoothed base rate. Raises ``ValueError`` at a label that is not 0 or
+    1, and :class:`TrainingDivergedError` at the first epoch whose loss is
+    non-finite (e.g. a too-large learning rate), whether or not that epoch is
+    recorded in ``loss_history``.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.asarray(labels)
     if features.ndim != 2 or labels.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError(
             f"incompatible shapes: features {features.shape}, labels {labels.shape}"
         )
-    return _fit(np.log1p(features), labels, config)
+    check_binary_labels(labels)
+    return _fit(np.log1p(features), np.ascontiguousarray(labels.T, dtype=np.float64), config)
 
 
-def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegModel:
-    """:func:`train` on ``log1p(features)`` and float64 labels."""
+def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
+         record: bool = True) -> LogRegModel:
+    """:func:`train` on ``log1p(features)`` and the class-major ``(K, n)`` float
+    0/1 labels. With ``record=False`` no loss is recorded: it is computed only
+    on the epochs whose bound cannot show it finite, and the last epoch, which
+    makes no update, is skipped unless it is one of them."""
     n, d = logged.shape
-    k = labels.shape[1]
+    k = labels_t.shape[0]
     if n < 2:
         raise ValueError("need at least 2 examples to train")
 
     mean = logged.mean(axis=0)
-    scale = logged.std(axis=0)
+    scale = _std_about(logged, mean)
     scale = np.where(scale < 1e-12, 1.0, scale)
 
-    active = labels.min(axis=0) != labels.max(axis=0)
+    positives = labels_t.sum(axis=1)  # exact: the labels are 0 and 1
+    active = (positives > 0) & (positives < n)
     ka = int(active.sum())
+    if ka < k:
+        labels_t = labels_t[active]
     spans = _row_blocks(n, ka)
     scratch = np.empty((3, ka * max(hi - lo for lo, hi in spans)))
-    # per block: its standardized features (D+1, m) above a row of ones and
-    # its labels (K, m), both class-major, and three (K, m) scratch views
-    blocks = [(_standardized_block(logged[lo:hi], mean, scale),
-               np.ascontiguousarray(labels[lo:hi, active].T),
+    # per block: its standardized features (D+1, m) above a row of ones, a
+    # view of its labels (K, m), both class-major, and three (K, m) scratch views
+    blocks = [(_standardized_block(logged[lo:hi], mean, scale), labels_t[:, lo:hi],
                *(buf[:ka * (hi - lo)].reshape(ka, hi - lo) for buf in scratch))
               for lo, hi in spans]
     x_abs_sum = max(np.abs(xt).sum(axis=0).max() for xt, *_ in blocks)
@@ -232,11 +252,13 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
         for epoch in range(config.epochs + 1):
             penalty = 0.5 * config.l2 * (W * W).sum()
             last = epoch == config.epochs
-            recorded = last or epoch % config.loss_every == 0
+            recorded = record and (last or epoch % config.loss_every == 0)
             # each loss cell lies in [0, |z| + 1]; a NaN fails the comparisons
             with_loss = recorded or not (
                 n * ka * (_logit_bound(x_abs_sum, A) + 1.0) < _FINITE_BOUND
                 and penalty < _FINITE_BOUND)
+            if last and not with_loss:
+                break
             minus_A = -A
             cell_sum = 0.0
             G.fill(0.0)
@@ -274,7 +296,7 @@ def _fit(logged: np.ndarray, labels: np.ndarray, config: TrainConfig) -> LogRegM
     weights[active] = W
     biases[active] = A[:, d]
     for j in np.flatnonzero(~active):
-        biases[j] = _base_rate_bias(labels[:, j])
+        biases[j] = _base_rate_bias(positives[j], n)
 
     return LogRegModel(weights, biases, mean, scale, np.array(losses), config)
 
@@ -290,10 +312,14 @@ def predict_proba(model: LogRegModel, features: np.ndarray) -> ProbMatrix:
 
 
 def _predict_logged(model: LogRegModel, logged: np.ndarray) -> np.ndarray:
-    X = (logged - model.feature_mean) / model.feature_scale
+    X = logged - model.feature_mean
+    X /= model.feature_scale
+    q = X @ model.weights.T
+    q += model.biases
+    np.negative(q, out=q)
     with np.errstate(over="ignore"):
-        probs = _sigmoid_of_negated(-(X @ model.weights.T + model.biases))
-    return np.clip(probs, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        _sigmoid_of_negated(q)
+    return np.clip(q, _PROB_CLIP, 1.0 - _PROB_CLIP, out=q)
 
 
 def fold_assignments(n_examples: int, cv: CVConfig) -> np.ndarray:
@@ -312,16 +338,20 @@ def cross_val_pred_probs(
     config: TrainConfig = TrainConfig(),
 ) -> ProbMatrix:
     """Out-of-sample probabilities: each example is predicted by the model
-    trained on the other folds; scaling statistics come from training folds only."""
+    trained on the other folds; scaling statistics come from training folds only.
+    Raises ``ValueError`` at a given label that is not 0 or 1."""
     if dataset.features is None:
         raise ValueError("dataset has no features to train on")
+    check_binary_labels(dataset.given_labels)
     folds = fold_assignments(dataset.n_examples, cv)
-    # elementwise, so each fold's slice holds the bits train() would compute
+    # elementwise, so each fold's rows hold the bits train() would compute
     logged = np.log1p(dataset.features)
-    labels = dataset.given_labels.astype(np.float64)
+    labels_t = np.ascontiguousarray(dataset.given_labels.T, dtype=np.float64)  # (K, N)
     probs = np.empty((dataset.n_examples, dataset.n_classes))
     for f in range(cv.n_folds):
         held_out = folds == f
-        model = _fit(logged[~held_out], labels[~held_out], config)
+        rows = np.flatnonzero(~held_out)
+        model = _fit(logged.take(rows, axis=0), labels_t.take(rows, axis=1), config,
+                     record=False)
         probs[held_out] = _predict_logged(model, logged[held_out])
     return ProbMatrix(probs)

@@ -53,6 +53,7 @@ class GenConfig:
     def __post_init__(self):
         for name in ("n_samples", "n_test", "n_features", "n_classes"):
             _check_count(name, getattr(self, name), minimum=1)
+        _check_count("seed", self.seed)
         if not 0 < self.expected_labels_per_example <= self.n_classes:
             raise ValueError(
                 f"expected_labels_per_example must be in (0, {self.n_classes}], "

@@ -87,6 +87,11 @@ class TestBenchmark:
         ("n_folds", 2.0, r"n_folds must be an integer in \[2, 150\], got 2.0"),
         ("gamma_scale", -1.0, "gamma parameters must be positive"),
         ("gamma_shape", 0.0, "gamma parameters must be positive"),
+        ("n_replicates", 0, "n_replicates must be >= 1, got 0"),
+        ("n_replicates", 2.0, "n_replicates must be an integer, got 2.0"),
+        ("n_replicates", True, "n_replicates must be an integer, got True"),
+        ("base_seed", -1, "base_seed must be >= 0, got -1"),
+        ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
     ])
     def test_bad_plan_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -374,6 +379,18 @@ class TestCli:
         out = tmp_path / "data"
         assert self.run("gen", "--preset", "small", "--out-dir", str(out)) == 3
         assert "generation failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert self.run("gen", "--preset", "small", "--seed", "-1", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_bench_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert self.run("bench", "--replicates", "1", "--seed", "-1", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_bench_one_fold_is_usage_error(self, tmp_path, capsys):

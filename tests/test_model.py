@@ -65,6 +65,12 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match=r"epoch 26$"):
             train(features, y[:, None], TrainConfig(learning_rate=1e10, epochs=500))
 
+    def test_label_outside_0_1_rejected(self):
+        features, y = random_training_set(5, n=20)
+        labels = np.column_stack([y, 2 * y]).astype(int)
+        with pytest.raises(ValueError, match=r"^label 2 not in \{0,1\} at \(example \d+, class 1\)$"):
+            train(features, labels)
+
     def test_degenerate_class_gets_constant_base_rate_model(self):
         rng = np.random.default_rng(2)
         features = rng.random((20, 3))
@@ -86,20 +92,21 @@ class TestTrain:
 
     def test_fit_holds_no_row_major_copy_of_the_features(self):
         # the fit holds class-major copies of the features, with their row
-        # of ones, and of the labels, plus one block's scratch and
-        # temporaries; a row-major standardized copy beside them would add
-        # another n * d floats
+        # of ones, beside the one class-major copy of the labels that its
+        # blocks view, plus one block's scratch and temporaries; a row-major
+        # standardized copy would add another n * d floats
         n, d, k = 40000, 20, 4
         rng = np.random.default_rng(16)
         logged = np.log1p(rng.poisson(5.0, size=(n, d)).astype(float))
-        labels = rng.integers(0, 2, size=(n, k)).astype(float)
+        labels = rng.integers(0, 2, size=(n, k))
         tracemalloc.start()
         try:
-            model_module._fit(logged, labels, TrainConfig(epochs=1))
+            labels_t = np.ascontiguousarray(labels.T, dtype=np.float64)
+            model_module._fit(logged, labels_t, TrainConfig(epochs=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        copies = (n * (d + 1) + n * k) * 8
+        copies = (n * (d + 1) + k * n) * 8
         assert copies < peak < copies + n * d * 8 / 2
 
     def test_huge_l2_drives_weights_to_zero_constant_predictions(self):
@@ -495,8 +502,8 @@ class TestCrossValidation:
         fits = []
         fit = model_module._fit
 
-        def recording_fit(*args):
-            fits.append(fit(*args))
+        def recording_fit(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
             return fits[-1]
 
         monkeypatch.setattr(model_module, "_fit", recording_fit)
@@ -506,9 +513,33 @@ class TestCrossValidation:
         for model in fits:
             assert np.array_equal(model.weights, np.zeros((2, 3)))
             np.testing.assert_allclose(model.biases, [log_odds, -log_odds], rtol=1e-15, atol=0)
-            assert np.array_equal(model.loss_history, np.zeros(2))  # epochs 0 and 20
+            assert model.loss_history.shape == (0,)  # a CV fit records no loss
         np.testing.assert_allclose(probs.values, np.tile([8.5 / 9, 0.5 / 9], (10, 1)),
                                    rtol=1e-14, atol=0)
+
+    def test_label_outside_0_1_rejected(self):
+        rng = np.random.default_rng(17)
+        labels = rng.integers(0, 2, size=(20, 2))
+        labels[3, 1] = 2
+        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(20)),
+                                    features=rng.poisson(5.0, size=(20, 3)).astype(float))
+        with pytest.raises(ValueError, match=r"^label 2 not in \{0,1\} at \(example 3, class 1\)$"):
+            cross_val_pred_probs(dataset, CVConfig(), TrainConfig(epochs=5))
+
+    @pytest.mark.parametrize("loss_every", [1, 50])
+    def test_divergence_raises_at_the_epoch_train_raises(self, loss_every):
+        # a CV fit records no loss, yet diverges at the epoch train() names
+        # on the same rows, at the config of test_divergence_raises_with_epoch
+        features, y = random_training_set(1)
+        config = TrainConfig(learning_rate=1e10, epochs=500, loss_every=loss_every)
+        cv = CVConfig()
+        rows = fold_assignments(features.shape[0], cv) != 0
+        with pytest.raises(TrainingDivergedError) as raised:
+            train(features[rows], y[rows, None], config)
+        dataset = MultiLabelDataset(y[:, None], tuple(f"e{i}" for i in range(len(y))),
+                                    features=features)
+        with pytest.raises(TrainingDivergedError, match=f"^{raised.value}$"):
+            cross_val_pred_probs(dataset, cv, config)
 
     def test_same_seed_identical_probabilities(self):
         rng = np.random.default_rng(7)

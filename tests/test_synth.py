@@ -90,6 +90,16 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GenConfig(**{**TEST_CONFIG.__dict__, name: value})
 
+    @pytest.mark.parametrize("value, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_bad_seed_rejected(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**{**TEST_CONFIG.__dict__, "seed": value})
+
     def test_numpy_integer_shape_accepted(self):
         config = GenConfig(**{**TEST_CONFIG.__dict__, "n_samples": np.int64(50),
                               "n_classes": np.int32(4)})
