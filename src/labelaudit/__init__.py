@@ -8,24 +8,15 @@ benchmark that exercises the whole pipeline.
 
 __version__ = "0.1.0"
 
-from .confident import (
-    BinaryConfidentJoint,
-    FlagReport,
-    binary_confident_joint,
-    class_thresholds,
-    flag_class,
-    flag_multilabel,
-)
+from .confident import FlagReport, flag_multilabel
 from .data import (
     DataFormatError,
     MultiLabelDataset,
     ProbMatrix,
-    ValidationReport,
     load_dataset,
     load_jsonl,
     save_jsonl,
     save_scores_csv,
-    validate,
 )
 from .metrics import (
     ErrorTruth,
@@ -54,12 +45,10 @@ from .synth import (
     draw_noise_spec,
     gen_multilabel,
     inject_noise,
-    make_noisy_dataset,
     sample_noise_traces,
 )
 
 __all__ = [
-    "BinaryConfidentJoint",
     "CVConfig",
     "DataFormatError",
     "ErrorTruth",
@@ -74,23 +63,18 @@ __all__ = [
     "ProbMatrix",
     "QualityScoreVector",
     "TrainConfig",
-    "ValidationReport",
     "ap_at_t",
     "auprc",
-    "binary_confident_joint",
     "build_noise_matrix",
-    "class_thresholds",
     "cross_val_pred_probs",
     "draw_noise_spec",
     "error_truth",
     "evaluate",
-    "flag_class",
     "flag_multilabel",
     "gen_multilabel",
     "inject_noise",
     "load_dataset",
     "load_jsonl",
-    "make_noisy_dataset",
     "pool",
     "predict_proba",
     "rank_ascending",
@@ -102,5 +86,4 @@ __all__ = [
     "self_confidence",
     "spearman",
     "train",
-    "validate",
 ]

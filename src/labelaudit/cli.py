@@ -19,7 +19,9 @@ from . import __version__, bench
 from .confident import flag_multilabel, save_flag_summary_json, save_flags_csv
 from .data import (
     DataFormatError,
+    MultiLabelDataset,
     check_ids_aligned,
+    check_labels_probs,
     load_features_csv,
     load_labels_csv,
     load_probs_csv,
@@ -27,8 +29,6 @@ from .data import (
     save_labels_csv,
     save_probs_csv,
     save_scores_csv,
-    validate,
-    MultiLabelDataset,
 )
 from .model import CVConfig, TrainConfig, TrainingDivergedError, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, rescale_for_display, score_examples
@@ -163,10 +163,10 @@ def _load_labels_probs(labels_path, probs_path):
     ids, labels = load_labels_csv(labels_path)
     pids, probs = load_probs_csv(probs_path)
     check_ids_aligned(ids, pids, f"{labels_path} vs {probs_path}")
-    dataset = MultiLabelDataset(labels, tuple(ids))
-    report = validate(dataset, probs)
-    if not report.ok:
-        raise DataFormatError("; ".join(report.violations))
+    try:
+        check_labels_probs(labels, probs.values)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
     return ids, labels, probs
 
 

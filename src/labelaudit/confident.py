@@ -3,16 +3,15 @@
 Each class is treated as its own binary present/absent problem with two
 confidence thresholds: the mean predicted probability among annotated
 positives and the mean complement among annotated negatives. One
-whole-matrix pass then compares every probability with its class's
-thresholds, assigns a confident binary "true" label where one is cleared,
-and counts (given, confident-true) pairs into a 2x2 joint per class as column
-sums. Examples in an off-diagonal cell are flagged for that class; the
-per-example result is the union of flags over all classes. A class with no
-positives or no negatives has NaN thresholds, which nothing clears.
+whole-matrix pass over all K classes then compares every probability with
+its class's thresholds, assigns a confident binary "true" label where one is
+cleared, and counts (given, confident-true) pairs into a 2x2 joint per class
+as column sums. Examples in an off-diagonal cell are flagged for that class;
+the per-example result is the union of flags over all classes. A class with
+no positives or no negatives has NaN thresholds, which nothing clears.
 
-``flag_multilabel`` runs the pass over all K classes. ``class_thresholds``,
-``binary_confident_joint`` and ``flag_class`` are views of the same pass on
-one column, and check their input as ``flag_multilabel`` does.
+``flag_multilabel`` returns every class's thresholds, joint counts and flags
+in one ``FlagReport``; one class's view is its row or column there.
 """
 
 from __future__ import annotations
@@ -27,58 +26,37 @@ import numpy as np
 from .data import check_labels_probs, write_csv_rows
 
 
-def _check_thresholds(t_pos, t_neg) -> None:
-    for name, value in (("threshold_positive", t_pos), ("threshold_negative", t_neg)):
-        if not 0.0 <= value <= 1.0:  # False at NaN as well
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class BinaryConfidentJoint:
-    """2x2 count matrix over (given binary label, confident true label) for one class.
-
-    ``counts[g][t]`` is the number of examples with given label g confidently
-    counted as truly t. Examples clearing neither threshold are not counted,
-    so the counts sum to at most N.
-    """
-
-    class_index: int
-    counts: np.ndarray          # (2, 2) ints, rows: given 0/1, cols: confident 0/1
-    threshold_positive: float   # mean p over annotated positives
-    threshold_negative: float   # mean (1 - p) over annotated negatives
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        if counts.shape != (2, 2) or (counts < 0).any():
-            raise ValueError(f"counts must be a non-negative 2x2 matrix, got {counts}")
-        _check_thresholds(self.threshold_positive, self.threshold_negative)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
 @dataclass(frozen=True)
 class FlagReport:
     """Per-class and union flags plus per-class error statistics.
 
-    ``example_flags[i]`` is the OR of ``per_class_flags[i, :]``. Skipped
-    classes (no annotated positives or no annotated negatives, so one
-    threshold is undefined) contribute no flags; their noise matrix falls
+    ``example_flags[i]`` is the OR of ``per_class_flags[i, :]``.
+    ``joint_counts[k, g, t]`` is the number of examples with given label g
+    confidently counted as truly t for class k; examples clearing neither
+    threshold are not counted, so each class's counts sum to at most N.
+    Skipped classes (no annotated positives or no annotated negatives, so one
+    threshold is undefined) count and flag nothing; their noise matrix falls
     back to the identity.
     """
 
     per_class_flags: np.ndarray        # (N, K) bool
     example_flags: np.ndarray          # (N,) bool
-    per_class_error_counts: np.ndarray  # (K,) off-diagonal totals
+    joint_counts: np.ndarray           # (K, 2, 2) ints, [k, given, confident true]
     estimated_noise_rates: np.ndarray  # (K, 2, 2) row-stochastic
     skipped_classes: tuple[int, ...]
     thresholds: np.ndarray             # (K, 2) [t_pos, t_neg], NaN when skipped
 
     def __post_init__(self):
-        for name in ("per_class_flags", "example_flags", "per_class_error_counts",
+        for name in ("per_class_flags", "example_flags", "joint_counts",
                      "estimated_noise_rates", "thresholds"):
             arr = np.array(getattr(self, name), copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def per_class_error_counts(self) -> np.ndarray:
+        """(K,) off-diagonal totals of the joints: each class's flagged examples."""
+        return self.joint_counts[:, 0, 1] + self.joint_counts[:, 1, 0]
 
 
 def _thresholds(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -112,63 +90,6 @@ def _confident_joint(
     return counted & (present != given), np.moveaxis(np.array(counts, dtype=np.int64), -1, 0)
 
 
-def _class_view(labels, probs, class_index: int, thresholds=None):
-    """Checked N x 1 labels and probabilities of one class, and its (1, 2) thresholds.
-
-    Pinned thresholds must be finite and in [0, 1]; otherwise they are
-    estimated from the column (NaN when it is one-sided).
-    """
-    labels, probs = check_labels_probs(labels, probs)
-    if not 0 <= class_index < labels.shape[1]:
-        raise ValueError(f"class_index {class_index} not in [0, {labels.shape[1]})")
-    labels, probs = labels[:, [class_index]], probs[:, [class_index]]
-    if thresholds is None:
-        return labels, probs, _thresholds(labels, probs)
-    _check_thresholds(*thresholds)
-    return labels, probs, np.array([thresholds], dtype=np.float64)
-
-
-def class_thresholds(labels: np.ndarray, probs: np.ndarray, class_index: int) -> tuple[float, float]:
-    """Confidence thresholds for one class: (mean p | given 1, mean 1-p | given 0).
-
-    Raises ``ValueError`` when the class has no positives or no negatives;
-    callers that want flags should skip such classes instead.
-    """
-    labels, _, thresholds = _class_view(labels, probs, class_index)
-    if np.isnan(thresholds).any():
-        side = "negatives" if labels.any() else "positives"
-        raise ValueError(f"class {class_index} has no annotated {side}")
-    t_pos, t_neg = thresholds[0].tolist()
-    return t_pos, t_neg
-
-
-def binary_confident_joint(
-    labels: np.ndarray,
-    probs: np.ndarray,
-    class_index: int,
-    thresholds: tuple[float, float] | None = None,
-) -> BinaryConfidentJoint:
-    """Count (given, confident true) pairs for one class."""
-    if thresholds is None:
-        thresholds = class_thresholds(labels, probs, class_index)
-    labels, probs, pinned = _class_view(labels, probs, class_index, thresholds)
-    counts = _confident_joint(labels, probs, pinned)[1][0]
-    return BinaryConfidentJoint(class_index, counts, *thresholds)
-
-
-def flag_class(
-    labels: np.ndarray,
-    probs: np.ndarray,
-    class_index: int,
-    thresholds: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Boolean vector flagging the off-diagonal members of the class joint.
-
-    A skipped class (single-sided labels) yields an all-false vector.
-    """
-    return _confident_joint(*_class_view(labels, probs, class_index, thresholds))[0][:, 0]
-
-
 def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
     """Run per-class confident flagging for every class and take the union.
 
@@ -191,7 +112,7 @@ def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
     return FlagReport(
         per_class_flags=per_class_flags,
         example_flags=per_class_flags.any(axis=1),
-        per_class_error_counts=counts[:, 0, 1] + counts[:, 1, 0],
+        joint_counts=counts,
         estimated_noise_rates=np.where(row_total > 0, rates, np.eye(2)),
         skipped_classes=tuple(np.flatnonzero(np.isnan(thresholds[:, 0])).tolist()),
         thresholds=thresholds,

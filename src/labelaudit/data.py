@@ -1,4 +1,4 @@
-"""Dataset containers, validation, and CSV/JSON-lines I/O shared by all modules.
+"""Dataset containers, input checks, and CSV/JSON-lines I/O shared by all modules.
 
 Labels are dense N x K 0/1 matrices; predicted probabilities are N x K floats
 whose rows do NOT need to sum to 1 (classes are not mutually exclusive).
@@ -36,9 +36,9 @@ class MultiLabelDataset:
 
     ``true_labels`` is only present for synthetic data where ground truth is
     known. ``features`` holds optional non-negative bag-of-words counts.
-    Constructors enforce structural shape consistency; value-domain checks
-    (0/1-ness, ranges) are the job of :func:`validate` so that malformed
-    matrices can still be inspected and reported.
+    Constructors enforce structural shape consistency only; the value
+    domains of labels and probabilities are checked where they are used,
+    by :func:`check_labels_probs`.
     """
 
     given_labels: np.ndarray
@@ -112,69 +112,6 @@ class ProbMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`: hard violations plus advisory warnings."""
-
-    violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(dataset: MultiLabelDataset, probs: ProbMatrix | None = None) -> ValidationReport:
-    """Check value domains and cross-object shape consistency.
-
-    Returns a report rather than raising: shape mismatches, out-of-range
-    entries and NaN/Inf are violations; a class with no positive (or no
-    negative) given labels is a warning because downstream modules define
-    their own handling for one-sided classes.
-    """
-    violations: list[str] = []
-    warnings: list[str] = []
-
-    labels = dataset.given_labels
-    bad = np.argwhere((labels != 0) & (labels != 1))
-    for i, k in bad[:20]:
-        violations.append(f"label not in {{0,1}} at (example {i}, class {k})")
-    if dataset.true_labels is not None:
-        bad = np.argwhere((dataset.true_labels != 0) & (dataset.true_labels != 1))
-        for i, k in bad[:20]:
-            violations.append(f"true label not in {{0,1}} at (example {i}, class {k})")
-    if dataset.features is not None:
-        feats = dataset.features
-        if not np.all(np.isfinite(feats)):
-            violations.append("non-finite feature value")
-        elif np.any(feats < 0):
-            i, d = np.argwhere(feats < 0)[0]
-            violations.append(f"negative feature at (example {i}, column {d})")
-
-    if probs is not None:
-        p = probs.values
-        if p.shape != labels.shape:
-            violations.append(
-                f"shape mismatch: labels {labels.shape} vs probabilities {p.shape}"
-            )
-        nonfinite = np.argwhere(~np.isfinite(p))
-        for i, k in nonfinite[:20]:
-            violations.append(f"non-finite probability at (example {i}, class {k})")
-        finite = np.where(np.isfinite(p), p, 0.5)
-        out = np.argwhere((finite < 0.0) | (finite > 1.0))
-        for i, k in out[:20]:
-            violations.append(f"probability out of [0,1] at (example {i}, class {k})")
-
-    pos_counts = labels.sum(axis=0)
-    for k in range(dataset.n_classes):
-        if pos_counts[k] == 0:
-            warnings.append(f"class {k} has zero positive examples")
-        if pos_counts[k] == dataset.n_examples:
-            warnings.append(f"class {k} has zero negative examples")
-
-    return ValidationReport(tuple(violations), tuple(warnings))
-
-
 def check_binary_labels(labels: np.ndarray) -> None:
     """``ValueError`` naming the first cell of the 2-D ``labels`` that is not 0 or 1."""
     bad = (labels != 0) & (labels != 1)
@@ -186,9 +123,10 @@ def check_binary_labels(labels: np.ndarray) -> None:
 def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
     """Labels (as int64) and probabilities as arrays; ``ValueError`` at the first bad cell.
 
-    The library's counterpart of :func:`validate`: both must be N x K, every
-    label 0 or 1, every probability finite and in [0, 1]. Each value check
-    is one vectorised pass; the bad cell is only looked for once one fails.
+    Both must be N x K, every label 0 or 1, every probability finite and in
+    [0, 1]. The library's entry points and the CLI check their input here.
+    Each value check is one vectorised pass; the bad cell is only looked for
+    once one fails.
     """
     labels = np.asarray(labels)
     probs = np.asarray(probs, dtype=np.float64)
@@ -443,7 +381,8 @@ def load_dataset(
 
     ``format="csv"`` reads the labels CSV plus optional aligned features /
     true-labels CSVs. ``format="jsonl"`` reads only the labels field of a
-    JSON-lines file (use :func:`load_jsonl` to also get probabilities).
+    JSON-lines file (use :func:`load_jsonl` to also get probabilities), and
+    takes neither extra path.
     """
     if format == "csv":
         ids, labels = load_labels_csv(labels_path)
@@ -457,6 +396,8 @@ def load_dataset(
             check_ids_aligned(ids, tids, f"{labels_path} vs {true_labels_path}")
         return MultiLabelDataset(labels, tuple(ids), true_labels=truth, features=features)
     if format == "jsonl":
+        if features_path is not None or true_labels_path is not None:
+            raise ValueError("format='jsonl' reads no features or true-labels file")
         dataset, _ = load_jsonl(labels_path)
         return dataset
     raise ValueError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")

@@ -134,11 +134,12 @@ class QualityScoreVector:
 
 
 def self_confidence(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-class score matrix: p where the label is 1, 1 - p where it is 0."""
-    labels = np.asarray(labels)
-    probs = np.asarray(probs, dtype=np.float64)
-    if labels.shape != probs.shape:
-        raise ValueError(f"labels shape {labels.shape} != probs shape {probs.shape}")
+    """Per-class score matrix: p where the label is 1, 1 - p where it is 0.
+
+    Raises ``ValueError`` for a label outside {0,1} or a probability that is
+    not a finite number in [0, 1].
+    """
+    labels, probs = check_labels_probs(labels, probs)
     return np.where(labels == 1, probs, 1.0 - probs)
 
 
@@ -219,7 +220,7 @@ def score_all(
 ) -> tuple[QualityScoreVector, ...]:
     """:func:`score_examples` for each method, in order, from one input check,
     one self-confidence matrix and at most one sort; raises as it does."""
-    per_class = self_confidence(*check_labels_probs(labels, probs))
+    per_class = self_confidence(labels, probs)
     return tuple(QualityScoreVector(values, method)
                  for values, method in zip(_pool_all(per_class, methods), methods))
 
@@ -227,9 +228,12 @@ def score_all(
 def rescale_for_display(scores: np.ndarray) -> np.ndarray:
     """Min-max rescale scores to [0,1] for reporting only.
 
-    Ranking metrics must always use raw values; constant inputs map to 0.5.
+    Ranking metrics must always use raw values; constant inputs map to 0.5
+    and empty ones to an empty array.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        return scores.copy()
     lo, hi = scores.min(), scores.max()
     if hi == lo:
         return np.full_like(scores, 0.5)

@@ -267,17 +267,6 @@ def inject_noise(
     return noisy
 
 
-def make_noisy_dataset(config: GenConfig, noise: NoiseSpec) -> MultiLabelDataset:
-    """Generate a dataset and corrupt its given labels per the noise spec."""
-    clean = gen_multilabel(config)
-    noisy = inject_noise(
-        clean.true_labels, noise.matrices, noise.max_errors_per_example, noise.seed
-    )
-    return MultiLabelDataset(
-        noisy, clean.example_ids, true_labels=clean.true_labels, features=clean.features
-    )
-
-
 def save_noise_spec_json(path, spec: NoiseSpec) -> None:
     Path(path).write_text(json.dumps({
         "gamma_shape": spec.gamma_shape,

@@ -402,7 +402,7 @@ def flag_multilabel(labels, probs):
     probs = np.asarray(probs, dtype=np.float64)
     n_examples, n_classes = labels.shape
     per_class_flags = np.zeros((n_examples, n_classes), dtype=bool)
-    error_counts = np.zeros(n_classes, dtype=np.int64)
+    joint_counts = np.zeros((n_classes, 2, 2), dtype=np.int64)
     noise_rates = np.zeros((n_classes, 2, 2))
     thresholds = np.full((n_classes, 2), np.nan)
     skipped = []
@@ -422,13 +422,13 @@ def flag_multilabel(labels, probs):
         counts = np.zeros((2, 2), dtype=np.int64)
         np.add.at(counts, (given[counted], confident[counted]), 1)
         per_class_flags[:, k] = counted & (confident != given)
-        error_counts[k] = counts[0, 1] + counts[1, 0]
+        joint_counts[k] = counts
         n_given = np.array([(given == 0).sum(), (given == 1).sum()])
         noise_rates[k] = _noise_rate_matrix(counts, n_given)
     return dict(
         per_class_flags=per_class_flags,
         example_flags=per_class_flags.any(axis=1),
-        per_class_error_counts=error_counts,
+        joint_counts=joint_counts,
         estimated_noise_rates=noise_rates,
         skipped_classes=tuple(skipped),
         thresholds=thresholds,

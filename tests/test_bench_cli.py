@@ -443,6 +443,28 @@ class TestCli:
                         "--probs", str(tmp_path / "p.csv"),
                         "--out", str(tmp_path / "s.csv")) == 2
 
+    @pytest.mark.parametrize("command", ["score", "flag"])
+    @pytest.mark.parametrize("probs_csv, named", [
+        ("id,prob_0,prob_1\na,0.5,nan\nb,0.5,0.5\n",
+         ["non-finite probability", "at (example 0, class 1)"]),
+        ("id,prob_0,prob_1\na,0.5,1.5\nb,0.5,0.5\n",
+         ["probability out of [0,1]", "at (example 0, class 1)"]),
+        ("id,prob_0,prob_1,prob_2\na,0.5,0.5,0.5\nb,0.5,0.5,0.5\n",
+         ["shape", "(2, 2)", "(2, 3)"]),
+    ], ids=["nan", "above-one", "extra-class"])
+    def test_bad_probabilities_are_data_errors(self, tmp_path, capsys, command, probs_csv,
+                                               named):
+        (tmp_path / "l.csv").write_text("id,label_0,label_1\na,1,0\nb,0,1\n")
+        (tmp_path / "p.csv").write_text(probs_csv)
+        assert self.run(command, "--labels", str(tmp_path / "l.csv"),
+                        "--probs", str(tmp_path / "p.csv"),
+                        "--out", str(tmp_path / "out.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        for part in named:
+            assert part in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_invalid_method_parameter_is_usage_error(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\n")
         (tmp_path / "p.csv").write_text("id,prob_0\na,0.5\nb,0.5\n")
@@ -478,3 +500,11 @@ class TestCli:
                         "--method", "log", "--rescale") == 0
         _, scores = load_scores_csv(tmp_path / "s.csv")
         assert scores.min() == 0.0 and scores.max() == 1.0
+
+    def test_rescale_of_header_only_files_writes_header_only_scores(self, tmp_path):
+        (tmp_path / "l.csv").write_text("id,label_0,label_1\n")
+        (tmp_path / "p.csv").write_text("id,prob_0,prob_1\n")
+        assert self.run("score", "--labels", str(tmp_path / "l.csv"),
+                        "--probs", str(tmp_path / "p.csv"),
+                        "--out", str(tmp_path / "s.csv"), "--rescale") == 0
+        assert (tmp_path / "s.csv").read_bytes() == b"id,score\r\n"

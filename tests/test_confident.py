@@ -6,9 +6,7 @@ import pytest
 import reference
 from labelaudit.confident import (
     FlagReport,
-    binary_confident_joint,
-    class_thresholds,
-    flag_class,
+    _confident_joint,
     flag_multilabel,
     save_flag_summary_json,
     save_flags_csv,
@@ -60,60 +58,55 @@ class TestThresholds:
     def test_positive_threshold_is_mean_probability(self):
         labels = np.array([[1], [1], [0], [0]])
         probs = np.array([[0.8], [0.6], [0.5], [0.5]])
-        t_pos, _ = class_thresholds(labels, probs, 0)
+        t_pos, _ = flag_multilabel(labels, probs).thresholds[0]
         assert t_pos == pytest.approx(0.7)
 
     def test_negative_threshold_is_mean_complement(self):
         labels = np.array([[1], [0], [0]])
         probs = np.array([[0.5], [0.1], [0.3]])
-        _, t_neg = class_thresholds(labels, probs, 0)
+        _, t_neg = flag_multilabel(labels, probs).thresholds[0]
         assert t_neg == pytest.approx(0.8)
 
     def test_one_sided_class_raises(self):
+        # a class without annotated negatives has no thresholds: a NaN row
         labels = np.ones((3, 1), dtype=int)
         probs = np.full((3, 1), 0.9)
-        with pytest.raises(ValueError, match="no annotated negatives"):
-            class_thresholds(labels, probs, 0)
+        assert np.isnan(flag_multilabel(labels, probs).thresholds[0]).all()
 
 
 class TestBinaryConfidentJoint:
     def test_hand_computed_four_examples(self):
         labels = np.array([[1], [1], [0], [0]])
         probs = np.array([[0.9], [0.2], [0.1], [0.8]])
-        joint = binary_confident_joint(labels, probs, 0, thresholds=(0.55, 0.85))
+        counts = _confident_joint(labels, probs, np.array([[0.55, 0.85]]))[1][0]
         # i1 -> C[1][1]; i2 unconfident both sides; i3 -> C[0][0]; i4 -> C[0][1]
-        assert joint.counts[1, 1] == 1
-        assert joint.counts[0, 0] == 1
-        assert joint.counts[0, 1] == 1
-        assert joint.counts[1, 0] == 0
-        assert joint.counts.sum() == 3  # i2 is not counted
-
-    def test_threshold_range_enforced(self):
-        from labelaudit.confident import BinaryConfidentJoint
-        with pytest.raises(ValueError, match="threshold_positive"):
-            BinaryConfidentJoint(0, np.zeros((2, 2), dtype=int), 1.2, 0.5)
+        assert counts[1, 1] == 1
+        assert counts[0, 0] == 1
+        assert counts[0, 1] == 1
+        assert counts[1, 0] == 0
+        assert counts.sum() == 3  # i2 is not counted
 
     def test_counts_never_exceed_n(self):
         labels, probs = random_instance(0)
+        joint_counts = flag_multilabel(labels, probs).joint_counts
         for k in range(labels.shape[1]):
-            joint = binary_confident_joint(labels, probs, k)
-            assert joint.counts.sum() <= labels.shape[0]
+            assert joint_counts[k].sum() <= labels.shape[0]
 
     def test_perfect_probs_offdiagonal_equals_error_count(self):
         for seed in range(10):
             truth, given, probs = flipped_instance(seed)
+            joint_counts = flag_multilabel(given, probs).joint_counts
             for k in range(truth.shape[1]):
-                joint = binary_confident_joint(given, probs, k)
                 n_errors = int((given[:, k] != truth[:, k]).sum())
-                assert joint.counts[0, 1] + joint.counts[1, 0] == n_errors
+                assert joint_counts[k, 0, 1] + joint_counts[k, 1, 0] == n_errors
 
     def test_agreement_case_has_zero_offdiagonal(self):
         rng = np.random.default_rng(3)
         labels = random_instance(3)[0]
         probs = np.where(labels == 1, 0.9, 0.1) + rng.normal(0, 0.01, labels.shape)
+        joint_counts = flag_multilabel(labels, probs).joint_counts
         for k in range(labels.shape[1]):
-            joint = binary_confident_joint(labels, probs, k)
-            assert joint.counts[0, 1] + joint.counts[1, 0] == 0
+            assert joint_counts[k, 0, 1] + joint_counts[k, 1, 0] == 0
 
 
 class TestFlagClass:
@@ -121,7 +114,7 @@ class TestFlagClass:
         # continuation of the hand-computed joint: only i4 lands off-diagonal
         labels = np.array([[1], [1], [0], [0]])
         probs = np.array([[0.9], [0.2], [0.1], [0.8]])
-        flags = flag_class(labels, probs, 0, thresholds=(0.55, 0.85))
+        flags = _confident_joint(labels, probs, np.array([[0.55, 0.85]]))[0][:, 0]
         assert flags.tolist() == [False, False, False, True]
 
     def test_hand_computed_flags_with_data_thresholds(self):
@@ -129,34 +122,37 @@ class TestFlagClass:
         # i2's absent side confident (1 - 0.2 >= 0.55), flagging it too
         labels = np.array([[1], [1], [0], [0]])
         probs = np.array([[0.9], [0.2], [0.1], [0.8]])
-        flags = flag_class(labels, probs, 0)
+        flags = flag_multilabel(labels, probs).per_class_flags[:, 0]
         assert flags.tolist() == [False, True, False, True]
 
     def test_self_consistent_probs_give_no_flags(self):
         labels = random_instance(4)[0]
         probs = np.where(labels == 1, 0.95, 0.05).astype(float)
+        per_class_flags = flag_multilabel(labels, probs).per_class_flags
         for k in range(labels.shape[1]):
-            assert not flag_class(labels, probs, k).any()
+            assert not per_class_flags[:, k].any()
 
     def test_single_flip_is_exactly_flagged(self):
         for seed in range(8):
             truth, given, probs = flipped_instance(seed, n_flips=1)
+            per_class_flags = flag_multilabel(given, probs).per_class_flags
             flagged = np.zeros(truth.shape[0], dtype=bool)
             for k in range(truth.shape[1]):
-                flagged |= flag_class(given, probs, k)
+                flagged |= per_class_flags[:, k]
             expected = (given != truth).any(axis=1)
             assert np.array_equal(flagged, expected)
 
     def test_skipped_class_is_all_false(self):
         labels = np.ones((5, 1), dtype=int)
         probs = np.full((5, 1), 0.2)
-        assert not flag_class(labels, probs, 0).any()
+        assert not flag_multilabel(labels, probs).per_class_flags[:, 0].any()
 
     def test_matches_enumeration_oracle(self):
         for seed in range(25):
             labels, probs = random_instance(seed, n=30, k=3)
+            per_class_flags = flag_multilabel(labels, probs).per_class_flags
             for k in range(3):
-                mine = flag_class(labels, probs, k)
+                mine = per_class_flags[:, k]
                 ref = reference.flag_class(labels[:, k].tolist(), probs[:, k].tolist())
                 assert mine.tolist() == ref
 
@@ -172,7 +168,7 @@ class TestFlagMultilabel:
         report = flag_multilabel(given, probs)
         per_class_union = np.zeros(truth.shape[0], dtype=bool)
         for k in range(truth.shape[1]):
-            per_class_union |= flag_class(given, probs, k)
+            per_class_union |= report.per_class_flags[:, k]
         assert np.array_equal(report.example_flags, per_class_union)
 
     def test_all_classes_skipped(self):
@@ -227,32 +223,17 @@ class TestFlagMultilabel:
 
 
 class TestClassViewsCheckInput:
+    # one class's flags and thresholds come from the checked whole-matrix pass
     def test_flag_class_rejects_label_outside_zero_one(self):
         labels = np.array([[2], [2], [0]])
         with pytest.raises(ValueError, match=r"label 2 not in \{0,1\}"):
-            flag_class(labels, np.full((3, 1), 0.5), 0)
+            flag_multilabel(labels, np.full((3, 1), 0.5))
 
     def test_class_thresholds_rejects_nan_probability(self):
         labels = np.array([[1], [0], [0]])
         probs = np.array([[np.nan], [0.1], [0.3]])
         with pytest.raises(ValueError, match="non-finite probability"):
-            class_thresholds(labels, probs, 0)
-
-    def test_class_index_past_last_class(self):
-        labels, probs = random_instance(0, n=10, k=2)
-        with pytest.raises(ValueError, match="class_index 5"):
-            binary_confident_joint(labels, probs, 5)
-
-    def test_negative_class_index_does_not_alias_last_class(self):
-        labels, probs = random_instance(0, n=10, k=2)
-        with pytest.raises(ValueError, match="class_index -1"):
-            binary_confident_joint(labels, probs, -1)
-
-    def test_flag_class_rejects_pinned_threshold_outside_unit_interval(self):
-        labels = np.array([[1], [1], [0], [0]])
-        probs = np.array([[0.9], [0.2], [0.1], [0.8]])
-        with pytest.raises(ValueError, match="threshold_positive"):
-            flag_class(labels, probs, 0, thresholds=(1.2, 0.5))
+            flag_multilabel(labels, probs)
 
 
 class TestMatchesOriginalLoop:
@@ -261,7 +242,7 @@ class TestMatchesOriginalLoop:
         for labels, probs in oracle_instances():
             mine = flag_multilabel(labels, probs)
             ref = reference.flag_multilabel(labels, probs)
-            for name in ("per_class_flags", "example_flags", "per_class_error_counts",
+            for name in ("per_class_flags", "example_flags", "joint_counts",
                          "estimated_noise_rates"):
                 assert np.array_equal(getattr(mine, name), ref[name]), name
             assert np.array_equal(mine.thresholds.view(np.uint64), ref["thresholds"].view(np.uint64))
@@ -305,7 +286,7 @@ class TestSerialization:
         per_class = np.zeros((4, 12), dtype=bool)
         per_class[1, [0, 2]] = True
         per_class[3, [1, 11]] = True
-        report = FlagReport(per_class, per_class.any(axis=1), np.zeros(12),
+        report = FlagReport(per_class, per_class.any(axis=1), np.zeros((12, 2, 2), dtype=int),
                             np.tile(np.eye(2), (12, 1, 1)), (), np.zeros((12, 2)))
         path = tmp_path / "flags.csv"
         save_flags_csv(path, ["a", "b,c", 'say "hi"', "two\nlines"], report)

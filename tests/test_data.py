@@ -17,6 +17,7 @@ from labelaudit.data import (
     MultiLabelDataset,
     ProbMatrix,
     check_ids_aligned,
+    check_labels_probs,
     load_dataset,
     load_features_csv,
     load_jsonl,
@@ -28,9 +29,8 @@ from labelaudit.data import (
     save_labels_csv,
     save_probs_csv,
     save_scores_csv,
-    validate,
 )
-from labelaudit.scoring import PoolingMethod, score_examples
+from labelaudit.scoring import PoolingMethod, score_examples, self_confidence
 
 
 def make_dataset(n=3, k=2, seed=0):
@@ -42,43 +42,29 @@ def make_dataset(n=3, k=2, seed=0):
 
 
 class TestValidate:
+    """check_labels_probs: the one check of labels against probabilities."""
+
     def test_well_formed_input_is_ok(self):
-        dataset = MultiLabelDataset([[1, 0], [0, 1], [1, 1]], ("a", "b", "c"))
-        probs = ProbMatrix([[0.9, 0.1], [0.2, 0.8], [0.7, 0.6]])
-        report = validate(dataset, probs)
-        assert report.ok
-        assert report.violations == ()
+        labels = [[1, 0], [0, 1], [1, 1]]
+        probs = [[0.9, 0.1], [0.2, 0.8], [0.7, 0.6]]
+        checked_labels, checked_probs = check_labels_probs(labels, probs)
+        assert np.array_equal(checked_labels, labels) and checked_labels.dtype == np.int64
+        assert np.array_equal(checked_probs, probs)
 
     def test_probability_out_of_range(self):
-        dataset = MultiLabelDataset([[1, 0]], ("a",))
-        probs = ProbMatrix([[1.2, 0.5]])
-        report = validate(dataset, probs)
-        assert not report.ok
-        assert any("probability out of [0,1]" in v and "class 0" in v
-                   for v in report.violations)
+        with pytest.raises(ValueError, match=r"probability out of \[0,1\] .*class 0"):
+            check_labels_probs([[1, 0]], [[1.2, 0.5]])
 
     def test_shape_mismatch(self):
-        dataset = MultiLabelDataset(np.zeros((3, 2)), ("a", "b", "c"))
-        probs = ProbMatrix(np.full((4, 2), 0.5))
-        report = validate(dataset, probs)
-        assert any("shape mismatch" in v for v in report.violations)
+        with pytest.raises(ValueError, match="shape"):
+            check_labels_probs(np.zeros((3, 2)), np.full((4, 2), 0.5))
 
     def test_nan_probability(self):
-        dataset = MultiLabelDataset([[1, 0]], ("a",))
-        report = validate(dataset, ProbMatrix([[np.nan, 0.5]]))
-        assert any("non-finite probability" in v for v in report.violations)
-
-    def test_zero_positive_class_is_warning_not_error(self):
-        dataset = MultiLabelDataset([[0, 1], [0, 1]], ("a", "b"))
-        report = validate(dataset, ProbMatrix(np.full((2, 2), 0.5)))
-        assert report.ok
-        assert any("class 0 has zero positive" in w for w in report.warnings)
-        assert any("class 1 has zero negative" in w for w in report.warnings)
+        with pytest.raises(ValueError, match="non-finite probability"):
+            check_labels_probs([[1, 0]], [[np.nan, 0.5]])
 
     def test_boundary_probabilities_are_legal(self):
-        dataset = MultiLabelDataset([[1, 0]], ("a",))
-        report = validate(dataset, ProbMatrix([[0.0, 1.0]]))
-        assert report.ok
+        check_labels_probs([[1, 0]], [[0.0, 1.0]])
 
     @pytest.mark.parametrize("corrupt", ["label", "prob_high", "prob_low", "prob_nan"])
     def test_single_entry_corruption_is_rejected(self, corrupt):
@@ -95,9 +81,8 @@ class TestValidate:
             probs[4, 3] = -0.25
         else:
             probs[5, 0] = np.nan
-        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(6)))
-        report = validate(dataset, ProbMatrix(probs))
-        assert not report.ok
+        with pytest.raises(ValueError):
+            check_labels_probs(labels, probs)
 
 
 class TestContainers:
@@ -677,6 +662,11 @@ class TestJsonl:
         save_jsonl(tmp_path / "d.jsonl", dataset, probs)
         loaded = load_dataset(tmp_path / "d.jsonl", format="jsonl")
         assert np.array_equal(loaded.given_labels, dataset.given_labels)
+        # a JSON-lines file holds labels only; extra files are refused, not dropped
+        for extra in ("features_path", "true_labels_path"):
+            with pytest.raises(ValueError, match="format='jsonl' reads no"):
+                load_dataset(tmp_path / "d.jsonl", format="jsonl",
+                             **{extra: tmp_path / "extra.csv"})
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
@@ -764,16 +754,16 @@ def test_roundtrip_property(tmp_path_factory, n, k, seed):
     _, loaded_probs = load_probs_csv(tmp / "p.csv")
     assert np.array_equal(loaded_labels, label_matrix)
     assert np.array_equal(loaded_probs.values, probs)
-    report = validate(MultiLabelDataset(loaded_labels, tuple(lids)), loaded_probs)
-    assert report.ok
+    check_labels_probs(loaded_labels, loaded_probs.values)
 
 
 class TestLibraryInputChecks:
-    """score_examples and flag_multilabel reject what validate() reports."""
+    """The library's entry points reject what the CLI rejects, naming the first bad cell."""
 
     ENTRY_POINTS = {
         "score_examples": lambda labels, probs: score_examples(labels, probs, PoolingMethod("ema")),
         "flag_multilabel": flag_multilabel,
+        "self_confidence": self_confidence,
     }
 
     @staticmethod

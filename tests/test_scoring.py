@@ -473,3 +473,4 @@ def test_rescale_for_display():
     np.testing.assert_allclose(rescale_for_display(np.array([2.0, 4.0, 3.0])),
                                [0.0, 1.0, 0.5])
     np.testing.assert_allclose(rescale_for_display(np.array([1.5, 1.5])), [0.5, 0.5])
+    assert rescale_for_display(np.array([])).shape == (0,)
