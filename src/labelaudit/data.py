@@ -1,9 +1,15 @@
 """Dataset containers, input checks, and CSV/JSON-lines I/O shared by all modules.
 
-Labels are dense N x K 0/1 matrices; predicted probabilities are N x K floats
-whose rows do NOT need to sum to 1 (classes are not mutually exclusive).
-Containers are immutable after construction: arrays are copied and marked
-read-only so they can be shared freely across workers.
+Labels are dense N x K 0/1 matrices, held as ``LABEL_DTYPE`` (int8) in
+every layer: the containers, the loaders, :func:`check_labels_probs` and
+the generator all return int8, checked for 0/1 before the cast, so the cast
+is exact. Arithmetic on labels that can pass 127 must widen first:
+``labels.sum(axis=0)`` does so by itself (numpy sums small integers in the
+platform integer), but ``labels.T @ labels`` overflows in int8, so write
+``labels.T.astype(np.int64) @ labels``. Predicted probabilities are N x K
+floats whose rows do NOT need to sum to 1 (classes are not mutually
+exclusive). Containers are immutable after construction: arrays are copied
+and marked read-only so they can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from typing import Sequence
 import numpy as np
 
 
+# The dtype of every label matrix the library holds; see the module docstring.
+LABEL_DTYPE = np.int8
+
+
 class DataFormatError(ValueError):
     """An input file does not match the expected schema."""
 
@@ -30,15 +40,24 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _read_only_labels(labels: np.ndarray) -> np.ndarray:
+    """A read-only ``LABEL_DTYPE`` copy of the 2-D 0/1 ``labels``; else ``ValueError``."""
+    check_binary_labels(labels)
+    return _read_only(labels, LABEL_DTYPE)
+
+
 @dataclass(frozen=True)
 class MultiLabelDataset:
     """A multi-label dataset: one row per example, one 0/1 column per class.
 
     ``true_labels`` is only present for synthetic data where ground truth is
     known. ``features`` holds optional non-negative bag-of-words counts.
-    Constructors enforce structural shape consistency only; the value
-    domains of labels and probabilities are checked where they are used,
-    by :func:`check_labels_probs`.
+    Both label matrices are checked for 0/1 at construction (a ``ValueError``
+    names the first other cell, as :func:`check_binary_labels` does) and
+    held as read-only ``LABEL_DTYPE`` (int8) copies, so a label of 0.5 or
+    256 is rejected rather than truncated or wrapped. Widen them before a
+    product that can pass 127, such as ``labels.T @ labels``. The features
+    are checked for shape only.
     """
 
     given_labels: np.ndarray
@@ -47,9 +66,10 @@ class MultiLabelDataset:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = _read_only(self.given_labels, dtype=np.int64)
+        labels = np.asarray(self.given_labels)
         if labels.ndim != 2:
             raise ValueError(f"given_labels must be 2-D, got shape {labels.shape}")
+        labels = _read_only_labels(labels)
         object.__setattr__(self, "given_labels", labels)
         ids = tuple(str(i) for i in self.example_ids)
         if len(ids) != labels.shape[0]:
@@ -60,12 +80,12 @@ class MultiLabelDataset:
             raise ValueError("example ids must be unique")
         object.__setattr__(self, "example_ids", ids)
         if self.true_labels is not None:
-            truth = _read_only(self.true_labels, dtype=np.int64)
+            truth = np.asarray(self.true_labels)
             if truth.shape != labels.shape:
                 raise ValueError(
                     f"true_labels shape {truth.shape} != given_labels shape {labels.shape}"
                 )
-            object.__setattr__(self, "true_labels", truth)
+            object.__setattr__(self, "true_labels", _read_only_labels(truth))
         if self.features is not None:
             feats = _read_only(self.features, dtype=np.float64)
             if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
@@ -121,12 +141,14 @@ def check_binary_labels(labels: np.ndarray) -> None:
 
 
 def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (as int64) and probabilities as arrays; ``ValueError`` at the first bad cell.
+    """Labels (as int8) and probabilities (as float64); ``ValueError`` at the first bad cell.
 
     Both must be N x K, every label 0 or 1, every probability finite and in
     [0, 1]. The library's entry points and the CLI check their input here.
     Each value check is one vectorised pass; the bad cell is only looked for
-    once one fails.
+    once one fails. The labels are cast to ``LABEL_DTYPE`` after their 0/1
+    check, so the cast is exact; widen them before a product that can pass
+    127.
     """
     labels = np.asarray(labels)
     probs = np.asarray(probs, dtype=np.float64)
@@ -140,13 +162,13 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
         i, k = np.argwhere(~in_range)[0]
         what = "probability out of [0,1]" if np.isfinite(probs[i, k]) else "non-finite probability"
         raise ValueError(f"{what} ({probs[i, k]}) at (example {i}, class {k})")
-    return labels.astype(np.int64, copy=False), probs
+    return labels.astype(LABEL_DTYPE, copy=False), probs
 
 
 # ---------------------------------------------------------------------------
 # CSV formats.
 #
-# labels:   id,label_0,...,label_{K-1}     values 0/1
+# labels:   id,label_0,...,label_{K-1}     values 0/1, loaded as LABEL_DTYPE
 # probs:    id,prob_0,...,prob_{K-1}       full-precision decimals
 # features: id,feat_0,...,feat_{D-1}       non-negative numbers
 # scores:   id,score
@@ -309,7 +331,7 @@ def _convert_binary(lines: list[str], width: int) -> np.ndarray:
     digits = cells[:, 1::2] - np.uint8(ord("0"))  # wraps below "0"
     if not ((cells[:, 0:-1:2] == ord(",")).all() and (digits <= 1).all()):
         raise ValueError("a label cell is not 0 or 1")
-    return digits
+    return digits.view(LABEL_DTYPE)  # 0 and 1 read the same in either byte type
 
 
 def _convert_float(lines: list[str], width: int) -> np.ndarray:
@@ -355,9 +377,10 @@ def check_ids_aligned(ids_a: Sequence[str], ids_b: Sequence[str], what: str) -> 
 
 
 def load_labels_csv(path) -> tuple[list[str], np.ndarray]:
+    """The ids and the ``LABEL_DTYPE`` 0/1 matrix of a labels CSV."""
     ids, data = _parse_matrix_csv(path, partial(_check_header, prefix="label"),
                                   _convert_binary, _parse_binary_cell)
-    return ids, data.astype(np.int64)
+    return ids, data.astype(LABEL_DTYPE, copy=False)  # the block reader's values are int8
 
 
 def load_probs_csv(path) -> tuple[list[str], ProbMatrix]:
@@ -582,5 +605,5 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
         raise DataFormatError(f"{path}: inconsistent row widths {sorted(widths)}")
     if widths == {0}:
         raise DataFormatError(f"{path}: no label columns (every labels list is empty)")
-    dataset = MultiLabelDataset(np.array(labels), tuple(ids))
+    dataset = MultiLabelDataset(np.array(labels, dtype=LABEL_DTYPE), tuple(ids))
     return dataset, ProbMatrix(np.array(probs)) if probs else None

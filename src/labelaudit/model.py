@@ -339,10 +339,9 @@ def cross_val_pred_probs(
 ) -> ProbMatrix:
     """Out-of-sample probabilities: each example is predicted by the model
     trained on the other folds; scaling statistics come from training folds only.
-    Raises ``ValueError`` at a given label that is not 0 or 1."""
+    The labels need no check here: ``MultiLabelDataset`` holds only 0/1."""
     if dataset.features is None:
         raise ValueError("dataset has no features to train on")
-    check_binary_labels(dataset.given_labels)
     folds = fold_assignments(dataset.n_examples, cv)
     # elementwise, so each fold's rows hold the bits train() would compute
     logged = np.log1p(dataset.features)

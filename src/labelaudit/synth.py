@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MultiLabelDataset, check_binary_labels
+from .data import LABEL_DTYPE, MultiLabelDataset, check_binary_labels
 
 
 def _check_count(name: str, value, minimum: int = 0) -> None:
@@ -192,7 +192,7 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     """Generate a clean dataset (true labels only; no noise applied yet).
 
     Deterministic given ``config.seed``. Returned ``given_labels`` equal
-    ``true_labels`` until noise is injected.
+    ``true_labels`` (both ``LABEL_DTYPE``) until noise is injected.
     """
     rng = np.random.default_rng(config.seed)
     n, d, k = config.n_samples, config.n_features, config.n_classes
@@ -208,7 +208,7 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     # One uniform permutation of the classes per row; the classes placed below
     # the row's count are its labels, a uniform subset of exactly that size.
     positions = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-    labels = (positions < label_counts[:, None]).astype(np.int64)
+    labels = (positions < label_counts[:, None]).astype(LABEL_DTYPE)
 
     # Words drawn from the mixture of each example's class distributions;
     # unlabeled examples fall back to a uniform mixture over the vocabulary.
@@ -236,7 +236,9 @@ def inject_noise(
     probability of that class's matrix row for the true value. When more
     than ``max_errors`` classes of one example would flip, a uniformly
     random subset of exactly ``max_errors`` flips is kept, so the per-class
-    marginal noise is preserved as closely as the cap allows.
+    marginal noise is preserved as closely as the cap allows. The noisy
+    labels are returned as ``LABEL_DTYPE`` whatever the dtype of
+    ``true_labels``.
 
     All flips are proposed in one N x K uniform draw. After it, only the
     capped rows draw from the RNG, one ``choice`` each in row order; every
@@ -262,8 +264,8 @@ def inject_noise(
         flips[i] = False
         flips[i, kept] = True
 
-    noisy = truth.copy()
-    noisy[flips] = 1 - noisy[flips]
+    noisy = truth.astype(LABEL_DTYPE)  # exact: checked 0/1 above
+    noisy ^= flips
     return noisy
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,26 @@ def tiny_plan(**overrides):
     )
     defaults.update(overrides)
     return bench.BenchmarkPlan(**defaults)
+
+
+class TestReplicateMemory:
+    def test_large_replicate_holds_its_labels_as_int8(self):
+        # At its peak (scoring) a replicate holds five N x K label matrices
+        # (the generated dataset's two, the noisy copy and the rebuilt
+        # dataset's two) beside its float64 probabilities and scoring's
+        # float64 temporaries: ~47 bytes a cell with int8 labels, and
+        # 5 * 7 bytes more with int64 ones (traced at 30000 x 50: ~71 MB
+        # and ~123 MB)
+        plan = bench.large_plan(n_replicates=1, train_config=TrainConfig(epochs=1))
+        cells = plan.gen_config.n_samples * plan.gen_config.n_classes
+        tracemalloc.start()
+        try:
+            result = bench.run_replicate(plan, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.error is None
+        assert peak < 60 * cells
 
 
 class TestBenchmark:

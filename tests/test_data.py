@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from labelaudit import data
 from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
@@ -31,6 +32,7 @@ from labelaudit.data import (
     save_scores_csv,
 )
 from labelaudit.scoring import PoolingMethod, score_examples, self_confidence
+from labelaudit.synth import GenConfig, draw_noise_spec, gen_multilabel, inject_noise
 
 
 def make_dataset(n=3, k=2, seed=0):
@@ -48,7 +50,7 @@ class TestValidate:
         labels = [[1, 0], [0, 1], [1, 1]]
         probs = [[0.9, 0.1], [0.2, 0.8], [0.7, 0.6]]
         checked_labels, checked_probs = check_labels_probs(labels, probs)
-        assert np.array_equal(checked_labels, labels) and checked_labels.dtype == np.int64
+        assert np.array_equal(checked_labels, labels) and checked_labels.dtype == np.int8
         assert np.array_equal(checked_probs, probs)
 
     def test_probability_out_of_range(self):
@@ -97,6 +99,16 @@ class TestContainers:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             MultiLabelDataset([[1], [0]], ("a", "a"))
+
+    @pytest.mark.parametrize("value", [0.5, 1.7, 256])
+    @pytest.mark.parametrize("field", ["given_labels", "true_labels"])
+    def test_label_outside_0_1_rejected_at_construction(self, field, value):
+        # neither truncated (0.5 -> 0, 1.7 -> 1) nor wrapped into int8 (256 -> 0)
+        matrices = {"given_labels": [[1, 0], [0, 1]], "true_labels": [[1, 0], [0, 1]]}
+        matrices[field] = [[1, 0], [0, value]]
+        message = rf"^label {value} not in \{{0,1\}} at \(example 1, class 1\)$"
+        with pytest.raises(ValueError, match=message):
+            MultiLabelDataset(example_ids=("a", "b"), **matrices)
 
     def test_arrays_are_immutable(self):
         dataset, probs = make_dataset()
@@ -646,6 +658,53 @@ class TestBlockReader:
         assert np.array_equal(probs.values, values)
         assert not probs.values.flags.writeable
         assert peak < 1.5 * values.nbytes
+
+
+class TestLabelDtype:
+    """Every producer of a label matrix returns int8 holding the int64 values it returned before."""
+
+    def test_gen_multilabel(self):
+        config = GenConfig(n_samples=300, n_test=1, n_features=5, n_classes=12,
+                           expected_labels_per_example=4.0, seed=3)
+        dataset = gen_multilabel(config)
+        want = reference.gen_multinomial(config)[0]  # int64, from the same stream
+        for labels in (dataset.given_labels, dataset.true_labels):
+            assert labels.dtype == np.int8 and np.array_equal(labels, want)
+
+    @pytest.mark.parametrize("dtype", [np.int64, bool])
+    def test_inject_noise(self, dtype):
+        truth = np.random.default_rng(8).integers(0, 2, size=(400, 10)).astype(dtype)
+        matrices = draw_noise_spec(10, gamma_scale=0.3, seed=2).matrices
+        noisy = inject_noise(truth, matrices, 3, seed=5)
+        want = reference.inject_noise(truth.astype(np.int64), matrices, 3, seed=5)
+        assert noisy.dtype == np.int8 and np.array_equal(noisy, want)
+        assert not np.array_equal(noisy, truth)
+
+    @pytest.mark.parametrize("id_format", ["ex{}", "ex,{}"], ids=["block", "scan"])
+    def test_load_labels_csv(self, tmp_path, id_format):
+        # a quoted id sends the file through the per-cell scan
+        labels = np.random.default_rng(9).integers(0, 2, size=(700, 6))
+        path = tmp_path / "labels.csv"
+        save_labels_csv(path, [id_format.format(i) for i in range(len(labels))], labels)
+        with mock.patch.object(data, "_scan_matrix_csv", wraps=data._scan_matrix_csv) as scan:
+            _, loaded = load_labels_csv(path)
+        assert scan.called == (id_format == "ex,{}")
+        assert loaded.dtype == np.int8 and np.array_equal(loaded, labels)
+
+    def test_load_jsonl(self, tmp_path):
+        dataset, probs = make_dataset(n=30, k=5, seed=4)
+        save_jsonl(tmp_path / "d.jsonl", dataset, probs)
+        loaded = load_jsonl(tmp_path / "d.jsonl")[0].given_labels
+        assert loaded.dtype == np.int8 and np.array_equal(loaded, dataset.given_labels)
+
+    @pytest.mark.parametrize("labels", [
+        [[1, 0], [0, 1]],
+        np.array([[True, False], [False, True]]),
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
+    ], ids=["list", "bool", "float"])
+    def test_check_labels_probs(self, labels):
+        checked, _ = check_labels_probs(labels, np.full((2, 2), 0.5))
+        assert checked.dtype == np.int8 and checked.tolist() == [[1, 0], [0, 1]]
 
 
 class TestJsonl:
