@@ -2,13 +2,15 @@
 
 Each class is treated as its own binary present/absent problem with two
 confidence thresholds: the mean predicted probability among annotated
-positives and the mean complement among annotated negatives. One
-whole-matrix pass over all K classes then compares every probability with
-its class's thresholds, assigns a confident binary "true" label where one is
-cleared, and counts (given, confident-true) pairs into a 2x2 joint per class
-as column sums. Examples in an off-diagonal cell are flagged for that class;
-the per-example result is the union of flags over all classes. A class with
-no positives or no negatives has NaN thresholds, which nothing clears.
+positives and the mean complement among annotated negatives. Each mean is
+taken over one contiguous gather (``ndarray.compress``) of the class's
+probabilities. One whole-matrix pass over all K classes then compares every
+probability with its class's thresholds, assigns a confident binary "true"
+label where one is cleared, and counts (given, confident-true) pairs into a
+2x2 joint per class from four column counts. Examples in an off-diagonal
+cell are flagged for that class; the per-example result is the union of
+flags over all classes. A class with no positives or no negatives has NaN
+thresholds, which nothing clears.
 
 ``flag_multilabel`` returns every class's thresholds, joint counts and flags
 in one ``FlagReport``; one class's view is its row or column there.
@@ -66,7 +68,8 @@ def _thresholds(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     probs = np.ascontiguousarray(probs.T)
     out = np.full((pos.shape[0], 2), np.nan)
     for k in np.flatnonzero(pos.any(axis=1) & ~pos.all(axis=1)):
-        out[k] = probs[k, pos[k]].mean(), (1.0 - probs[k, ~pos[k]]).mean()
+        # compress gathers what a boolean index does, in the same order, faster
+        out[k] = probs[k].compress(pos[k]).mean(), (1.0 - probs[k].compress(~pos[k])).mean()
     return out
 
 
@@ -85,9 +88,17 @@ def _confident_joint(
     clears_neg = 1.0 - probs >= thresholds[:, 1]
     counted = clears_pos | clears_neg
     present = clears_pos & (~clears_neg | (probs > 0.5) | ((probs == 0.5) & given))
-    counts = [[(counted & (given == g) & (present == t)).sum(axis=0) for t in (False, True)]
-              for g in (False, True)]
-    return counted & (present != given), np.moveaxis(np.array(counts, dtype=np.int64), -1, 0)
+    # four column counts give the 2x2 joint; present implies counted
+    n_counted = np.count_nonzero(counted, axis=0)
+    n_given = np.count_nonzero(counted & given, axis=0)
+    n_present = np.count_nonzero(present, axis=0)
+    n_both = np.count_nonzero(present & given, axis=0)
+    counts = np.empty((len(thresholds), 2, 2), dtype=np.int64)
+    counts[:, 0, 0] = n_counted - n_given - n_present + n_both
+    counts[:, 0, 1] = n_present - n_both
+    counts[:, 1, 0] = n_given - n_both
+    counts[:, 1, 1] = n_both
+    return counted & (present != given), counts
 
 
 def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:

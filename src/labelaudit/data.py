@@ -133,7 +133,13 @@ class ProbMatrix:
 
 
 def check_binary_labels(labels: np.ndarray) -> None:
-    """``ValueError`` naming the first cell of the 2-D ``labels`` that is not 0 or 1."""
+    """``ValueError`` naming the first cell of the 2-D ``labels`` that is not 0 or 1.
+
+    A string or bytes matrix is rejected as a whole, by its dtype: its cells
+    are not numbers, however valid ``"1"`` looks.
+    """
+    if labels.dtype.kind in "US":
+        raise ValueError(f"labels are not numbers (dtype {labels.dtype})")
     bad = (labels != 0) & (labels != 1)
     if bad.any():
         i, k = np.argwhere(bad)[0]

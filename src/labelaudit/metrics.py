@@ -79,13 +79,28 @@ class MetricResult:
 
 
 def rank_ascending(scores: np.ndarray) -> np.ndarray:
-    """Stable ascending ordering; ties break by original index."""
+    """Stable ascending ordering; ties break by original index.
+
+    The order is exactly ``np.argsort(scores, kind="stable")``, built from
+    numpy's faster default argsort, which may leave equal values in any
+    order. Only when equal values exist is each run of them put back in
+    index order, by one integer sort of ``run * n + index``: its keys are
+    distinct, so that sort has one answer.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError("scores must be 1-D")
     if np.isnan(scores).any():
         raise ValueError("scores contain NaN")
-    return np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
+    ordered = scores[order]
+    starts_run = ordered[1:] != ordered[:-1]  # -0.0 and 0.0 tie, as in the stable sort
+    if starts_run.all():
+        return order
+    run = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(starts_run, out=run[1:])
+    run *= len(order)
+    return np.sort(run + order) - run
 
 
 def _ap(values: np.ndarray, truth: ErrorTruth, t: int | None, min_errors: int,

@@ -37,12 +37,14 @@ with weights proportional to exp((1 - score) / tau), and ``log(eps)`` is the
 mean of log(score + eps), finite even where a score is 0.
 
 :func:`score_all` scores a list of methods in one pass. It checks the labels
-and probabilities once, computes self-confidence once, and sorts the rows
-once, and only if an L-statistic is asked for. Each L-statistic but the
-last weights the shared sorted matrix into one reused buffer, which softmin
-and log use for their temporaries too; the last weights it in place.
-:func:`score_examples` and :func:`pool` are its one-method views, so a
-method gives the same bits alone or in a list.
+and probabilities once and computes self-confidence once. It then pools in
+row blocks of about ``_BLOCK_CELLS`` cells (~1024 rows at K=50). Each block
+is sorted once, and only if an L-statistic is asked for, and every method
+runs on it while it is in cache; one block-sized buffer holds all their
+temporaries, so no method needs an (N, K) array of its own. A row's
+arithmetic does not depend on its block, so equal rows pool to equal bits
+wherever they fall. :func:`score_examples` and :func:`pool` are its
+one-method views, so a method gives the same bits alone or in a list.
 """
 
 from __future__ import annotations
@@ -140,7 +142,9 @@ def self_confidence(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     not a finite number in [0, 1].
     """
     labels, probs = check_labels_probs(labels, probs)
-    return np.where(labels == 1, probs, 1.0 - probs)
+    scores = np.subtract(1.0, probs)
+    np.copyto(scores, probs, where=labels == 1)
+    return scores
 
 
 # Weight of each ascending sorted position j = 1..K (as floats) for the
@@ -158,13 +162,16 @@ _SORTED_WEIGHTS = {
 }
 
 
+_BLOCK_CELLS = 51200  # cells per row block of pooling: the block's temporaries stay in cache
+
+
 def pool(per_class_scores: np.ndarray, method: PoolingMethod) -> np.ndarray:
     """Apply the named pooling method to an N x K matrix of finite per-class scores."""
     return _pool_all(per_class_scores, (method,))[0]
 
 
 def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) -> list[np.ndarray]:
-    """Every method's pooled scores, in order, from one check and at most one sort."""
+    """Every method's pooled scores, in order, from one check and at most one sort a row."""
     scores = np.asarray(per_class_scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"per-class scores must be 2-D, got shape {scores.shape}")
@@ -172,37 +179,37 @@ def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) ->
         raise ValueError("empty class axis")
     if not np.isfinite(scores).all():
         raise ValueError("per-class scores must be finite")
-    n_classes = scores.shape[1]
+    n_examples, n_classes = scores.shape
     for method in methods:
         method.check_n_classes(n_classes)
-    sorting = [i for i, method in enumerate(methods) if method.name in _SORTED_WEIGHTS]
-    ordered = np.sort(scores, axis=1) if sorting else None
-    work = None
-    pooled = []
-    for i, method in enumerate(methods):
-        # The last L-statistic weights the sorted scores in place; every other
-        # (N, K) temporary goes into one reused buffer. One method then needs
-        # no second (N, K) array, and ten need one.
-        if sorting and i == sorting[-1]:
-            out = ordered
-        else:
-            out = work = np.empty_like(scores) if work is None else work
-        if method.name == "softmin":
-            # weights exp((1 - s)/tau - row max); subtracting the row's largest
-            # exponent keeps any temperature from overflowing
-            z = np.subtract(1.0, scores, out=out)
-            z /= method.tau
-            z -= z.max(axis=1, keepdims=True)
-            w = np.exp(z, out=z)
-            total = w.sum(axis=1)
-            pooled.append(np.multiply(scores, w, out=w).sum(axis=1) / total)
-        elif method.name == "log":
-            pooled.append(np.log(np.add(scores, method.eps, out=out), out=out).mean(axis=1))
-        else:
-            weights = _SORTED_WEIGHTS[method.name](method, np.arange(1.0, n_classes + 1), n_classes)
-            # Not `@`: a BLAS product can sum equal rows in different orders,
-            # and ranks at ties need equal rows pooled to bit-equal values.
-            pooled.append(np.multiply(ordered, weights, out=out).sum(axis=1))
+    positions = np.arange(1.0, n_classes + 1)
+    weights = [_SORTED_WEIGHTS[m.name](m, positions, n_classes) if m.name in _SORTED_WEIGHTS
+               else None for m in methods]
+    sorting = any(w is not None for w in weights)
+    pooled = [np.empty(n_examples) for _ in methods]
+    rows = max(1, _BLOCK_CELLS // n_classes)
+    work = np.empty((min(rows, n_examples), n_classes))
+    for start in range(0, n_examples, rows):
+        block = scores[start:start + rows]
+        ordered = np.sort(block, axis=1) if sorting else None
+        out = work[:len(block)]
+        for method, w, result in zip(methods, weights, pooled):
+            dest = result[start:start + len(block)]
+            if method.name == "softmin":
+                # weights exp((1 - s)/tau - row max); subtracting the row's largest
+                # exponent keeps any temperature from overflowing
+                z = np.subtract(1.0, block, out=out)
+                z /= method.tau
+                z -= z.max(axis=1, keepdims=True)
+                e = np.exp(z, out=z)
+                total = e.sum(axis=1)
+                np.divide(np.multiply(block, e, out=e).sum(axis=1), total, out=dest)
+            elif method.name == "log":
+                np.log(np.add(block, method.eps, out=out), out=out).mean(axis=1, out=dest)
+            else:
+                # Not `@`: a BLAS product can sum equal rows in different orders,
+                # and ranks at ties need equal rows pooled to bit-equal values.
+                np.multiply(ordered, w, out=out).sum(axis=1, out=dest)
     return pooled
 
 

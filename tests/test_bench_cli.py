@@ -10,7 +10,7 @@ from labelaudit.cli import main
 from labelaudit.data import load_probs_csv, load_scores_csv
 from labelaudit.model import TrainConfig
 from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_all
-from labelaudit.synth import GenConfig
+from labelaudit.synth import LARGE, GenConfig
 
 TINY_GEN = GenConfig(n_samples=150, n_test=30, n_features=3, n_classes=4,
                      expected_labels_per_example=2.0, expected_doc_length=60.0)
@@ -47,6 +47,23 @@ class TestReplicateMemory:
             tracemalloc.stop()
         assert result.error is None
         assert peak < 60 * cells
+
+    def test_score_all_pools_in_row_blocks(self):
+        # The self-confidence matrix (8 bytes a cell), its 0/1 mask (1 byte)
+        # and the ten pooled vectors are the only arrays that grow with N x K;
+        # one (N, K) sorted copy and one (N, K) buffer would add 16 bytes a
+        # cell (traced at 30000 x 50: ~17 MB, ~39 MB unblocked)
+        n, k = LARGE.n_samples, LARGE.n_classes
+        rng = np.random.default_rng(0)
+        labels = (rng.random((n, k)) < 0.1).astype(np.int8)
+        probs = rng.random((n, k))
+        tracemalloc.start()
+        try:
+            score_all(labels, probs, bench.default_methods())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * n * k
 
 
 class TestBenchmark:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
 from functools import partial
@@ -41,6 +42,14 @@ def make_dataset(n=3, k=2, seed=0):
     probs = ProbMatrix(rng.random((n, k)))
     ids = tuple(f"ex{i}" for i in range(n))
     return MultiLabelDataset(labels, ids), probs
+
+
+# "1" and b"1" look like valid labels, but they are not numbers
+STRING_LABELS = [[["1", "0"]], np.array([[b"1", b"0"]])]
+
+
+def not_numbers(labels):
+    return rf"^labels are not numbers \(dtype {re.escape(str(np.asarray(labels).dtype))}\)$"
 
 
 class TestValidate:
@@ -86,6 +95,23 @@ class TestValidate:
         with pytest.raises(ValueError):
             check_labels_probs(labels, probs)
 
+    @pytest.mark.parametrize("labels", STRING_LABELS, ids=["str", "bytes"])
+    def test_string_labels_are_not_numbers(self, labels):
+        with pytest.raises(ValueError, match=not_numbers(labels)):
+            check_labels_probs(labels, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("labels, message", [
+        ([[0, 2]], r"^label 2 not in \{0,1\} at \(example 0, class 1\)$"),
+        ([[0.5, 1.0]], r"^label 0.5 not in \{0,1\} at \(example 0, class 0\)$"),
+        ([[True, False]], None),
+    ], ids=["int", "float", "bool"])
+    def test_numeric_and_bool_labels_keep_their_messages(self, labels, message):
+        if message is None:
+            assert check_labels_probs(labels, [[0.5, 0.5]])[0].tolist() == [[1, 0]]
+        else:
+            with pytest.raises(ValueError, match=message):
+                check_labels_probs(labels, [[0.5, 0.5]])
+
 
 class TestContainers:
     def test_true_labels_shape_enforced(self):
@@ -109,6 +135,13 @@ class TestContainers:
         message = rf"^label {value} not in \{{0,1\}} at \(example 1, class 1\)$"
         with pytest.raises(ValueError, match=message):
             MultiLabelDataset(example_ids=("a", "b"), **matrices)
+
+    @pytest.mark.parametrize("labels", STRING_LABELS, ids=["str", "bytes"])
+    @pytest.mark.parametrize("field", ["given_labels", "true_labels"])
+    def test_string_labels_rejected_at_construction(self, field, labels):
+        matrices = {"given_labels": [[1, 0]], "true_labels": [[1, 0]], field: labels}
+        with pytest.raises(ValueError, match=not_numbers(labels)):
+            MultiLabelDataset(example_ids=("a",), **matrices)
 
     def test_arrays_are_immutable(self):
         dataset, probs = make_dataset()

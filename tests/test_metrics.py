@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 import reference
 from labelaudit.metrics import (
@@ -37,6 +38,38 @@ class TestRankAscending:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             rank_ascending(np.array([0.1, math.nan]))
+
+    @staticmethod
+    def assert_stable_argsort(values):
+        values = np.asarray(values, dtype=np.float64)
+        got = rank_ascending(values)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.argsort(values, kind="stable").tolist()
+
+    # a handful of values, so most draws are runs of ties; -0.0 == 0.0 ties too
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 1.0, -1.5, math.inf, -math.inf]),
+                    max_size=300))
+    def test_tie_heavy_vectors_rank_as_the_stable_argsort(self, values):
+        self.assert_stable_argsort(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.5], [0.5, 0.5], [0.7, 0.2], [0.2, 0.7], [-0.0, 0.0], [0.0, -0.0],
+        [0.0, -0.0, 0.0, -0.0], [math.inf, math.inf], [-math.inf, 0.0, -math.inf],
+    ])
+    def test_short_vectors_rank_as_the_stable_argsort(self, values):
+        self.assert_stable_argsort(values)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 0.3, math.inf])
+    def test_all_equal_vectors_are_the_identity(self, n, value):
+        assert rank_ascending(np.full(n, value)).tolist() == list(range(n))
+
+    @pytest.mark.parametrize("levels", [None, 50])
+    def test_benchmark_length_vector_ranks_as_the_stable_argsort(self, levels):
+        values = np.random.default_rng(10).random(30000)
+        if levels is not None:  # 50 distinct values: every run of ties is long
+            values = np.floor(values * levels) / levels
+        self.assert_stable_argsort(values)
 
 
 class TestApAtT:
@@ -187,6 +220,44 @@ class TestSpearman:
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
             spearman(np.array([1.0]), np.array([2]))
+
+    @staticmethod
+    def doubled_centred_ranks(values):
+        """2 * (average rank - mean rank) of each value, as Python integers.
+
+        A run of ties at sorted positions s..s+m-1 (from 0) has the average
+        rank s + (m+1)/2, and the ranks' mean is (n+1)/2.
+        """
+        n = len(values)
+        order = sorted(range(n), key=values.__getitem__)
+        doubled = [0] * n
+        start = 0
+        while start < n:
+            stop = start
+            while stop < n and values[order[stop]] == values[order[start]]:
+                stop += 1
+            for i in order[start:stop]:
+                doubled[i] = 2 * start + (stop - start) + 1 - (n + 1)
+            start = stop
+        return doubled
+
+    def test_exact_at_benchmark_length(self):
+        # The centred ranks are half-integers. Below N ~ 3e5 every partial sum
+        # of their products is a multiple of 1/4 below 2**53, so each dot
+        # product is exact in any summation order, and rho cannot depend on
+        # how BLAS splits it. With the doubled ranks a, b it is then
+        # (sum ab / 4) / sqrt((sum aa / 4) * (sum bb / 4)), each quotient exact.
+        rng = np.random.default_rng(11)
+        n = 30000
+        scores = rng.integers(0, 700, size=n) / 700  # ties in the scores
+        counts = rng.integers(0, 4, size=n)  # and in the counts
+        a = self.doubled_centred_ranks(scores.tolist())
+        b = self.doubled_centred_ranks(counts.tolist())
+        expected = (sum(x * y for x, y in zip(a, b)) / 4) / math.sqrt(
+            (sum(x * x for x in a) / 4) * (sum(y * y for y in b) / 4))
+        assert spearman(scores, counts).value == expected
+        rho = {r.name: r.value for r in evaluate(scores, truth_from_counts(counts))}["spearman"]
+        assert rho == expected
 
 
 class TestErrorTruth:

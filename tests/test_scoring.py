@@ -469,6 +469,49 @@ class TestScoreAll:
         assert calls == [labels.shape]
 
 
+class TestRowBlocks:
+    """Pooling in row blocks gives every row the bits of a one-block pass."""
+
+    @pytest.mark.parametrize("rows", [1, 13, 64])  # 300 = 23 * 13 + 1: a one-row last block
+    @pytest.mark.parametrize("case", ["random", "ties", "repeated_rows"])
+    def test_blocks_pool_as_one_block_and_as_the_oracle(self, case, rows, monkeypatch):
+        labels, probs = TestScoreAll.labels_probs(case)
+        n, k = labels.shape
+        methods = every_method(k)
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", n * k)
+        whole = score_all(labels, probs, methods)
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", rows * k)
+        real_sort, sorted_blocks = np.sort, []
+
+        def counting_sort(*args, **kwargs):
+            sorted_blocks.append(len(args[0]))
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(scoring.np, "sort", counting_sort)
+        blocked = score_all(labels, probs, methods)
+        monkeypatch.setattr(scoring.np, "sort", real_sort)
+        assert sorted_blocks == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+        for one, many, method in zip(whole, blocked, methods):
+            assert np.array_equal(bits(many.values), bits(one.values)), method.name
+            expected = reference.score_one_method(labels, probs, method)
+            assert np.array_equal(bits(many.values), bits(expected)), method.name
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_equal_rows_in_different_blocks_pool_to_equal_bits(self, rows, monkeypatch):
+        rng = np.random.default_rng(12)
+        k = 50
+        labels = rng.integers(0, 2, size=(4, k))
+        probs = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], size=(4, k)) * rng.random(k)
+        picks = rng.integers(0, 4, size=41)  # each of the 4 rows recurs across blocks
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", rows * k)
+        methods = every_method(k)
+        for method, scored in zip(methods, score_all(labels[picks], probs[picks], methods)):
+            by_row = {}
+            for pick, value in zip(picks.tolist(), bits(scored.values).tolist()):
+                assert by_row.setdefault(pick, value) == value, method.name
+            assert len(by_row) == 4
+
+
 def test_rescale_for_display():
     np.testing.assert_allclose(rescale_for_display(np.array([2.0, 4.0, 3.0])),
                                [0.0, 1.0, 0.5])
