@@ -129,6 +129,7 @@ def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
             noisy_labels, clean.example_ids,
             true_labels=clean.true_labels, features=clean.features,
         )
+        del clean, noisy_labels  # the dataset holds its own copies from here on
         truth = error_truth(dataset.given_labels, dataset.true_labels)
 
         probs = cross_val_pred_probs(

@@ -44,8 +44,12 @@ class ErrorTruth:
 
     @cached_property
     def centred_count_ranks(self) -> np.ndarray:
-        """Tie-averaged ranks of the error counts minus their mean (Spearman's y side)."""
-        ranks = _average_ranks(self.error_counts)
+        """Tie-averaged ranks of the error counts minus their mean (Spearman's y side).
+
+        Each run of equal counts takes one averaged rank, so any order that
+        sorts them gives the same bits; numpy's default argsort is the fastest.
+        """
+        ranks = _average_ranks(self.error_counts, np.argsort(self.error_counts))
         return ranks - ranks.mean()
 
 
@@ -147,7 +151,11 @@ def auprc(scores: np.ndarray, truth: ErrorTruth) -> MetricResult:
 
 
 def _average_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Ranks 1..N with ties (runs of equal sorted values) assigned the mean of their rank range."""
+    """Ranks 1..N with ties (runs of equal sorted values) assigned the mean of their rank range.
+
+    Without ``order`` the values are sorted stably: each NaN is a run of its
+    own, and its rank follows its index.
+    """
     if order is None:
         order = np.argsort(values, kind="stable")
     ordered = values[order]

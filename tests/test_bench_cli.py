@@ -31,12 +31,15 @@ def tiny_plan(**overrides):
 
 class TestReplicateMemory:
     def test_large_replicate_holds_its_labels_as_int8(self):
-        # At its peak (scoring) a replicate holds five N x K label matrices
-        # (the generated dataset's two, the noisy copy and the rebuilt
-        # dataset's two) beside its float64 probabilities and scoring's
-        # float64 temporaries: ~47 bytes a cell with int8 labels, and
-        # 5 * 7 bytes more with int64 ones (traced at 30000 x 50: ~71 MB
-        # and ~123 MB)
+        # A replicate peaks in cross-validation (traced at 30000 x 50: ~49 MB;
+        # scoring and flagging ~40 MB, noise injection ~36 MB, generation
+        # ~34 MB). There it holds one dataset (two int8 label matrices and
+        # the features), the logged features, the int8 class-major labels,
+        # the float64 probabilities and one fold's fit: its training rows,
+        # their class-major standardized blocks and each block's float
+        # labels, ~33 bytes a cell. A float64 class-major copy of the labels
+        # and the generated dataset kept beside the noisy one add ~12 bytes
+        # a cell (~68 MB)
         plan = bench.large_plan(n_replicates=1, train_config=TrainConfig(epochs=1))
         cells = plan.gen_config.n_samples * plan.gen_config.n_classes
         tracemalloc.start()
@@ -46,7 +49,7 @@ class TestReplicateMemory:
         finally:
             tracemalloc.stop()
         assert result.error is None
-        assert peak < 60 * cells
+        assert peak < 36 * cells
 
     def test_score_all_pools_in_row_blocks(self):
         # The self-confidence matrix (8 bytes a cell), its 0/1 mask (1 byte)

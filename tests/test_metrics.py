@@ -310,6 +310,19 @@ class TestAverageRanks:
         order = np.argsort(values, kind="stable")
         assert np.array_equal(_average_ranks(values, order), _average_ranks(values))
 
+    @pytest.mark.parametrize("counts", [
+        [0], [3], [1, 1], [2, 0],
+        np.random.default_rng(8).integers(0, 4, size=30000),
+    ], ids=["one-zero", "one-three", "two-tied", "two-apart", "30000-tied"])
+    def test_count_ranks_take_the_bits_of_the_stable_order(self, counts):
+        # the error counts are ranked from numpy's default argsort, which may
+        # order a run of ties otherwise; every run takes one averaged rank
+        counts = np.asarray(counts, dtype=np.int64)
+        ranks = _average_ranks(counts, np.argsort(counts, kind="stable"))
+        expected = ranks - ranks.mean()
+        got = truth_from_counts(counts).centred_count_ranks
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
 
 class TestEvaluate:
     @staticmethod

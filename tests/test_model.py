@@ -92,16 +92,17 @@ class TestTrain:
 
     def test_fit_holds_no_row_major_copy_of_the_features(self):
         # the fit holds class-major copies of the features, with their row
-        # of ones, beside the one class-major copy of the labels that its
-        # blocks view, plus one block's scratch and temporaries; a row-major
-        # standardized copy would add another n * d floats
+        # of ones, and a float copy of each block's labels, taken from the
+        # int8 class-major labels it is given, plus one block's scratch and
+        # temporaries; a row-major standardized copy would add another n * d
+        # floats
         n, d, k = 40000, 20, 4
         rng = np.random.default_rng(16)
         logged = np.log1p(rng.poisson(5.0, size=(n, d)).astype(float))
         labels = rng.integers(0, 2, size=(n, k))
         tracemalloc.start()
         try:
-            labels_t = np.ascontiguousarray(labels.T, dtype=np.float64)
+            labels_t = np.ascontiguousarray(labels.T, dtype=np.int8)
             model_module._fit(logged, labels_t, TrainConfig(epochs=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -288,6 +289,31 @@ class TestTrainerOracle:
         probs = cross_val_pred_probs(MultiLabelDataset(labels, ids, features=features), cv, config)
         expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed,
                                                   _row_blocks, epochs=100)
+        assert np.array_equal(probs.values, expected)
+
+    def test_int8_labels_give_the_bits_of_float_labels(self):
+        # the fits take int8 class-major labels and convert each block's to
+        # float; the oracle takes float labels throughout. At 8000 x 12 every
+        # fit spans three default-size blocks, and class 5 is constant
+        n, d, k = 8000, 5, 12
+        rng = np.random.default_rng(22)
+        features = rng.poisson(5.0, size=(n, d)).astype(float)
+        logits = np.log1p(features) @ rng.normal(size=(d, k)) + rng.normal(size=k)
+        labels = (rng.random((n, k)) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int8)
+        labels[:, 5] = 1
+        assert all(len(_row_blocks(rows, k - 1)) == 3 for rows in (n, n * 4 // 5))
+        weights, biases, losses, _, _ = reference.train_class_major(
+            features, labels.astype(float), _row_blocks(n, k - 1), epochs=20)
+        for dtype in (np.int8, np.int64, np.float64, bool):
+            model = train(features, labels.astype(dtype), TrainConfig(epochs=20, loss_every=1))
+            assert np.array_equal(model.weights, weights)
+            assert np.array_equal(model.biases, biases)
+            assert np.array_equal(model.loss_history, losses)
+
+        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(n)), features=features)
+        probs = cross_val_pred_probs(dataset, CVConfig(seed=4), TrainConfig(epochs=20))
+        expected = reference.cross_val_pred_probs(features, labels.astype(float), 5, 4,
+                                                  _row_blocks, epochs=20)
         assert np.array_equal(probs.values, expected)
 
 
