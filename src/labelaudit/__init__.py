@@ -12,7 +12,6 @@ from .confident import FlagReport, flag_multilabel
 from .data import (
     DataFormatError,
     MultiLabelDataset,
-    ProbMatrix,
     load_dataset,
     load_jsonl,
     save_jsonl,
@@ -60,7 +59,6 @@ __all__ = [
     "NoiseSpec",
     "POOLER_NAMES",
     "PoolingMethod",
-    "ProbMatrix",
     "QualityScoreVector",
     "TrainConfig",
     "ap_at_t",

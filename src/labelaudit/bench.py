@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .confident import flag_multilabel
-from .data import MultiLabelDataset, _fmt_float
+from .data import _fmt_float
 from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_all
@@ -125,10 +125,7 @@ def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
         noisy_labels = inject_noise(
             clean.true_labels, noise.matrices, noise.max_errors_per_example, noise_seed
         )
-        dataset = MultiLabelDataset(
-            noisy_labels, clean.example_ids,
-            true_labels=clean.true_labels, features=clean.features,
-        )
+        dataset = replace(clean, given_labels=noisy_labels)
         del clean, noisy_labels  # the dataset holds its own copies from here on
         truth = error_truth(dataset.given_labels, dataset.true_labels)
 
@@ -140,11 +137,11 @@ def run_replicate(plan: BenchmarkPlan, replicate: int) -> ReplicateResult:
             (plan.dataset_name, gen_seed, plan.classifier, scores.method.name, result.name,
              "" if result.param_t is None else result.param_t,
              "" if result.param_k is None else result.param_k, result.value)
-            for scores in score_all(dataset.given_labels, probs.values, plan.methods)
+            for scores in score_all(dataset.given_labels, probs, plan.methods)
             for result in evaluate(scores.values, truth, plan.metrics)
         ]
 
-        report = flag_multilabel(dataset.given_labels, probs.values)
+        report = flag_multilabel(dataset.given_labels, probs)
         flagged = report.example_flags
         tp = int((flagged & truth.error_flags).sum())
         n_flagged = int(flagged.sum())

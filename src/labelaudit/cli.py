@@ -164,7 +164,7 @@ def _load_labels_probs(labels_path, probs_path):
     pids, probs = load_probs_csv(probs_path)
     check_ids_aligned(ids, pids, f"{labels_path} vs {probs_path}")
     try:
-        check_labels_probs(labels, probs.values)
+        check_labels_probs(labels, probs)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
     return ids, labels, probs
@@ -239,7 +239,7 @@ def _cmd_train_predict(args) -> int:
     except TrainingDivergedError as exc:
         raise UsageError(f"training diverged ({exc}); try a smaller --lr") from None
     save_probs_csv(args.out, ids, probs)
-    print(f"wrote {probs.n_examples}x{probs.n_classes} probabilities to {args.out}")
+    print(f"wrote {probs.shape[0]}x{probs.shape[1]} probabilities to {args.out}")
     return EXIT_OK
 
 
@@ -250,7 +250,7 @@ def _cmd_score(args) -> int:
         method.check_n_classes(labels.shape[1])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    result = score_examples(labels, probs.values, method)
+    result = score_examples(labels, probs, method)
     values = rescale_for_display(result.values) if args.rescale else result.values
     save_scores_csv(args.out, ids, values)
     print(f"wrote {len(ids)} {method.name} scores to {args.out}")
@@ -259,7 +259,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_flag(args) -> int:
     ids, labels, probs = _load_labels_probs(args.labels, args.probs)
-    report = flag_multilabel(labels, probs.values)
+    report = flag_multilabel(labels, probs)
     save_flags_csv(args.out, ids, report)
     if args.summary_json:
         save_flag_summary_json(args.summary_json, report)

@@ -6,10 +6,11 @@ the generator all return int8, checked for 0/1 before the cast, so the cast
 is exact. Arithmetic on labels that can pass 127 must widen first:
 ``labels.sum(axis=0)`` does so by itself (numpy sums small integers in the
 platform integer), but ``labels.T @ labels`` overflows in int8, so write
-``labels.T.astype(np.int64) @ labels``. Predicted probabilities are N x K
-floats whose rows do NOT need to sum to 1 (classes are not mutually
-exclusive). Containers are immutable after construction: arrays are copied
-and marked read-only so they can be shared freely across workers.
+``labels.T.astype(np.int64) @ labels``. Predicted probabilities are a plain
+N x K float64 array whose rows do NOT need to sum to 1 (classes are not
+mutually exclusive). The loaders return plain arrays that the caller owns.
+The one container, :class:`MultiLabelDataset`, is immutable: it holds
+read-only copies of its arrays, so it can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -101,35 +102,6 @@ class MultiLabelDataset:
     @property
     def n_classes(self) -> int:
         return self.given_labels.shape[1]
-
-
-@dataclass(frozen=True)
-class ProbMatrix:
-    """Out-of-sample predicted class probabilities, one row per example."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _read_only(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError(f"probabilities must be 2-D, got shape {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray) -> ProbMatrix:
-        """Wrap ``values``, a 2-D float64 array no caller holds, read-only and without a copy."""
-        values.setflags(write=False)
-        probs = object.__new__(cls)
-        object.__setattr__(probs, "values", values)
-        return probs
-
-    @property
-    def n_examples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
 
 
 def check_binary_labels(labels: np.ndarray) -> None:
@@ -389,10 +361,8 @@ def load_labels_csv(path) -> tuple[list[str], np.ndarray]:
     return ids, data.astype(LABEL_DTYPE, copy=False)  # the block reader's values are int8
 
 
-def load_probs_csv(path) -> tuple[list[str], ProbMatrix]:
-    ids, data = _parse_matrix_csv(path, partial(_check_header, prefix="prob"),
-                                  _convert_float, float)
-    return ids, ProbMatrix._adopt(data)
+def load_probs_csv(path) -> tuple[list[str], np.ndarray]:
+    return _parse_matrix_csv(path, partial(_check_header, prefix="prob"), _convert_float, float)
 
 
 def load_features_csv(path) -> tuple[list[str], np.ndarray]:
@@ -515,9 +485,8 @@ def save_labels_csv(path, ids: Sequence[str], labels: np.ndarray) -> None:
             fh.write("".join(chain.from_iterable(zip(block_ids, tails))))
 
 
-def save_probs_csv(path, ids: Sequence[str], probs: ProbMatrix | np.ndarray) -> None:
-    values = probs.values if isinstance(probs, ProbMatrix) else np.asarray(probs)
-    _write_matrix_csv(path, "prob", ids, values, _FLOAT_CELL)
+def save_probs_csv(path, ids: Sequence[str], probs: np.ndarray) -> None:
+    _write_matrix_csv(path, "prob", ids, np.asarray(probs), _FLOAT_CELL)
 
 
 def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
@@ -562,20 +531,21 @@ def load_scores_csv(path) -> tuple[list[str], np.ndarray]:
     return ids, scores.ravel()
 
 
-def save_jsonl(path, dataset: MultiLabelDataset, probs: ProbMatrix) -> None:
+def save_jsonl(path, dataset: MultiLabelDataset, probs: np.ndarray) -> None:
     """One JSON object per example: ``{"id": ..., "labels": [...], "probs": [...]}``."""
-    if probs.values.shape != dataset.given_labels.shape:
+    probs = np.asarray(probs)
+    if probs.shape != dataset.given_labels.shape:
         raise ValueError("dataset and probabilities have different shapes")
     with Path(path).open("w") as fh:
         for i, ex_id in enumerate(dataset.example_ids):
             fh.write(json.dumps({
                 "id": ex_id,
                 "labels": [int(v) for v in dataset.given_labels[i]],
-                "probs": [float(v) for v in probs.values[i]],
+                "probs": [float(v) for v in probs[i]],
             }) + "\n")
 
 
-def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
+def load_jsonl(path) -> tuple[MultiLabelDataset, np.ndarray | None]:
     """Read :func:`save_jsonl` output; the probabilities are None if no row has any."""
     path = Path(path)
     ids: dict[str, None] = {}  # in file order
@@ -612,4 +582,4 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, ProbMatrix | None]:
     if widths == {0}:
         raise DataFormatError(f"{path}: no label columns (every labels list is empty)")
     dataset = MultiLabelDataset(np.array(labels, dtype=LABEL_DTYPE), tuple(ids))
-    return dataset, ProbMatrix(np.array(probs)) if probs else None
+    return dataset, np.array(probs, dtype=np.float64) if probs else None

@@ -166,8 +166,8 @@ def _average_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.nd
     return ranks
 
 
-def _rho(x: np.ndarray, y: np.ndarray, order=None, ry=None) -> float:
-    """Spearman's rho, given x's stable order and y's centred ranks when known."""
+def _rho(x: np.ndarray, y: np.ndarray, order: np.ndarray, ry=None) -> float:
+    """Spearman's rho from x's stable order, and y's centred ranks when known."""
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be matching 1-D arrays")
     if x.shape[0] < 2:
@@ -187,10 +187,14 @@ def spearman(scores: np.ndarray, error_counts: np.ndarray) -> MetricResult:
 
     Reported raw: a good scorer gives strongly *negative* values because low
     scores should coincide with many errors. Undefined (NaN) when either
-    input is constant.
+    input is constant. Scores are ranked by :func:`rank_ascending`, as
+    :func:`evaluate` ranks them; a NaN score or error count is a ``ValueError``.
     """
     x = np.asarray(scores, dtype=np.float64)
-    return MetricResult("spearman", _rho(x, np.asarray(error_counts, dtype=np.float64)))
+    y = np.asarray(error_counts, dtype=np.float64)
+    if np.isnan(y).any():
+        raise ValueError("error counts contain NaN")
+    return MetricResult("spearman", _rho(x, y, rank_ascending(x)))
 
 
 # AP-family metric -> least number of wrong annotations that makes a positive;

@@ -44,9 +44,12 @@ rows of both with one integer index. Its peak memory is those two arrays
 and the ``(N, K)`` float probabilities, plus one fold's logged training
 rows, its int8 label columns, the class-major copies of its standardized
 features, its blocks' float labels and the three blocks of scratch; no
-row-major standardized copy is made. A ``large`` benchmark replicate
-(30000×50, D=20) peaks here at ~49 MB traced by ``tracemalloc``, with
-scoring and flagging next at ~40 MB.
+row-major standardized copy is made. The folds write their predictions
+into that one ``(N, K)`` float64 array, which is returned as it is, with
+no copy (12 MB at 30000×50): the caller owns it, as it owns
+:func:`predict_proba`'s. A ``large`` benchmark replicate (30000×50, D=20)
+peaks here at ~49 MB traced by ``tracemalloc``, with scoring and flagging
+next at ~40 MB.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_DTYPE, MultiLabelDataset, ProbMatrix, check_binary_labels
+from .data import LABEL_DTYPE, MultiLabelDataset, check_binary_labels
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
@@ -308,14 +311,14 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
     return LogRegModel(weights, biases, mean, scale, np.array(losses), config)
 
 
-def predict_proba(model: LogRegModel, features: np.ndarray) -> ProbMatrix:
+def predict_proba(model: LogRegModel, features: np.ndarray) -> np.ndarray:
     """Per-class sigmoid probabilities; rows are not normalized across classes."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.n_features:
         raise ValueError(
             f"features shape {features.shape} incompatible with model width {model.n_features}"
         )
-    return ProbMatrix(_predict_logged(model, np.log1p(features)))
+    return _predict_logged(model, np.log1p(features))
 
 
 def _predict_logged(model: LogRegModel, logged: np.ndarray) -> np.ndarray:
@@ -343,7 +346,7 @@ def cross_val_pred_probs(
     dataset: MultiLabelDataset,
     cv: CVConfig = CVConfig(),
     config: TrainConfig = TrainConfig(),
-) -> ProbMatrix:
+) -> np.ndarray:
     """Out-of-sample probabilities: each example is predicted by the model
     trained on the other folds; scaling statistics come from training folds only.
     The labels need no check here: ``MultiLabelDataset`` holds only 0/1."""
@@ -360,4 +363,4 @@ def cross_val_pred_probs(
         model = _fit(logged.take(rows, axis=0), labels_t.take(rows, axis=1), config,
                      record=False)
         probs[held_out] = _predict_logged(model, logged[held_out])
-    return ProbMatrix(probs)
+    return probs

@@ -207,7 +207,8 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
         over = label_counts > k
     # One uniform permutation of the classes per row; the classes placed below
     # the row's count are its labels, a uniform subset of exactly that size.
-    positions = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+    classes = np.arange(k, dtype=np.min_scalar_type(k - 1))  # uint8 up to K = 256
+    positions = rng.permuted(np.tile(classes, (n, 1)), axis=1)
     labels = (positions < label_counts[:, None]).astype(LABEL_DTYPE)
 
     # Words drawn from the mixture of each example's class distributions;

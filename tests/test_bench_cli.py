@@ -278,10 +278,10 @@ class TestCli:
         noisy = inject_noise(clean.true_labels, noise.matrices, 3, noise_seed)
         dataset = MultiLabelDataset(noisy, clean.example_ids, features=clean.features)
         probs = cross_val_pred_probs(dataset, CVConfig(seed=cv_seed), FAST_TRAIN)
-        expected = score_examples(noisy, probs.values, PoolingMethod("ema")).values
+        expected = score_examples(noisy, probs, PoolingMethod("ema")).values
 
         _, cli_probs = load_probs_csv(out / "probs.csv")
-        assert np.array_equal(cli_probs.values, probs.values)
+        assert np.array_equal(cli_probs, probs)
         _, cli_scores = load_scores_csv(out / "scores.csv")
         assert np.array_equal(cli_scores, expected)
 

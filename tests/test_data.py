@@ -17,7 +17,6 @@ from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
     DataFormatError,
     MultiLabelDataset,
-    ProbMatrix,
     check_ids_aligned,
     check_labels_probs,
     load_dataset,
@@ -32,6 +31,7 @@ from labelaudit.data import (
     save_probs_csv,
     save_scores_csv,
 )
+from labelaudit.model import CVConfig, TrainConfig, cross_val_pred_probs, predict_proba, train
 from labelaudit.scoring import PoolingMethod, score_examples, self_confidence
 from labelaudit.synth import GenConfig, draw_noise_spec, gen_multilabel, inject_noise
 
@@ -39,7 +39,7 @@ from labelaudit.synth import GenConfig, draw_noise_spec, gen_multilabel, inject_
 def make_dataset(n=3, k=2, seed=0):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=(n, k))
-    probs = ProbMatrix(rng.random((n, k)))
+    probs = rng.random((n, k))
     ids = tuple(f"ex{i}" for i in range(n))
     return MultiLabelDataset(labels, ids), probs
 
@@ -144,24 +144,9 @@ class TestContainers:
             MultiLabelDataset(example_ids=("a",), **matrices)
 
     def test_arrays_are_immutable(self):
-        dataset, probs = make_dataset()
+        dataset, _ = make_dataset()
         with pytest.raises(ValueError):
             dataset.given_labels[0, 0] = 1
-        with pytest.raises(ValueError):
-            probs.values[0, 0] = 0.5
-
-    def test_prob_matrix_copies_the_callers_array(self):
-        values = np.array([[0.25, 0.5], [0.75, 1.0]])
-        probs = ProbMatrix(values)
-        values[0, 0] = 0.0
-        assert probs.values.tolist() == [[0.25, 0.5], [0.75, 1.0]]
-        # also an array the caller made read-only and can make writable again
-        values.setflags(write=False)
-        probs = ProbMatrix(values)
-        values.setflags(write=True)
-        values[1, 1] = 0.0
-        assert probs.values[1, 1] == 1.0
-        assert not probs.values.flags.writeable
 
 
 class TestCsv:
@@ -187,7 +172,7 @@ class TestCsv:
         pids, loaded_probs = load_probs_csv(tmp_path / "p.csv")
         assert lids == ids and pids == ids
         assert np.array_equal(loaded_labels, labels)
-        assert np.array_equal(loaded_probs.values, probs)  # bit-for-bit
+        assert np.array_equal(loaded_probs, probs)  # bit-for-bit
 
     def test_label_value_2_names_the_cell(self, tmp_path):
         path = tmp_path / "l.csv"
@@ -319,10 +304,6 @@ class TestCsvBytes:
         writer.writerows([ex_id, *map(data._fmt_float, row)] for ex_id, row in zip(ids, values))
         assert path.read_bytes() == expected.getvalue().encode()
 
-    def test_probs_bytes_from_prob_matrix(self, tmp_path):
-        save_probs_csv(tmp_path / "p.csv", GOLDEN_IDS, ProbMatrix(GOLDEN_FLOATS))
-        assert (tmp_path / "p.csv").read_bytes() == b"id,prob_0,prob_1\r\n" + GOLDEN_FLOAT_ROWS
-
     def test_scores_bytes(self, tmp_path):
         save_scores_csv(tmp_path / "s.csv", GOLDEN_IDS, np.array([-0.0, 5e-324, 1e16, np.nan]))
         assert (tmp_path / "s.csv").read_bytes() == (
@@ -428,7 +409,7 @@ class TestCsvBytes:
                 load_probs_csv(path)
             assert str(info.value) == f"{path}: row 3, column prob_0: {exc}"
         else:
-            loaded = load_probs_csv(path)[1].values
+            loaded = load_probs_csv(path)[1]
             assert loaded[1].view(np.uint64) == np.array([expected]).view(np.uint64)
 
     @pytest.mark.parametrize("cell", ["-1", "-inf", "inf", "nan", "-1e-320"])
@@ -495,7 +476,7 @@ class TestCsvBytes:
     def test_empty_matrix_loads(self, tmp_path):
         save_probs_csv(tmp_path / "p.csv", [], np.zeros((0, 3)))
         ids, probs = load_probs_csv(tmp_path / "p.csv")
-        assert ids == [] and probs.values.shape == (0, 3)
+        assert ids == [] and probs.shape == (0, 3)
 
     def test_oversized_field_is_a_format_error(self, tmp_path):
         path = tmp_path / "l.csv"
@@ -613,7 +594,7 @@ class TestBlockReader:
             path.write_bytes(("id," + ",".join(f"prob_{k}" for k in range(32)) + "\n"
                               "a" + ",0.5" * 32 + "\n").encode())
             assert_loads_as_scan(load_probs_csv, path)
-            assert load_probs_csv(path)[1].values.tolist() == [[0.5] * 32]
+            assert load_probs_csv(path)[1].tolist() == [[0.5] * 32]
             path.write_bytes(("id,prob_0\na," + "0" * 101 + "\n").encode())
             assert_loads_as_scan(load_probs_csv, path)
             with pytest.raises(DataFormatError, match="field larger than field limit"):
@@ -650,7 +631,7 @@ class TestBlockReader:
 
         with mock.patch.object(data, "_scan_matrix_csv", side_effect=AssertionError("scanned")):
             write("id,prob_0,prob_1,prob_2", "0.25,1,0")
-            assert load_probs_csv(path)[1].values.tolist() == [[0.25, 1, 0]] * n
+            assert load_probs_csv(path)[1].tolist() == [[0.25, 1, 0]] * n
             write("id,feat_0,feat_1,feat_2", "0.25,1,0")
             assert load_features_csv(path)[1].tolist() == [[0.25, 1, 0]] * n
             write("id,label_0,label_1", "1,0")
@@ -672,11 +653,11 @@ class TestBlockReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(probs.values, values)
+        assert np.array_equal(probs, values)
         assert peak < 3 * values.nbytes
 
     def test_block_load_holds_the_values_once(self, tmp_path):
-        # the blocks grow one array and the ProbMatrix takes it without a copy
+        # the blocks grow one array, and load_probs_csv returns it without a copy
         rng = np.random.default_rng(6)
         values = rng.random((20_000, 50))
         path = tmp_path / "p.csv"
@@ -688,8 +669,7 @@ class TestBlockReader:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert np.array_equal(probs.values, values)
-        assert not probs.values.flags.writeable
+        assert np.array_equal(probs, values)
         assert peak < 1.5 * values.nbytes
 
 
@@ -747,7 +727,7 @@ class TestJsonl:
         loaded_ds, loaded_probs = load_jsonl(tmp_path / "d.jsonl")
         assert loaded_ds.example_ids == dataset.example_ids
         assert np.array_equal(loaded_ds.given_labels, dataset.given_labels)
-        assert np.array_equal(loaded_probs.values, probs.values)
+        assert np.array_equal(loaded_probs, probs)
 
     def test_load_dataset_jsonl_format(self, tmp_path):
         dataset, probs = make_dataset(n=5, k=2, seed=9)
@@ -829,6 +809,38 @@ class TestJsonl:
             load_jsonl(path)
 
 
+def _cv_probs(dataset, tmp_path):
+    return cross_val_pred_probs(dataset, CVConfig(n_folds=2), TrainConfig(epochs=2))
+
+
+def _predicted_probs(dataset, tmp_path):
+    return predict_proba(train(dataset.features, dataset.given_labels, TrainConfig(epochs=2)),
+                         dataset.features)
+
+
+def _csv_probs(dataset, tmp_path):
+    save_probs_csv(tmp_path / "p.csv", dataset.example_ids, _cv_probs(dataset, tmp_path))
+    return load_probs_csv(tmp_path / "p.csv")[1]
+
+
+def _jsonl_probs(dataset, tmp_path):
+    save_jsonl(tmp_path / "d.jsonl", dataset, _cv_probs(dataset, tmp_path))
+    return load_jsonl(tmp_path / "d.jsonl")[1]
+
+
+@pytest.mark.parametrize("make", [_cv_probs, _predicted_probs, _csv_probs, _jsonl_probs],
+                         ids=["cross_val_pred_probs", "predict_proba", "load_probs_csv",
+                              "load_jsonl"])
+def test_probabilities_are_a_plain_float64_array(tmp_path, make):
+    # no wrapper: an N x K float64 array that the caller owns and may change
+    dataset = gen_multilabel(GenConfig(n_samples=40, n_test=1, n_features=3, n_classes=4,
+                                       expected_labels_per_example=2.0, seed=5))
+    probs = make(dataset, tmp_path)
+    assert type(probs) is np.ndarray
+    assert probs.dtype == np.float64 and probs.shape == (40, 4)
+    assert probs.flags.writeable
+
+
 @given(
     n=st.integers(1, 12),
     k=st.integers(1, 6),
@@ -845,8 +857,8 @@ def test_roundtrip_property(tmp_path_factory, n, k, seed):
     lids, loaded_labels = load_labels_csv(tmp / "l.csv")
     _, loaded_probs = load_probs_csv(tmp / "p.csv")
     assert np.array_equal(loaded_labels, label_matrix)
-    assert np.array_equal(loaded_probs.values, probs)
-    check_labels_probs(loaded_labels, loaded_probs.values)
+    assert np.array_equal(loaded_probs, probs)
+    check_labels_probs(loaded_labels, loaded_probs)
 
 
 class TestLibraryInputChecks:

@@ -221,6 +221,15 @@ class TestSpearman:
         with pytest.raises(ValueError, match="at least 2"):
             spearman(np.array([1.0]), np.array([2]))
 
+    def test_nan_score_rejected(self):
+        # as evaluate, ap_at_t and auprc reject it; a NaN used to rank last
+        with pytest.raises(ValueError, match="scores contain NaN"):
+            spearman(np.array([1.0, np.nan, 3.0, 4.0]), np.array([0, 1, 1, 2]))
+
+    def test_nan_error_count_rejected(self):
+        with pytest.raises(ValueError, match="error counts contain NaN"):
+            spearman(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, np.nan, 1.0, 2.0]))
+
     @staticmethod
     def doubled_centred_ranks(values):
         """2 * (average rank - mean rank) of each value, as Python integers.

@@ -49,7 +49,7 @@ class TestTrain:
         features = np.array([[0.0, 0.0], [1.0, 0.0], [8.0, 8.0], [9.0, 10.0]])
         labels = np.array([[0], [0], [1], [1]])
         model = train(features, labels, TrainConfig(epochs=2000))
-        preds = predict_proba(model, features).values[:, 0] >= 0.5
+        preds = predict_proba(model, features)[:, 0] >= 0.5
         assert np.array_equal(preds, labels[:, 0].astype(bool))
 
     def test_loss_non_increasing(self):
@@ -77,7 +77,7 @@ class TestTrain:
         labels = np.column_stack([np.ones(20, dtype=int), rng.integers(0, 2, 20)])
         model = train(features, labels)
         assert np.array_equal(model.weights[0], np.zeros(3))
-        probs = predict_proba(model, features).values[:, 0]
+        probs = predict_proba(model, features)[:, 0]
         assert np.all(probs == probs[0])
         assert probs[0] == pytest.approx(20.5 / 21.0, abs=1e-12)
 
@@ -115,7 +115,7 @@ class TestTrain:
         model = train(features, y[:, None],
                       TrainConfig(learning_rate=1e-6, l2=1e6, epochs=300))
         assert np.max(np.abs(model.weights)) < 1e-4
-        probs = predict_proba(model, features).values[:, 0]
+        probs = predict_proba(model, features)[:, 0]
         np.testing.assert_allclose(probs, probs[0], atol=1e-4)
 
     def test_moderate_l2_converges_bias_to_base_rate(self):
@@ -124,7 +124,7 @@ class TestTrain:
         labels = (rng.random(200) < 0.3).astype(int)[:, None]
         model = train(features, labels, TrainConfig(learning_rate=0.05, l2=10.0, epochs=8000))
         base_rate = labels.mean()
-        probs = predict_proba(model, features).values[:, 0]
+        probs = predict_proba(model, features)[:, 0]
         assert abs(probs.mean() - base_rate) < 0.02
         assert np.max(np.abs(model.weights)) < 0.02
 
@@ -289,7 +289,7 @@ class TestTrainerOracle:
         probs = cross_val_pred_probs(MultiLabelDataset(labels, ids, features=features), cv, config)
         expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed,
                                                   _row_blocks, epochs=100)
-        assert np.array_equal(probs.values, expected)
+        assert np.array_equal(probs, expected)
 
     def test_int8_labels_give_the_bits_of_float_labels(self):
         # the fits take int8 class-major labels and convert each block's to
@@ -314,7 +314,7 @@ class TestTrainerOracle:
         probs = cross_val_pred_probs(dataset, CVConfig(seed=4), TrainConfig(epochs=20))
         expected = reference.cross_val_pred_probs(features, labels.astype(float), 5, 4,
                                                   _row_blocks, epochs=20)
-        assert np.array_equal(probs.values, expected)
+        assert np.array_equal(probs, expected)
 
 
 class TestRowBlocks:
@@ -452,11 +452,11 @@ class TestPredict:
     def test_zero_model_predicts_half(self):
         model = manual_model([[0.0, 0.0]], [0.0])
         probs = predict_proba(model, np.array([[3.0, 7.0], [0.0, 0.0]]))
-        np.testing.assert_array_equal(probs.values, 0.5)
+        np.testing.assert_array_equal(probs, 0.5)
 
     def test_saturated_bias(self):
         model = manual_model([[0.0]], [50.0])
-        p = predict_proba(model, np.array([[1.0]])).values[0, 0]
+        p = predict_proba(model, np.array([[1.0]]))[0, 0]
         assert p > 1 - 1e-9
         assert p < 1.0  # strictly inside (0, 1)
 
@@ -465,8 +465,8 @@ class TestPredict:
         w = rng.normal(size=(2, 4))
         b = rng.normal(size=2)
         X = rng.random((20, 4)) * 5
-        p = predict_proba(manual_model(w, b), X).values
-        q = predict_proba(manual_model(-w, -b), X).values
+        p = predict_proba(manual_model(w, b), X)
+        q = predict_proba(manual_model(-w, -b), X)
         np.testing.assert_allclose(q, 1.0 - p, atol=1e-12)
 
     def test_width_mismatch(self):
@@ -476,7 +476,7 @@ class TestPredict:
 
     def test_probabilities_strictly_inside_unit_interval(self):
         model = manual_model([[100.0], [-100.0]], [0.0, 0.0], d=1)
-        probs = predict_proba(model, np.array([[1e6]])).values
+        probs = predict_proba(model, np.array([[1e6]]))
         assert (probs > 0).all() and (probs < 1).all()
 
 
@@ -540,7 +540,7 @@ class TestCrossValidation:
             assert np.array_equal(model.weights, np.zeros((2, 3)))
             np.testing.assert_allclose(model.biases, [log_odds, -log_odds], rtol=1e-15, atol=0)
             assert model.loss_history.shape == (0,)  # a CV fit records no loss
-        np.testing.assert_allclose(probs.values, np.tile([8.5 / 9, 0.5 / 9], (10, 1)),
+        np.testing.assert_allclose(probs, np.tile([8.5 / 9, 0.5 / 9], (10, 1)),
                                    rtol=1e-14, atol=0)
 
     def test_label_outside_0_1_rejected(self):
@@ -577,7 +577,7 @@ class TestCrossValidation:
         config = TrainConfig(epochs=50)
         a = cross_val_pred_probs(dataset, CVConfig(seed=3), config)
         b = cross_val_pred_probs(dataset, CVConfig(seed=3), config)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_output_passes_validation(self):
         rng = np.random.default_rng(8)
@@ -587,7 +587,7 @@ class TestCrossValidation:
             features=rng.poisson(10.0, size=(50, 4)).astype(float),
         )
         probs = cross_val_pred_probs(dataset, CVConfig(seed=1), TrainConfig(epochs=50))
-        check_labels_probs(dataset.given_labels, probs.values)
+        check_labels_probs(dataset.given_labels, probs)
 
     def test_memorization_probe_stays_uncommitted(self):
         # Two examples share identical features but contradict on class 0;
@@ -612,4 +612,4 @@ class TestCrossValidation:
             pytest.fail("no seed separated the probe examples")
         probs = cross_val_pred_probs(dataset, CVConfig(seed=seed), TrainConfig(epochs=200))
         for i in (0, 1):
-            assert 0.05 < probs.values[i, 0] < 0.95
+            assert 0.05 < probs[i, 0] < 0.95

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ class TestLabelDraw:
             rows = labels[labels.sum(axis=1) == c]
             tol = 5 * math.sqrt(c / 50 * (1 - c / 50) / len(rows))
             assert np.abs(rows.mean(axis=0) - c / 50).max() < tol
+
+    def test_large_draw_permutes_small_positions(self):
+        # The class positions are uint8 at K=50: traced at LARGE the generator
+        # peaks at ~24 MB; two int64 (N, K) position arrays put it at ~34 MB
+        tracemalloc.start()
+        try:
+            gen_multilabel(LARGE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6
 
 
 class TestWordDraw:
