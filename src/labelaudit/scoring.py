@@ -45,6 +45,14 @@ temporaries, so no method needs an (N, K) array of its own. A row's
 arithmetic does not depend on its block, so equal rows pool to equal bits
 wherever they fall. :func:`score_examples` and :func:`pool` are its
 one-method views, so a method gives the same bits alone or in a list.
+
+Work whose answer is known is skipped without moving a bit. An L-statistic
+with at most two nonzero weights (min, max, median, and cumavg_bottom with
+J <= 2) reads those sorted columns instead of summing the whole weighted
+row; only a row whose sum is zero, where the sign of the zero depends on
+every term, takes the whole sum. In a sorted block, softmin takes its row's
+largest exponent from the smallest score, since (1 - s)/tau, rounded, is
+non-increasing in s.
 """
 
 from __future__ import annotations
@@ -185,6 +193,9 @@ def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) ->
     positions = np.arange(1.0, n_classes + 1)
     weights = [_SORTED_WEIGHTS[m.name](m, positions, n_classes) if m.name in _SORTED_WEIGHTS
                else None for m in methods]
+    # the sorted positions an L-statistic with at most two nonzero weights reads
+    sparse = [None if w is None or np.count_nonzero(w) > 2 else np.flatnonzero(w)
+              for w in weights]
     sorting = any(w is not None for w in weights)
     pooled = [np.empty(n_examples) for _ in methods]
     rows = max(1, _BLOCK_CELLS // n_classes)
@@ -193,24 +204,45 @@ def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) ->
         block = scores[start:start + rows]
         ordered = np.sort(block, axis=1) if sorting else None
         out = work[:len(block)]
-        for method, w, result in zip(methods, weights, pooled):
+        for method, w, columns, result in zip(methods, weights, sparse, pooled):
             dest = result[start:start + len(block)]
             if method.name == "softmin":
                 # weights exp((1 - s)/tau - row max); subtracting the row's largest
-                # exponent keeps any temperature from overflowing
+                # exponent keeps any temperature from overflowing. Rounding is
+                # monotone, so (1 - s)/tau is largest at the row's smallest s.
                 z = np.subtract(1.0, block, out=out)
                 z /= method.tau
-                z -= z.max(axis=1, keepdims=True)
+                z -= (z.max(axis=1, keepdims=True) if ordered is None
+                      else (1.0 - ordered[:, :1]) / method.tau)
                 e = np.exp(z, out=z)
                 total = e.sum(axis=1)
                 np.divide(np.multiply(block, e, out=e).sum(axis=1), total, out=dest)
             elif method.name == "log":
                 np.log(np.add(block, method.eps, out=out), out=out).mean(axis=1, out=dest)
-            else:
+            elif columns is None:
                 # Not `@`: a BLAS product can sum equal rows in different orders,
                 # and ranks at ties need equal rows pooled to bit-equal values.
                 np.multiply(ordered, w, out=out).sum(axis=1, out=dest)
+            else:
+                _sparse_sum(ordered, w, columns, dest)
     return pooled
+
+
+def _sparse_sum(ordered: np.ndarray, w: np.ndarray, columns: np.ndarray, dest: np.ndarray) -> None:
+    """``np.multiply(ordered, w).sum(axis=1)`` into ``dest`` where ``w`` is
+    nonzero only at ``columns``, one or two of them.
+
+    Adding a zero term leaves a nonzero partial sum as it is, so a nonzero
+    row sum is the one rounding of its nonzero terms' sum, in any order. A
+    zero one carries a sign that depends on every term, so those rows take
+    the dense sum.
+    """
+    np.multiply(ordered[:, columns[0]], w[columns[0]], out=dest)
+    if len(columns) == 2:
+        dest += ordered[:, columns[1]] * w[columns[1]]
+    zero = np.flatnonzero(dest == 0.0)
+    if zero.size:
+        dest[zero] = np.multiply(ordered[zero], w).sum(axis=1)
 
 
 def score_examples(labels: np.ndarray, probs: np.ndarray, method: PoolingMethod) -> QualityScoreVector:

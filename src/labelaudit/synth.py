@@ -34,6 +34,8 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+_BLOCK_CELLS = 32768  # cells per row block of the noise draw: its temporaries stay small
+
 # numpy's largest Poisson mean (``lam``): int64 max - 10 sqrt(int64 max)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
@@ -241,9 +243,12 @@ def inject_noise(
     labels are returned as ``LABEL_DTYPE`` whatever the dtype of
     ``true_labels``.
 
-    All flips are proposed in one N x K uniform draw. After it, only the
-    capped rows draw from the RNG, one ``choice`` each in row order; every
-    other flip is applied in one masked pass over the matrix.
+    The flips are proposed by one uniform per cell, drawn and compared in
+    row blocks of about ``_BLOCK_CELLS`` cells: the generator yields the
+    same stream whether it draws N x K numbers at once or block by block,
+    and no N x K float array is made. After it, only the capped rows draw
+    from the RNG, one ``choice`` each in row order; every other flip is
+    applied in one masked pass over the matrix.
     """
     truth = np.asarray(true_labels)
     matrices = np.asarray(matrices, dtype=np.float64)
@@ -258,8 +263,12 @@ def inject_noise(
     check_binary_labels(truth)
 
     rng = np.random.default_rng(seed)
-    flip_prob = np.where(truth == 1, matrices[:, 1, 0][None, :], matrices[:, 0, 1][None, :])
-    flips = rng.random((n, k)) < flip_prob
+    flips = np.empty((n, k), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    for start in range(0, n, rows):
+        block = truth[start:start + rows]
+        flip_prob = np.where(block == 1, matrices[:, 1, 0], matrices[:, 0, 1])
+        np.less(rng.random(block.shape), flip_prob, out=flips[start:start + rows])
     for i in np.flatnonzero(flips.sum(axis=1) > max_errors):
         kept = rng.choice(np.flatnonzero(flips[i]), size=max_errors, replace=False)
         flips[i] = False

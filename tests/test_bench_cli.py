@@ -7,7 +7,7 @@ import pytest
 
 from labelaudit import bench, cli
 from labelaudit.cli import main
-from labelaudit.data import load_probs_csv, load_scores_csv
+from labelaudit.data import load_probs_csv, load_scores_csv, save_scores_csv
 from labelaudit.model import TrainConfig
 from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_all
 from labelaudit.synth import LARGE, GenConfig
@@ -541,6 +541,27 @@ class TestCli:
                         "--method", "log", "--rescale") == 0
         _, scores = load_scores_csv(tmp_path / "s.csv")
         assert scores.min() == 0.0 and scores.max() == 1.0
+
+    def test_min_score_of_negative_zero_probabilities_is_the_dense_sum(self, tmp_path):
+        # a -0.0 probability under label 1 scores -0.0; min reads the sorted
+        # row's first column, and must write the bytes of the weighted sum
+        # over the whole sorted row, whose zeros carry their own sign
+        (tmp_path / "l.csv").write_text("id,label_0,label_1,label_2\n"
+                                        "a,1,1,1\nb,1,0,1\nc,0,0,0\nd,1,1,0\n")
+        (tmp_path / "p.csv").write_text("id,prob_0,prob_1,prob_2\na,-0.0,-0.0,-0.0\n"
+                                        "b,-0.0,0.5,0.25\nc,-0.0,-0.0,-0.0\nd,0.0,-0.0,1\n")
+        _, probs = load_probs_csv(tmp_path / "p.csv")
+        assert np.signbit(probs[0]).all()
+        assert self.run("score", "--labels", str(tmp_path / "l.csv"),
+                        "--probs", str(tmp_path / "p.csv"),
+                        "--out", str(tmp_path / "s.csv"), "--method", "min") == 0
+        labels = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 0]])
+        scores = np.where(labels == 1, probs, 1.0 - probs)
+        dense = np.multiply(np.sort(scores, axis=1), [1.0, 0.0, 0.0]).sum(axis=1)
+        save_scores_csv(tmp_path / "dense.csv", ["a", "b", "c", "d"], dense)
+        written = (tmp_path / "s.csv").read_bytes()
+        assert written == (tmp_path / "dense.csv").read_bytes()
+        assert written.count(b",1\r\n") == 1  # rows a, b and d pool to a zero
 
     def test_rescale_of_header_only_files_writes_header_only_scores(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0,label_1\n")

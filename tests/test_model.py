@@ -317,6 +317,101 @@ class TestTrainerOracle:
         assert np.array_equal(probs, expected)
 
 
+def counting_sigmoid(monkeypatch):
+    """Count the trainer's and the predictor's calls of the logistic."""
+    calls = []
+    real = model_module._sigmoid_of_negated
+
+    def counted(q):
+        calls.append(q.shape)
+        return real(q)
+
+    monkeypatch.setattr(model_module, "_sigmoid_of_negated", counted)
+    return calls
+
+
+def oracle_dataset(case):
+    features, labels, cv = oracle_case(case)
+    ids = tuple(f"e{i}" for i in range(features.shape[0]))
+    return MultiLabelDataset(labels, ids, features=features), cv
+
+
+class TestClosedFormFirstEpoch:
+    """A cross-validation fit starts from A = 0, so its epoch-0 logistic is
+    1/2 in every cell: it writes the residual 1/2 - y without the forward
+    product, and every bit stays that of the full epoch."""
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("case", ["unequal_folds", "constant_in_one_fold"])
+    def test_cv_and_losses_match_oracle_in_small_blocks(self, case, epochs, monkeypatch):
+        fits = oracle_fits(case)
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", shrunk_block_cells(fits))
+        assert min(len(_row_blocks(n, k)) for n, k in fits) >= 3
+        features, labels, cv = oracle_case(case)
+        dataset, _ = oracle_dataset(case)
+        probs = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=epochs))
+        expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed,
+                                                  _row_blocks, epochs=epochs)
+        assert np.array_equal(probs, expected)
+        # train() records epoch 0's loss, so it runs the full epoch there
+        model = train(features, labels, TrainConfig(epochs=epochs, loss_every=1))
+        _, _, losses, _, _ = reference.train_class_major(
+            features, labels, _row_blocks(*fits[0]), epochs=epochs)
+        assert np.array_equal(model.loss_history.view(np.uint64), losses.view(np.uint64))
+
+    def test_first_epoch_takes_no_logistic(self, monkeypatch):
+        # epochs 1 and 2 of 3 take one logistic a block, epoch 0 none and
+        # the last epoch, which makes no update, none; predicting takes one
+        dataset, cv = oracle_dataset("unequal_folds")
+        calls = counting_sigmoid(monkeypatch)
+        cross_val_pred_probs(dataset, cv, TrainConfig(epochs=3))
+        fits = oracle_fits("unequal_folds")[1:]
+        assert len(calls) == sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
+
+    def test_a_failing_bound_takes_the_full_first_epoch(self, monkeypatch):
+        # with the bound below n*K no epoch can skip its loss, as for
+        # features too large for the bound to show the loss finite; epoch
+        # 0 then takes its logistic, and the bits are the same
+        dataset, cv = oracle_dataset("unequal_folds")
+        expected = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=2))
+        monkeypatch.setattr(model_module, "_FINITE_BOUND", 1.0)
+        calls = counting_sigmoid(monkeypatch)
+        probs = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=2))
+        fits = oracle_fits("unequal_folds")[1:]
+        assert len(calls) == sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
+        assert np.array_equal(probs, expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_features_raise_at_epoch_0(self, bad):
+        dataset, cv = oracle_dataset("unequal_folds")
+        features = dataset.features.copy()
+        features[3, 1] = bad
+        dataset = MultiLabelDataset(dataset.given_labels, dataset.example_ids, features=features)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 0$"):
+                cross_val_pred_probs(dataset, cv, TrainConfig(epochs=5))
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 0$"):
+                train(features, dataset.given_labels, TrainConfig(epochs=5, loss_every=3))
+
+    def test_penalty_alone_overflowing_the_loss_raises_on_time(self):
+        # a decay of lr * l2 = 1e10 multiplies the weights by about -1e10 an
+        # epoch, so the L2 penalty overflows near |W| = 1e149, long before
+        # the logit bound fails; the bound on the penalty must see it in time
+        dataset, cv = oracle_dataset("unequal_folds")
+        messages = []
+        for loss_every in (1, 50):
+            config = TrainConfig(learning_rate=1.0, l2=1e10, epochs=100, loss_every=loss_every)
+            with pytest.raises(TrainingDivergedError) as raised:
+                train(dataset.features, dataset.given_labels, config)
+            messages.append(str(raised.value))
+        assert messages == ["non-finite loss at epoch 17"] * 2
+        rows = fold_assignments(dataset.n_examples, cv) != 0
+        with pytest.raises(TrainingDivergedError) as raised:
+            train(dataset.features[rows], dataset.given_labels[rows], config)
+        with pytest.raises(TrainingDivergedError, match=f"^{raised.value}$"):
+            cross_val_pred_probs(dataset, cv, config)
+
+
 class TestRowBlocks:
     @given(n=st.integers(2, 3000), k=st.integers(0, 60), cells=st.integers(1, 5000))
     def test_blocks_tile_the_rows_with_no_single_row(self, n, k, cells):

@@ -381,6 +381,55 @@ def test_matches_brute_force_oracle(name):
             assert first.setdefault(r.tobytes(), value) == value
 
 
+SPARSE_METHODS = (PoolingMethod("min"), PoolingMethod("max"), PoolingMethod("median"),
+                  PoolingMethod("cumavg_bottom", bottom_j=1),
+                  PoolingMethod("cumavg_bottom", bottom_j=2))
+# signed zeros, negative scores and subnormals, whose halves round to zero
+signed_scores = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                          st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@pytest.mark.parametrize("method", SPARSE_METHODS, ids=lambda m: f"{m.name}{m.params()}")
+@given(data=st.data())
+def test_sparse_l_statistics_equal_the_dense_sum(method, data):
+    # these read one or two sorted columns; the weighted sum over the whole
+    # sorted row must give the same bits, signed zeros included
+    k = data.draw(st.integers(method.bottom_j if method.name == "cumavg_bottom" else 1, 7))
+    scores = np.array(data.draw(st.lists(st.lists(signed_scores, min_size=k, max_size=k),
+                                         min_size=1, max_size=6)))
+    weights = scoring._SORTED_WEIGHTS[method.name](method, np.arange(1.0, k + 1), k)
+    dense = np.multiply(np.sort(scores, axis=1), weights).sum(axis=1)
+    assert np.array_equal(bits(pool(scores, method)), bits(dense))
+
+
+def test_sparse_l_statistics_equal_the_dense_sum_at_signed_zeros():
+    rows = np.array([[-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [-1.0, -0.0, -0.0, -0.0],
+                     [-0.0, -0.0, -0.0, 1.0], [-2.0, -2.0, 2.0, 2.0], [-3.0, -0.0, 3.0, 7.0],
+                     [-5e-324, -5e-324, 0.0, -0.0], [-5e-324, 5e-324, 5e-324, 1.0]])
+    for method in SPARSE_METHODS:
+        weights = scoring._SORTED_WEIGHTS[method.name](method, np.arange(1.0, 5), 4)
+        dense = np.multiply(np.sort(rows, axis=1), weights).sum(axis=1)
+        assert np.array_equal(bits(pool(rows, method)), bits(dense)), method.name
+
+
+def test_softmin_alone_equals_softmin_among_sorting_methods():
+    # alone, softmin takes its row maximum from the exponents; beside a
+    # sorting method, from the sorted row's smallest score
+    rng = np.random.default_rng(31)
+    scores = rng.random((200, 9))
+    scores[::7] = 0.0
+    scores[1::7, 2] = -0.0
+    scores[2::7] = np.where(rng.random((29, 9)) < 0.5, -0.0, 0.0)
+    scores[3::7] *= -4.0
+    for tau in (0.1, 1e-3, 1e-300):
+        softmin = PoolingMethod("softmin", tau=tau)
+        alone = pool(scores, softmin)
+        among = scoring._pool_all(scores, (PoolingMethod("min"), softmin))[1]
+        assert np.array_equal(bits(alone), bits(among)), tau
+        expected = reference.score_one_method(np.ones(scores.shape, dtype=np.int8), scores, softmin)
+        assert np.array_equal(bits(alone), bits(expected)), tau
+
+
 def every_method(k):
     return tuple(PoolingMethod(name, bottom_j=min(2, k), period=min(2, k))
                  for name in POOLER_NAMES)

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 import reference
+from labelaudit import synth
 from labelaudit.synth import (
     LARGE,
     POISSON_LAM_MAX,
@@ -380,6 +381,37 @@ class TestInjectNoiseOracle:
         empty, five = np.zeros((0, 5), dtype=np.int64), np.stack([build_noise_matrix(1.0)] * 5)
         self.check(empty, five, cap, seed=4)
         assert inject_noise(empty, five, cap).shape == (0, 5)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_row_blocks_draw_the_stream_of_one_draw(self, cap, symmetric, monkeypatch):
+        # 301 rows in blocks of 25: twelve full blocks and a one-row remainder
+        n, k = 301, 20
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", 25 * k)
+        draws = []
+        real_rng = np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+        truth = np.random.default_rng(cap + 200).integers(0, 2, size=(n, k))
+        matrices = draw_noise_spec(k, gamma_scale=0.3, seed=cap, symmetric=symmetric).matrices
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        got = inject_noise(truth, matrices, cap, seed=cap)
+        monkeypatch.setattr(np.random, "default_rng", real_rng)
+        assert draws == [(25, k)] * 12 + [(1, k)]
+        assert got.dtype == np.int8
+        assert np.array_equal(got, reference.inject_noise(truth, matrices, cap, cap))
+        proposed = (reference.inject_noise(truth, matrices, k, cap) != truth).sum(axis=1)
+        assert (proposed > max(cap, 1)).sum() >= 10  # the capped rows draw after the blocks
 
 
 class TestNoiseSpec:
