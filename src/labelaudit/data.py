@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -153,6 +152,11 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # Ids must align row-wise between files that describe the same dataset.
 # All four loaders read through _parse_matrix_csv: numpy-converted blocks of
 # lines, else one streaming csv.reader scan that parses cell by cell.
+# Every CSV writer goes through write_csv_rows, with the bytes of csv.writer.
+# Labels, truth and whole-number features are all-integer ("%d"): each block
+# of their rows is laid out as one byte grid (_grid_block) and written with
+# one call; probabilities, scores, flags and any block the grid cannot hold
+# are %-formatted row by row.
 # ---------------------------------------------------------------------------
 
 # 17 significant digits round-trip float64 exactly; "%.17g" % x == _fmt_float(x).
@@ -403,22 +407,110 @@ def load_dataset(
 
 
 _BLOCK_ROWS = 1000
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# csv.writer quotes a field that holds one of these
+_QUOTED_CHARS = ',"\r\n'
 
 
 def _csv_field(value: str) -> str:
     """``value`` as the csv module's excel dialect writes it beside other fields."""
-    if _NEEDS_QUOTES.search(value):
+    if any(c in value for c in _QUOTED_CHARS):
         return '"' + value.replace('"', '""') + '"'
     return value
 
 
 def _id_fields(ids: Sequence[str], alone: bool) -> list[str]:
-    """``ids`` as csv fields; ``alone`` if no other field follows on the row."""
-    fields = [_csv_field(str(ex_id)) for ex_id in ids]
+    """``ids`` as csv fields; ``alone`` if no other field follows on the row.
+
+    The joined ids are searched once; only when one needs quotes is each
+    id quoted on its own. An id that is not a ``str`` is written as
+    ``str()`` gives it.
+    """
+    fields = list(ids)
+    try:
+        text = "".join(fields)
+    except TypeError:
+        fields = list(map(str, fields))
+        text = "".join(fields)
+    if any(c in text for c in _QUOTED_CHARS):
+        fields = [_csv_field(field) for field in fields]
     if alone:  # csv quotes an empty field that is alone on its row
         fields = [field or '""' for field in fields]
     return fields
+
+
+def _int_matrix(columns: Sequence[np.ndarray], cell_fmts: Sequence[str],
+                n_rows: int) -> np.ndarray | None:
+    """The columns as one C x N integer array if each is written with ``"%d"``, else None.
+
+    Bool columns are viewed as uint8. None also when the columns share no
+    integer type (int64 beside uint64 would promote to float64).
+    """
+    if any(fmt != "%d" for fmt in cell_fmts):
+        return None
+    if not len(columns):
+        return np.zeros((0, n_rows), dtype=np.uint8)
+    matrix = np.asarray(columns)  # a view when the columns are one transposed matrix
+    if matrix.dtype.kind == "b":
+        return matrix.view(np.uint8)
+    return matrix if matrix.dtype.kind in "iu" else None
+
+
+def _digit_cells(values: np.ndarray, digits: int, cell: int) -> np.ndarray:
+    """Each of the non-negative ``values`` below ``10**digits`` as a ``cell``-byte csv cell.
+
+    A cell is NUL padding, a comma, then the value's digits with NULs in
+    place of leading zeros: with the NULs dropped, ``",%d" % value``.
+    """
+    out = np.zeros(values.shape + (cell,), dtype=np.uint8)
+    out[..., cell - 1 - digits] = ord(",")
+    out[..., -1] = values % 10 + ord("0")
+    for j in range(1, digits):
+        values = values // 10
+        out[..., -1 - j] = np.where(values > 0, values % 10 + ord("0"), 0)
+    return out
+
+
+def _grid_block(fields: list[str], values: np.ndarray) -> str | None:
+    """The rows of ``fields`` and the rows x C integer ``values``, laid out as one byte grid.
+
+    Each grid row holds the id field, left-aligned to the block's longest
+    id, then per value a cell of :func:`_digit_cells`, as wide as the
+    block's widest value needs, then ``\r\n``; the NUL padding is dropped
+    at the end (a block with none, such as 0/1 labels beside ids of one
+    length, is taken as it is). Values with at most three digits are cells
+    of 2 or 4 bytes, copied from a table of every such value as one machine
+    word each. None if an id is not ASCII or holds a NUL (dropping the
+    padding would drop it too), or if a value is negative: such a block is
+    %-formatted instead.
+    """
+    text = "\0".join(fields) + "\0"  # each id and a NUL, which marks its end
+    if not text.isascii() or (values.dtype.kind == "i" and (values < 0).any()):
+        return None
+    terminated = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(terminated == 0)
+    if len(ends) != len(fields):
+        return None
+    n_rows, n_cols = values.shape
+    lengths = np.diff(ends, prepend=-1) - 1
+    id_width = int(lengths.max())
+    digits = len(str(values.max(initial=0)))
+    cell = 2 if digits == 1 else 4 if digits <= 3 else 1 + digits
+    grid = np.zeros((n_rows, id_width + n_cols * cell + 2), dtype=np.uint8)
+    id_bytes = terminated[terminated != 0]
+    if lengths.min() == id_width:
+        grid[:, :id_width] = id_bytes.reshape(n_rows, id_width)
+    else:  # byte j of row i's id goes to grid[i, j]
+        starts = np.arange(n_rows) * grid.shape[1] - (np.cumsum(lengths) - lengths)
+        grid.reshape(-1)[np.repeat(starts, lengths) + np.arange(id_bytes.size)] = id_bytes
+    if cell in (2, 4):
+        table = _digit_cells(np.arange(10**digits), digits, cell).view(f"u{cell}")[:, 0]
+        cells = grid[:, id_width:-2].view(table.dtype)
+        np.take(table, values.astype(np.intp), out=cells, mode="clip")
+    else:
+        grid[:, id_width:-2] = _digit_cells(values, digits, cell).reshape(n_rows, -1)
+    grid[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    out = grid.tobytes()
+    return (out.translate(None, b"\0") if b"\0" in out else out).decode("ascii")
 
 
 def write_csv_rows(path, header: Sequence[str], ids: Sequence[str],
@@ -428,17 +520,38 @@ def write_csv_rows(path, header: Sequence[str], ids: Sequence[str],
     ``columns`` are arrays of one value per id and ``cell_fmts`` their
     %-formats (``"%d"``, ``"%.17g"``, ``"%s"``); ids are quoted as needed.
     The bytes, ``\r\n`` line ends included, are those of ``csv.writer``.
-    Rows are %-formatted ``_BLOCK_ROWS`` at a time and each block is written
-    out before the next, so no more than one block of text is held.
+    ``ValueError``, before the file is opened, unless ``header`` names the
+    id and each column, there is one format per column, and every column
+    holds one value per id. Rows go out ``_BLOCK_ROWS`` at a time, so no
+    more than one block of text is held. When every format is ``"%d"`` and
+    every column is bool or integer, a block is laid out as one byte grid
+    (:func:`_grid_block`), with no Python string per row or cell; a block
+    the grid cannot hold, and every block of any other file, is
+    %-formatted row by row.
     """
+    if not len(header) == 1 + len(columns) == 1 + len(cell_fmts):
+        raise ValueError(f"header of {len(header)} names for {len(columns)} columns "
+                         f"and {len(cell_fmts)} formats")
+    lengths = {len(col) for col in columns}
+    if lengths - {len(ids)}:
+        raise ValueError(f"columns of {sorted(lengths)} values for {len(ids)} ids")
+    matrix = _int_matrix(columns, cell_fmts, len(ids))
     row_fmt = ",".join(["%s", *cell_fmts]) + "\r\n"
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(ids), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            block_ids = _id_fields(ids[lo:hi], alone=not cell_fmts)
-            rows = zip(block_ids, *(col[lo:hi].tolist() for col in columns))
-            fh.write((row_fmt * len(block_ids)) % tuple(chain.from_iterable(rows)))
+            fields = _id_fields(ids[lo:hi], alone=not cell_fmts)
+            text = None if matrix is None else _grid_block(fields, matrix[:, lo:hi].T)
+            if text is None:
+                text = _format_block(row_fmt, fields, [col[lo:hi] for col in columns])
+            fh.write(text)
+
+
+def _format_block(row_fmt: str, fields: list[str], columns: list[np.ndarray]) -> str:
+    """The rows of ``fields`` and ``columns``, each %-formatted by ``row_fmt``."""
+    rows = zip(fields, *(col.tolist() for col in columns))
+    return (row_fmt * len(fields)) % tuple(chain.from_iterable(rows))
 
 
 def _matrix_header(prefix: str, ids: Sequence[str], data: np.ndarray) -> list[str]:
@@ -458,31 +571,14 @@ def _write_matrix_csv(path, prefix: str, ids: Sequence[str], data: np.ndarray,
 def save_labels_csv(path, ids: Sequence[str], labels: np.ndarray) -> None:
     """Write a 0/1 label matrix; ``ValueError`` at the first other value.
 
-    The bytes are those of ``csv.writer`` with one digit per cell. Each
-    ``_BLOCK_ROWS`` block of cells is laid out as one array of ASCII bytes,
-    ``,d`` per class and ``\r\n`` per row, and decoded once; only the
-    quoted ids are joined in per row.
+    After the 0/1 check the labels are cast to ``LABEL_DTYPE`` (exact) and
+    written with ``"%d"`` through :func:`write_csv_rows`, in the byte grid
+    that integer counts take too; the bytes are those of ``csv.writer``.
     """
     labels = np.asarray(labels)
-    header = _matrix_header("label", ids, labels)
+    _matrix_header("label", ids, labels)  # a shape error comes before a value error
     check_binary_labels(labels)
-    width = labels.shape[1]
-    line = 2 * width + 2
-    cells = np.empty((_BLOCK_ROWS, line), dtype=np.uint8)
-    cells[:, 0:-2:2] = ord(",")
-    cells[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(ids), _BLOCK_ROWS):
-            block = labels[lo:lo + _BLOCK_ROWS]
-            rows = cells[:len(block)]
-            digits = rows[:, 1:-2:2]
-            digits[...] = block
-            digits += ord("0")
-            text = rows.tobytes().decode("ascii")
-            tails = [text[j:j + line] for j in range(0, len(text), line)]
-            block_ids = _id_fields(ids[lo:lo + _BLOCK_ROWS], alone=not width)
-            fh.write("".join(chain.from_iterable(zip(block_ids, tails))))
+    _write_matrix_csv(path, "label", ids, labels.astype(LABEL_DTYPE, copy=False), "%d")
 
 
 def save_probs_csv(path, ids: Sequence[str], probs: np.ndarray) -> None:
@@ -493,8 +589,10 @@ def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
     """Write a non-negative feature matrix; ``ValueError`` at the first negative or non-finite cell.
 
     A matrix of whole numbers in [0, 2**53) without a ``-0.0`` is written as
-    integers with ``"%d"``: for each such number that gives the bytes of
-    ``"%.17g"``, and faster. Any other matrix is written with ``"%.17g"``.
+    int64 integers with ``"%d"``: for each such number that gives the bytes
+    of ``"%.17g"``, and :func:`write_csv_rows` lays such blocks out as one
+    byte grid with no Python string per cell. Any other matrix is written
+    with ``"%.17g"``, row by row.
     """
     data = np.asarray(features, dtype=np.float64)
     header = _matrix_header("feat", ids, data)

@@ -20,13 +20,17 @@ floating-point operations and the same RNG calls can show that a rewrite
 gives bit-identical weights, probabilities, thresholds, noise rates, noisy
 labels and pooled scores. Another is the generator's per-example label
 loop; the batched draw that replaced it consumes the RNG differently, so
-only its per-row label counts must match. The last is the generator with
+only its per-row label counts must match. Another is the generator with
 its multinomial word draw: the word counts come after the labels in the
 RNG stream, so the independent Poisson counts that replaced it leave the
-labels bit for bit as they were.
+labels bit for bit as they were. The last is the CSV writer that
+%-formats every row in Python, whose bytes the byte-grid writer must give.
 """
 
 import math
+import re
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -515,3 +519,29 @@ def score_one_method(labels, probs, method):
     ordered = np.sort(scores, axis=1)
     ordered *= _SORTED_WEIGHTS[method.name](method, np.arange(1.0, k + 1), k)
     return ordered.sum(axis=1)
+
+
+# --- CSV writer: one %-format per row ---------------------------------------
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(value):
+    if _NEEDS_QUOTES.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def write_csv_rows(path, header, ids, columns, cell_fmts):
+    """``header`` and per id a row of the id and each column's entry, each
+    row %-formatted; ids are quoted per id, as csv.writer quotes them."""
+    row_fmt = ",".join(["%s", *cell_fmts]) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ids), 1000):
+            hi = lo + 1000
+            block_ids = [_csv_field(str(ex_id)) for ex_id in ids[lo:hi]]
+            if not cell_fmts:  # csv quotes an empty field that is alone on its row
+                block_ids = [field or '""' for field in block_ids]
+            rows = zip(block_ids, *(col[lo:hi].tolist() for col in columns))
+            fh.write((row_fmt * len(block_ids)) % tuple(chain.from_iterable(rows)))

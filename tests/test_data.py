@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -33,7 +34,7 @@ from labelaudit.data import (
 )
 from labelaudit.model import CVConfig, TrainConfig, cross_val_pred_probs, predict_proba, train
 from labelaudit.scoring import PoolingMethod, score_examples, self_confidence
-from labelaudit.synth import GenConfig, draw_noise_spec, gen_multilabel, inject_noise
+from labelaudit.synth import LARGE, GenConfig, draw_noise_spec, gen_multilabel, inject_noise
 
 
 def make_dataset(n=3, k=2, seed=0):
@@ -496,6 +497,128 @@ SCANS = {
     load_labels_csv: ("label", data._parse_binary_cell),
     load_features_csv: ("feat", data._parse_count_cell),
 }
+
+
+def _csv_writer_bytes(header, ids, columns):
+    """What csv.writer writes for ``header`` and per id its ``"%d"`` cells."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    rows = zip(ids, *(col.tolist() for col in columns))
+    writer.writerows([ex_id, *("%d" % v for v in cells)] for ex_id, *cells in rows)
+    return expected.getvalue().encode()
+
+
+# Values with every digit count the writers meet, per column dtype
+EDGE_VALUES = {
+    bool: [False, True],
+    np.int8: [0, 1, 9, 10, 127],
+    np.uint8: [0, 1, 9, 10, 99, 100, 255],
+    np.int64: [0, 9, 10, 999, 1000, 2**31 - 1, 2**31, 2**53 - 1],
+}
+# Ids that csv quotes, empty ids, and ids the byte grid cannot hold
+SPECIAL_IDS = ["a,b", 'say "hi"', "two\nlines", "", "é", "a\0b"]
+
+
+class TestIntegerGrid:
+    """write_csv_rows lays integer blocks out as one byte grid, with the bytes of %-format."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.sampled_from([0, 1, 7, 8, 15]) | st.integers(0, 40),
+           width=st.sampled_from([0, 1, 50]),
+           dtypes=st.lists(st.sampled_from(list(EDGE_VALUES)), min_size=1, max_size=3),
+           as_matrix=st.booleans(),
+           block_rows=st.sampled_from([1, 7, 1000]),
+           special=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(SPECIAL_IDS)),
+                            max_size=4),
+           negative_rows=st.lists(st.integers(0, 40), max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_are_those_of_the_row_writer(self, tmp_path_factory, n, width, dtypes,
+                                               as_matrix, block_rows, special, negative_rows,
+                                               seed):
+        # special ids and negative values make their blocks fall back beside grid blocks
+        rng = np.random.default_rng(seed)
+        ids = [f"ex{i}" for i in range(n)]
+        for position, ex_id in special:
+            if n:
+                ids[position % n] = ex_id
+        if as_matrix:  # one matrix, passed transposed, as the matrix writers pass it
+            dtype = dtypes[0]
+            matrix = rng.choice(EDGE_VALUES[dtype], size=(n, width)).astype(dtype)
+            columns = matrix.T
+        else:  # one array per column, of mixed dtypes
+            columns = [rng.choice(EDGE_VALUES[dtypes[c % len(dtypes)]], size=n)
+                       .astype(dtypes[c % len(dtypes)]) for c in range(width)]
+        signed = [col for col in columns if col.dtype.kind == "i"]
+        for row in negative_rows:
+            if n and signed:
+                signed[row % len(signed)][row % n] = -row - 1
+        header = ["id"] + [f"c{c}" for c in range(width)]
+        tmp = tmp_path_factory.mktemp("grid")
+        with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+            data.write_csv_rows(tmp / "grid.csv", header, ids, columns, ["%d"] * width)
+        reference.write_csv_rows(tmp / "rows.csv", header, ids, columns, ["%d"] * width)
+        written = (tmp / "grid.csv").read_bytes()
+        assert written == (tmp / "rows.csv").read_bytes()
+        if sys.version_info >= (3, 11) or not any("\0" in ex_id for ex_id in ids):
+            assert written == _csv_writer_bytes(header, ids, columns)  # csv writes NUL from 3.11
+
+    def test_generated_blocks_take_the_grid(self, tmp_path):
+        # no block of gen's labels, truth or counts falls back to %-formatting
+        dataset = gen_multilabel(replace(LARGE, n_samples=2500, seed=3))
+        ids = dataset.example_ids
+        noisy = inject_noise(dataset.true_labels, draw_noise_spec(50).matrices, 3, seed=1)
+        counts = dataset.features.astype(np.int64)
+        assert (counts == dataset.features).all() and counts.max() >= 10
+        with mock.patch.object(data, "_format_block",
+                               side_effect=AssertionError("a block was %-formatted")):
+            save_labels_csv(tmp_path / "labels.csv", ids, noisy)
+            save_labels_csv(tmp_path / "truth.csv", ids, dataset.true_labels)
+            save_features_csv(tmp_path / "features.csv", ids, dataset.features)
+        for name, prefix, values in [("labels", "label", noisy),
+                                     ("truth", "label", dataset.true_labels),
+                                     ("features", "feat", counts)]:
+            header = ["id"] + [f"{prefix}_{c}" for c in range(values.shape[1])]
+            assert (tmp_path / f"{name}.csv").read_bytes() == _csv_writer_bytes(
+                header, ids, values.T)
+
+    def test_fallback_blocks_sit_beside_grid_blocks(self, tmp_path):
+        # blocks of two rows: the second holds "é", the fourth a NUL, the fifth a negative
+        ids = ["a", "b", "é", "c", "d", "e", "x\0y", "f", "g", "h", "i", "j"]
+        values = np.arange(12, dtype=np.int64) * 1001
+        values[9] = -5
+        header = ["id", "v"]
+        with mock.patch.object(data, "_BLOCK_ROWS", 2), \
+                mock.patch.object(data, "_format_block", wraps=data._format_block) as fallback:
+            data.write_csv_rows(tmp_path / "grid.csv", header, ids, [values], ["%d"])
+        assert [call.args[1] for call in fallback.call_args_list] == [
+            ["é", "c"], ["x\0y", "f"], ["g", "h"]]
+        reference.write_csv_rows(tmp_path / "rows.csv", header, ids, [values], ["%d"])
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("ids, columns", [
+        ([1, 2.5, "a"], [np.array([1, 20, 300])]),
+        (["a", "b"], [np.array([1, 2], dtype=np.int64),
+                      np.array([2**64 - 1, 0], dtype=np.uint64)]),
+        (["a", "b"], [np.array([1.0, 2.5])]),
+    ], ids=["ids-not-str", "no-shared-integer-type", "float-column"])
+    def test_other_inputs_written_as_the_row_writer_writes_them(self, tmp_path, ids, columns):
+        header = ["id"] + [f"c{c}" for c in range(len(columns))]
+        fmts = ["%d"] * len(columns)
+        data.write_csv_rows(tmp_path / "grid.csv", header, ids, columns, fmts)
+        reference.write_csv_rows(tmp_path / "rows.csv", header, ids, columns, fmts)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("header, columns, message", [
+        (["id", "v"], [np.arange(4)], r"^columns of \[4\] values for 3 ids$"),
+        (["id", "v", "w"], [np.arange(3)], r"^header of 3 names for 1 columns and 1 formats$"),
+        (["id", "v"], [np.arange(2)], r"^columns of \[2\] values for 3 ids$"),
+    ], ids=["longer-column", "more-names-than-columns", "shorter-column"])
+    def test_shapes_checked_before_the_file_is_opened(self, tmp_path, header, columns, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=message):
+            data.write_csv_rows(path, header, ["a", "b", "c"], columns, ["%d"])
+        assert not path.exists()
 
 
 def _outcome(load, path):
