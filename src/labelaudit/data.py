@@ -229,7 +229,8 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
     ids: list[str] = []
     values = None
     try:
-        with Path(path).open() as fh:  # universal newlines, as csv splits lines
+        # universal newlines, as csv splits lines; a byte-order mark is skipped
+        with Path(path).open(encoding="utf-8-sig") as fh:
             width = width_of(path, fh.readline().rstrip("\n").split(","))
             while lines := list(islice(fh, _BLOCK_LINES)):
                 if not lines[-1].endswith("\n"):  # the file's last line
@@ -273,7 +274,7 @@ def _scan_matrix_csv(path, width_of, parse_cell) -> tuple[list[str], np.ndarray]
     """
     ids: list[str] = []
     try:
-        with Path(path).open(newline="") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -649,7 +650,7 @@ def load_jsonl(path) -> tuple[MultiLabelDataset, np.ndarray | None]:
     ids: dict[str, None] = {}  # in file order
     labels: list[list[int]] = []
     probs: list[list[float]] = []
-    with path.open() as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -208,16 +208,22 @@ def evaluate(scores: np.ndarray, truth: ErrorTruth,
     """The named metrics of one score vector, all read from one stable order.
 
     Results and errors are those of ``auprc``, ``ap_at_t`` and ``spearman``,
-    except that scores that are not 1-D or contain NaN are rejected first;
+    except that scores that are not 1-D, contain NaN or are not one per
+    ``truth`` entry are rejected first, and that with no mislabeled example
+    the AP-family metrics are NaN (undefined) where those functions raise;
     "neg_spearman" is exactly minus "spearman". The error counts are ranked
     once per ``truth``, however many score vectors are evaluated against it.
     """
     x = np.asarray(scores, dtype=np.float64)
     order = rank_ascending(x)
+    if truth.error_counts.shape != x.shape:
+        raise ValueError(f"{x.shape[0]} scores vs {truth.error_counts.shape[0]} truth entries")
     rho = None
     results = []
     for name in names:
-        if name in AP_MIN_ERRORS:
+        if name in AP_MIN_ERRORS and truth.n_mislabeled == 0:
+            results.append(MetricResult(name, math.nan, None, AP_MIN_ERRORS[name], 0))
+        elif name in AP_MIN_ERRORS:
             results.append(_ap(x, truth, None, AP_MIN_ERRORS[name], name, order))
         elif name in ("spearman", "neg_spearman"):
             if rho is None:

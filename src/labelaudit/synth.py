@@ -4,12 +4,12 @@ Generation: each class owns a word distribution drawn once from a uniform
 Dirichlet over the vocabulary. Per example, a Poisson label count (resampled
 while it exceeds K; zero-label examples are kept) picks that many distinct
 classes, and a Poisson-length document is drawn from the mixture of the
-chosen classes' word distributions. The classes are picked for all examples
-at once: each row holds a uniform random permutation of 0..K-1, and the
-classes at positions below the row's count form a uniform random subset of
-that size. The word counts are drawn as independent Poisson(lambda * p_d)
-counts, lambda the expected document length and p the row's mixture: the
-same distribution as a Poisson(lambda) length split multinomially over p.
+chosen classes' word distributions. The classes are picked by random keys:
+row i's labels are the classes of the c_i smallest of row i of one uniform
+N x K draw, a uniform random subset of exactly c_i classes. The word counts
+are drawn as independent Poisson(lambda * p_d) counts, lambda the expected
+document length and p the row's mixture: the same distribution as a
+Poisson(lambda) length split multinomially over p.
 
 Noise: per class k a 2x2 row-stochastic flip matrix is built from a sampled
 trace; flips are applied independently per (example, class) and capped at a
@@ -34,7 +34,7 @@ def _check_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-_BLOCK_CELLS = 32768  # cells per row block of the noise draw: its temporaries stay small
+_BLOCK_CELLS = 32768  # cells per row block of the key and noise draws: temporaries stay small
 
 # numpy's largest Poisson mean (``lam``): int64 max - 10 sqrt(int64 max)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
@@ -190,6 +190,24 @@ def draw_noise_spec(
     )
 
 
+def _mark_smallest(keys: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Set ``out[i]`` to 1 at the ``counts[i]`` smallest keys of row ``i``, else 0.
+
+    One sort of each row gives its c-th smallest key, and every key up to it
+    is marked. A key equal to the c-th but sorted after it would be marked
+    too, so each row whose marks do not sum to its count is marked again by
+    stable rank: of equal keys, the one in the lower column ranks first.
+    Uniform float64 keys tie in about one row of 50 keys in 1e13.
+    """
+    kth = np.take_along_axis(np.sort(keys, axis=1), np.maximum(counts - 1, 0)[:, None], axis=1)
+    kth[counts == 0] = -np.inf
+    np.less_equal(keys, kth, out=out)
+    tied = np.flatnonzero(out.sum(axis=1) != counts)
+    if tied.size:
+        ranks = np.argsort(np.argsort(keys[tied], axis=1, kind="stable"), axis=1)
+        out[tied] = ranks < counts[tied, None]
+
+
 def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     """Generate a clean dataset (true labels only; no noise applied yet).
 
@@ -207,11 +225,15 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     while over.any():
         label_counts[over] = rng.poisson(config.expected_labels_per_example, size=int(over.sum()))
         over = label_counts > k
-    # One uniform permutation of the classes per row; the classes placed below
-    # the row's count are its labels, a uniform subset of exactly that size.
-    classes = np.arange(k, dtype=np.min_scalar_type(k - 1))  # uint8 up to K = 256
-    positions = rng.permuted(np.tile(classes, (n, 1)), axis=1)
-    labels = (positions < label_counts[:, None]).astype(LABEL_DTYPE)
+    # Row i's labels are the classes of the c_i smallest of row i of
+    # rng.random((N, K)), a uniform subset of exactly c_i classes. The keys
+    # are drawn in row blocks: the generator yields the same stream drawn
+    # whole or block by block, so the labels do not depend on the block size.
+    labels = np.empty((n, k), dtype=LABEL_DTYPE)
+    rows = max(1, _BLOCK_CELLS // k)
+    for start in range(0, n, rows):
+        block = labels[start:start + rows]
+        _mark_smallest(rng.random(block.shape), label_counts[start:start + rows], block)
 
     # Words drawn from the mixture of each example's class distributions;
     # unlabeled examples fall back to a uniform mixture over the vocabulary.
@@ -223,7 +245,7 @@ def gen_multilabel(config: GenConfig) -> MultiLabelDataset:
     mixtures = np.where(counts[:, None] > 0, mixtures / np.maximum(counts, 1.0)[:, None], 1.0 / d)
     features = rng.poisson(config.expected_doc_length * mixtures)  # made float64 by the dataset
 
-    ids = tuple(f"ex{i}" for i in range(n))
+    ids = [f"ex{i}" for i in range(n)]
     return MultiLabelDataset(labels, ids, true_labels=labels, features=features)
 
 

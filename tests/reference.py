@@ -23,8 +23,11 @@ loop; the batched draw that replaced it consumes the RNG differently, so
 only its per-row label counts must match. Another is the generator with
 its multinomial word draw: the word counts come after the labels in the
 RNG stream, so the independent Poisson counts that replaced it leave the
-labels bit for bit as they were. The last is the CSV writer that
-%-formats every row in Python, whose bytes the byte-grid writer must give.
+labels bit for bit as they are. Its labels are stated on the whole N x K
+key matrix, each row's ranks below its count, so they check the
+generator's row-blocked sort-and-threshold without sharing its code. The
+last is the CSV writer that %-formats every row in Python, whose bytes the
+byte-grid writer must give.
 """
 
 import math
@@ -489,8 +492,8 @@ def gen_multinomial(config):
     while over.any():
         label_counts[over] = rng.poisson(config.expected_labels_per_example, size=int(over.sum()))
         over = label_counts > k
-    positions = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-    labels = (positions < label_counts[:, None]).astype(np.int64)
+    keys = rng.random((n, k))  # row i's labels are its label_counts[i] smallest keys
+    labels = (np.argsort(np.argsort(keys, axis=1), axis=1) < label_counts[:, None]).astype(np.int64)
     mixtures = labels @ word_dists
     counts = label_counts.astype(np.float64)
     mixtures = np.where(counts[:, None] > 0, mixtures / np.maximum(counts, 1.0)[:, None], 1.0 / d)

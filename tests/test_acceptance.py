@@ -271,9 +271,9 @@ def test_benchmark_qualitative_pattern(small_benchmark_report):
     t-test at 2.5% per pooler. (a) makes nine such comparisons, so a 5%
     level would raise false alarms on a tied pooler twice as often; the
     Bonferroni level for nine (0.56%) is stricter still. At this fixture
-    min's lead over EMA is +0.0102, t = 1.66 on 9 df (one-sided p = 0.066),
-    so (a) would sit near the edge at an uncorrected 5% level. Over 40 other
-    replicates (base_seed=100) that lead is +0.0032 +/- 0.0067.
+    min's lead over EMA is +0.0110, t = 1.88 on 9 df (one-sided p = 0.047),
+    so (a) would just fail at an uncorrected 5% level. Over 40 other
+    replicates (base_seed=100) that lead is +0.0037 +/- 0.0069.
     """
     rep = small_benchmark_report
     assert not rep.failures, rep.failures

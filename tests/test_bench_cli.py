@@ -119,6 +119,20 @@ class TestBenchmark:
         assert "bottom_j" in report.failures[0][1]
         assert report.metric_rows == ()
 
+    def test_replicate_without_noise_records_undefined_metrics(self, tmp_path):
+        # no error may be injected: every ranking metric and the flag recall
+        # are undefined, and the replicate records them as missing
+        plan = tiny_plan(max_errors_per_example=0)
+        result = bench.run_replicate(plan, 0)
+        assert result.error is None
+        assert len(result.metric_rows) == 2 * len(plan.metrics)
+        assert all(np.isnan(row[7]) for row in result.metric_rows)
+        assert result.flag_row[3] == 0 and np.isnan(result.flag_row[6])
+        bench.write_report(bench.run_benchmark(plan), tmp_path)
+        with (tmp_path / "metrics.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(result.metric_rows) and all(row[7] == "" for row in rows)
+
     @pytest.mark.parametrize("field, value, message", [
         ("max_errors_per_example", 1.5, "max_errors_per_example must be an integer"),
         ("max_errors_per_example", True, "max_errors_per_example must be an integer"),
@@ -562,6 +576,23 @@ class TestCli:
         written = (tmp_path / "s.csv").read_bytes()
         assert written == (tmp_path / "dense.csv").read_bytes()
         assert written.count(b",1\r\n") == 1  # rows a, b and d pool to a zero
+
+    @pytest.mark.parametrize("labels, probs", [
+        ("a,1,0\nb,0,1\nc,1,1\n", "a,0.9,0.1\nb,0.4,0.6\nc,0.2,0.3\n"),
+        ("a,1,0\nb, 0,1\nc,1,1\n", 'a,0.9,0.1\nb,"0.4",0.6\nc,0.2,0.3\n'),
+    ], ids=["block-read", "cell-scan"])
+    def test_score_skips_a_utf8_byte_order_mark(self, tmp_path, labels, probs):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF; both read paths skip it
+        for prefix in ("", "\ufeff"):
+            (tmp_path / "l.csv").write_text(prefix + "id,label_0,label_1\n" + labels,
+                                            encoding="utf-8")
+            (tmp_path / "p.csv").write_text(prefix + "id,prob_0,prob_1\n" + probs,
+                                            encoding="utf-8")
+            assert self.run("score", "--labels", str(tmp_path / "l.csv"),
+                            "--probs", str(tmp_path / "p.csv"),
+                            "--out", str(tmp_path / f"s{len(prefix)}.csv")) == 0
+        assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s0.csv").read_bytes()
+        assert load_scores_csv(tmp_path / "s1.csv")[0] == ["a", "b", "c"]
 
     def test_rescale_of_header_only_files_writes_header_only_scores(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0,label_1\n")

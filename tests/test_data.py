@@ -852,6 +852,16 @@ class TestJsonl:
         assert np.array_equal(loaded_ds.given_labels, dataset.given_labels)
         assert np.array_equal(loaded_probs, probs)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        dataset, probs = make_dataset(n=4, k=3, seed=5)
+        save_jsonl(tmp_path / "d.jsonl", dataset, probs)
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "d.jsonl").read_bytes())
+        loaded_ds, loaded_probs = load_jsonl(path)
+        assert loaded_ds.example_ids == dataset.example_ids
+        assert np.array_equal(loaded_ds.given_labels, dataset.given_labels)
+        assert np.array_equal(loaded_probs, probs)
+
     def test_load_dataset_jsonl_format(self, tmp_path):
         dataset, probs = make_dataset(n=5, k=2, seed=9)
         save_jsonl(tmp_path / "d.jsonl", dataset, probs)

@@ -387,10 +387,19 @@ class TestEvaluate:
             evaluate(np.array([0.1, 0.2]), truth_from_counts([1, 0]), ("ap4_at_t",))
 
     def test_errors_of_the_public_functions(self):
+        # with no mislabeled example every metric is undefined: evaluate
+        # reports NaN where auprc and ap_at_t raise
         scores = np.array([0.1, 0.2])
+        results = evaluate(scores, truth_from_counts([0, 0]))
+        assert [r.name for r in results] == list(METRIC_NAMES)
+        assert all(r.missing for r in results)
+        assert [(r.param_t, r.param_k, r.n_positives) for r in results[:4]] == \
+            [(None, 1, 0), (None, 1, 0), (None, 2, 0), (None, 3, 0)]
         with pytest.raises(ValueError, match="no mislabeled"):
-            evaluate(scores, truth_from_counts([0, 0]))
+            auprc(scores, truth_from_counts([0, 0]))
         with pytest.raises(ValueError, match="T must be"):
-            evaluate(scores, truth_from_counts([0, 0]), ("ap_at_t",))
-        with pytest.raises(ValueError, match="2 scores vs 3 truth entries"):
-            evaluate(scores, truth_from_counts([1, 0, 0]))
+            ap_at_t(scores, truth_from_counts([0, 0]))
+        for names in (METRIC_NAMES, ("ap_at_t",), ("spearman",)):
+            for counts in ([1, 0, 0], [0, 0, 0]):
+                with pytest.raises(ValueError, match="2 scores vs 3 truth entries"):
+                    evaluate(scores, truth_from_counts(counts), names)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 import reference
 from labelaudit import synth
@@ -167,9 +168,70 @@ class TestLabelDraw:
             tol = 5 * math.sqrt(c / 50 * (1 - c / 50) / len(rows))
             assert np.abs(rows.mean(axis=0) - c / 50).max() < tol
 
-    def test_large_draw_permutes_small_positions(self):
-        # The class positions are uint8 at K=50: traced at LARGE the generator
-        # peaks at ~24 MB; two int64 (N, K) position arrays put it at ~34 MB
+    @pytest.mark.parametrize("block_rows", [1, 7, 333, 2000])
+    def test_labels_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
+        # 2000 rows of 50 keys in blocks of 1, 7 (a remainder of 5), 333 and
+        # all at once: the same labels and words, those of the whole-matrix oracle
+        config = WIDE_CONFIG
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", block_rows * config.n_classes)
+        got = gen_multilabel(config)
+        monkeypatch.undo()
+        want = gen_multilabel(config)
+        assert np.array_equal(got.true_labels, reference.gen_multinomial(config)[0])
+        assert np.array_equal(got.true_labels, want.true_labels)
+        assert np.array_equal(got.features, want.features)
+
+    def test_tied_keys_mark_exactly_the_count(self):
+        # equal keys at the count's boundary mark the lower columns first
+        keys = np.array([[0.5, 0.5, 0.5, 0.1],
+                         [0.3, 0.3, 0.3, 0.3],
+                         [0.3, 0.3, 0.3, 0.3],
+                         [0.2, 0.1, 0.2, 0.1],
+                         [0.0, 0.0, 0.9, 0.0]])
+        counts = np.array([2, 3, 0, 3, 4])
+        out = np.full(keys.shape, 7, dtype=np.int8)
+        synth._mark_smallest(keys, counts, out)
+        assert out.tolist() == [[1, 0, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0],
+                                [1, 1, 0, 1], [1, 1, 1, 1]]
+
+    def test_distinct_keys_take_no_repair(self, monkeypatch):
+        # distinct keys are marked by the sort and threshold alone: the
+        # stable-rank repair (an argsort) runs on no row, c = 0 and c = K included
+        rng = np.random.default_rng(4)
+        keys = rng.random((400, 50))
+        counts = rng.integers(0, 51, size=400)
+        counts[:20], counts[20:40] = 0, 50
+        out = np.empty(keys.shape, dtype=np.int8)
+
+        def no_repair(*args, **kwargs):
+            raise AssertionError("a row was marked again by stable rank")
+
+        monkeypatch.setattr(np, "argsort", no_repair)
+        synth._mark_smallest(keys, counts, out)
+        monkeypatch.undo()
+        assert np.array_equal(out, np.argsort(np.argsort(keys, axis=1), axis=1) < counts[:, None])
+
+    @given(data=st.data())
+    def test_keys_with_ties_mark_their_stable_ranks(self, data):
+        # keys from a few values tie often; each row marks exactly its count,
+        # and marks the classes whose stable rank is below it
+        n = data.draw(st.integers(1, 30), label="n")
+        k = data.draw(st.integers(1, 12), label="k")
+        keys = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999]),
+                                           min_size=n * k, max_size=n * k), label="keys"))
+        keys = keys.reshape(n, k)
+        counts = np.array(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n),
+                                    label="counts"))
+        out = np.empty((n, k), dtype=np.int8)
+        synth._mark_smallest(keys, counts, out)
+        assert np.array_equal(out.sum(axis=1), counts)
+        ranks = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1)
+        assert np.array_equal(out, ranks < counts[:, None])
+
+    def test_large_draw_holds_small_key_blocks(self):
+        # The keys are drawn and sorted in row blocks: traced at LARGE the
+        # generator peaks at ~22 MB; drawn whole, the N x K keys and their sort
+        # put it at ~27 MB
         tracemalloc.start()
         try:
             gen_multilabel(LARGE)
