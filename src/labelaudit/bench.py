@@ -57,10 +57,10 @@ class BenchmarkPlan:
     base_seed: int = 0
     classifier: str = "logreg"
     train_config: TrainConfig = TrainConfig()
-    n_folds: int = 5
-    gamma_shape: float = 2.0
-    gamma_scale: float = 0.01
-    max_errors_per_example: int = 3
+    n_folds: int = CVConfig.n_folds
+    gamma_shape: float = NoiseSpec.gamma_shape
+    gamma_scale: float = NoiseSpec.gamma_scale
+    max_errors_per_example: int = NoiseSpec.max_errors_per_example
     methods: tuple[PoolingMethod, ...] = field(default_factory=default_methods)
     metrics: tuple[str, ...] = DEFAULT_METRICS
 

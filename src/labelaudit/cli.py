@@ -36,6 +36,7 @@ from .synth import (
     LARGE,
     SMALL,
     GenConfig,
+    NoiseSpec,
     draw_noise_spec,
     gen_multilabel,
     inject_noise,
@@ -82,12 +83,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-features", type=int)
     p.add_argument("--n-classes", type=int)
     p.add_argument("--expected-labels", type=float)
-    p.add_argument("--doc-length", type=float, help="defaults to 500")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--doc-length", type=float,
+                   help=f"defaults to {GenConfig.expected_doc_length:g}")
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
     p.add_argument("--noise-seed", type=int, help="defaults to --seed + 10000")
-    p.add_argument("--gamma-shape", type=float, default=2.0)
-    p.add_argument("--gamma-scale", type=float, default=0.01)
-    p.add_argument("--max-errors", type=int, default=3)
+    p.add_argument("--gamma-shape", type=float, default=NoiseSpec.gamma_shape)
+    p.add_argument("--gamma-scale", type=float, default=NoiseSpec.gamma_scale)
+    p.add_argument("--max-errors", type=int, default=NoiseSpec.max_errors_per_example)
     p.add_argument("--asymmetric", action="store_true",
                    help="random (not symmetric) split of each noise-matrix trace")
     p.add_argument("--out-dir")
@@ -99,11 +101,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, default=CVConfig.n_folds)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=CVConfig.seed)
 
     p = sub.add_parser("score", help="pooled label-quality score per example",
                        description="Lower scores mean the annotation is more likely wrong.")
@@ -111,11 +113,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--probs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=POOLER_NAMES, default="ema")
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--bottom-j", type=int, default=2)
-    p.add_argument("--period", type=int, default=2)
+    p.add_argument("--alpha", type=float, default=PoolingMethod.alpha)
+    p.add_argument("--tau", type=float, default=PoolingMethod.tau)
+    p.add_argument("--eps", type=float, default=PoolingMethod.eps)
+    p.add_argument("--bottom-j", type=int, default=PoolingMethod.bottom_j)
+    p.add_argument("--period", type=int, default=PoolingMethod.period)
     p.add_argument("--rescale", action="store_true",
                    help="min-max rescale scores to [0,1] for display")
 
@@ -130,14 +132,14 @@ def _build_parser() -> _Parser:
                                    "flag and evaluate; writes metrics.csv, "
                                    "flag_metrics.csv, aggregate.csv, run_meta.json.")
     p.add_argument("--preset", choices=["small", "large"], default="small")
-    p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=int, default=bench.BenchmarkPlan.n_replicates)
+    p.add_argument("--seed", type=int, default=bench.BenchmarkPlan.base_seed)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--methods", help="comma-separated subset of pooling methods")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--folds", type=int, default=bench.BenchmarkPlan.n_folds)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--allow-large", action="store_true",
                    help="required for --preset large (slow at desk scale)")
     p.add_argument("--out-dir")
@@ -201,7 +203,8 @@ def _cmd_gen(args) -> int:
             )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    noise_seed = args.noise_seed if args.noise_seed is not None else args.seed + 10_000
+    noise_seed = (args.noise_seed if args.noise_seed is not None
+                  else bench.derive_seeds(args.seed, 0)[1])
     try:
         noise = draw_noise_spec(
             config.n_classes, gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,

@@ -13,37 +13,40 @@ and ``b = A[:, D]``. :func:`train` splits the rows into blocks of about
 into a class-major ``(D+1, m)`` copy whose last row is all ones, and
 converts its columns of the fit's int8 class-major ``(K, n)`` labels into a
 float ``(K, m)`` copy. An epoch then runs every step on one block while the
-block is in cache: the negated
-logits ``-z = (-A) @ X_blk``, one product that takes in the bias through the
-row of ones (negation is exact), the sigmoid ``1/(1 + exp(-z))`` in three
-passes, the residual ``p - y``, and the block's share of the weight and bias
-gradients together, ``(p - y) @ X_blk.T``. One update with a per-column
-decay, ``l2`` on the weights and 0 on the bias, then moves ``A``. The only
-scratch is three ``(K, m)`` arrays, shared by all blocks. Each block has at
-least two rows: a one-row product goes through gemv, whose sums can differ
-in the last bit from gemm's. A ``small`` fold epoch (4000×4, D=3) costs
-~75 µs and a 24000×50, D=20 one ~5.5–6.6 ms (2-core x86-64, numpy 2.4.6).
+block is in cache: the negated logits ``-z = (-A) @ X_blk``, one product
+that takes in the bias through the row of ones (negation is exact), the
+sigmoid ``1/(1 + exp(-z))`` in three passes, the residual ``p - y``, and
+the block's share of the weight and bias gradients together,
+``(p - y) @ X_blk.T``. One update with a per-column decay, ``l2`` on the
+weights and 0 on the bias, then moves ``A``. The only scratch is three
+``(K, m)`` arrays, shared by all blocks: the gradient uses one, the loss
+pass all three. Each block has at least two rows: a one-row product goes
+through gemv, whose sums can differ in the last bit from gemm's. A
+``small`` fold epoch (4000×4, D=3) costs ~75 µs and a 24000×50, D=20 one
+~5.5–6.6 ms (2-core x86-64, numpy 2.4.6).
 
-No weight update reads the loss. Its cells, ``log1p(exp(-|z|)) + max(z, 0)
-- y*z``, and the L2 penalty are summed only on the epochs ``loss_history``
-records and on any epoch where a bound taken from ``A`` cannot show the loss
-finite. A cross-validation fit, whose model is dropped once it has
-predicted, records no loss: the bound alone guards it, and its last epoch,
-which makes no update, runs only where the bound fails. Each cell lies in
-``[0, |z| + 1]``, and ``|z| <= max_i (1 + sum_d |x_id|) * max|A|`` (the sum
-over each row and its 1 is taken once per fit, from the class-major
-blocks). That bound is at least ``max|A|``, since each sum holds the 1, so
-the penalty is at most ``l2/2 * K*D`` times its square. The loss is finite
-while the cell count times the bound plus 1, and that bound on the penalty,
-both stay below 1e300. The divergence error therefore names the same epoch
-whichever epochs are recorded, and whether any is.
+No weight update reads the loss. :func:`_loss` sums it in a pass of its
+own over the blocks, before an epoch's update: the same forward product,
+then the cells ``log1p(exp(-|z|)) + max(z, 0) - y*z``, and the L2 penalty.
+It runs on the epochs ``loss_history`` records and on any epoch where a
+bound taken from ``A`` cannot show the loss finite. A cross-validation fit,
+whose model is dropped once it has predicted, records no loss: the bound
+alone guards it, and its last epoch, which makes no update, checks the
+bound and no more. Each cell lies in ``[0, |z| + 1]``, and ``|z| <= max_i
+(1 + sum_d |x_id|) * max|A|`` (the sum over each row and its 1 is taken
+once per fit, from the class-major blocks). That bound is at least
+``max|A|``, since each sum holds the 1, so the penalty is at most ``l2/2 *
+K*D`` times its square. The loss is finite while the cell count times the
+bound plus 1, and that bound on the penalty, both stay below 1e300. The
+divergence error therefore names the same epoch whichever epochs are
+recorded, and whether any is.
 
 Every fit starts from ``A = 0``, where each logistic is exactly
-``1/(1 + exp(0)) = 1/2``. So unless it computes its loss, epoch 0 writes
-each block's residual as ``1/2 - y`` and skips the forward product and the
-sigmoid. Only a cross-validation fit can skip them: ``train`` records epoch
-0's loss. A one-epoch 24000×50 fit, its set-up included, then takes ~10 ms
-against ~15 ms with the full first epoch.
+``1/(1 + exp(0)) = 1/2``. So epoch 0 writes each block's residual as
+``1/2 - y`` and skips the forward product and the sigmoid; ``train`` takes
+epoch 0's recorded loss in its loss pass. A one-epoch 24000×50 fit that
+records no loss, its set-up included, then takes ~10 ms against ~15 ms with
+the full first epoch.
 
 :func:`cross_val_pred_probs` takes ``log1p`` of the features once and
 builds the labels once as a C-contiguous int8 class-major ``(K, N)`` array
@@ -210,6 +213,24 @@ def _standardized_block(logged: np.ndarray, mean: np.ndarray, scale: np.ndarray)
     return xt
 
 
+def _loss(A: np.ndarray, blocks: list, n: int, l2: float) -> float:
+    """The fit's loss at ``A``: its cross-entropy cells summed over the blocks
+    and divided by ``n``, plus the L2 penalty on the weights ``A[:, :-1]``."""
+    minus_A = -A
+    cell_sum = 0.0
+    for xt, yt, q, cells, tmp in blocks:
+        np.matmul(minus_A, xt, out=q)  # -z, exactly: negation is exact
+        # softplus(z) - y*z = log1p(exp(-|z|)) + max(z, 0) - y*z
+        # with q = -z: max(z, 0) = -min(q, 0) and -y*z = y*q
+        np.negative(np.abs(q, out=cells), out=cells)
+        np.log1p(np.exp(cells, out=cells), out=cells)
+        cells -= np.minimum(q, 0.0, out=tmp)
+        cells += np.multiply(yt, q, out=tmp)
+        cell_sum += cells.sum()
+    W = A[:, :-1]
+    return float(cell_sum / n + 0.5 * l2 * (W * W).sum())
+
+
 def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainConfig()) -> LogRegModel:
     """Fit one independent logistic regression per class by full-batch descent.
 
@@ -233,9 +254,8 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
          record: bool = True) -> LogRegModel:
     """:func:`train` on ``log1p(features)`` and the class-major ``(K, n)`` int8
     0/1 labels; each row block takes a float copy of its labels. With
-    ``record=False`` no loss is recorded: it is computed only on the epochs
-    whose bound cannot show it finite, and the last epoch, which makes no
-    update, is skipped unless it is one of them."""
+    ``record=False`` no loss is recorded: :func:`_loss` runs only on the
+    epochs whose bound cannot show it finite."""
     n, d = logged.shape
     k = labels_t.shape[0]
     if n < 2:
@@ -262,57 +282,37 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
     x_abs_sum = max(np.abs(xt).sum(axis=0).max() for xt, *_ in blocks)
 
     A = np.zeros((ka, d + 1))  # weights A[:, :d], biases A[:, d]
-    W = A[:, :d]
     G = np.empty((ka, d + 1))
     decayed = np.empty((ka, d + 1))
     decay = np.append(np.full(d, config.l2), 0.0)  # the bias is not penalized
     losses = []
-    # overflow here is the divergence signal, reported as an error below
+    # overflow here is the divergence signal, which the loss reports as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs + 1):
-            last = epoch == config.epochs
-            recorded = record and (last or epoch % config.loss_every == 0)
+            recorded = record and (epoch == config.epochs or epoch % config.loss_every == 0)
             # each loss cell lies in [0, |z| + 1], and max|A| <= bound since
             # every column's sum holds the row of ones, so the penalty is at
             # most l2/2 * ka*d * bound**2; a NaN fails the comparisons
             bound = _logit_bound(x_abs_sum, A)
-            with_loss = recorded or not (
-                n * ka * (bound + 1.0) < _FINITE_BOUND
-                and 0.5 * config.l2 * (ka * d) * bound * bound < _FINITE_BOUND)
-            if last and not with_loss:
-                break
-            # at epoch 0, A = 0 and every logistic is 1/(1 + exp(0)) = 1/2
-            closed_form = epoch == 0 and not with_loss
-            minus_A = -A
-            cell_sum = 0.0
-            G.fill(0.0)
-            for xt, yt, q, cells, tmp in blocks:
-                if closed_form:
-                    np.subtract(0.5, yt, out=q)  # the residual
-                    G += q @ xt.T
-                    continue
-                np.matmul(minus_A, xt, out=q)  # -z, exactly: negation is exact
-                if with_loss:
-                    # softplus(z) - y*z = log1p(exp(-|z|)) + max(z, 0) - y*z
-                    # with q = -z: max(z, 0) = -min(q, 0) and -y*z = y*q
-                    np.negative(np.abs(q, out=cells), out=cells)
-                    np.log1p(np.exp(cells, out=cells), out=cells)
-                    cells -= np.minimum(q, 0.0, out=tmp)
-                    cells += np.multiply(yt, q, out=tmp)
-                    cell_sum += cells.sum()
-                if last:
-                    continue
-                _sigmoid_of_negated(q)
-                q -= yt  # the residual
-                G += q @ xt.T  # the weight gradient, and the bias's in column d
-            if with_loss:
-                loss = float(cell_sum / n + 0.5 * config.l2 * (W * W).sum())
+            if recorded or not (n * ka * (bound + 1.0) < _FINITE_BOUND
+                                and 0.5 * config.l2 * (ka * d) * bound * bound < _FINITE_BOUND):
+                loss = _loss(A, blocks, n, config.l2)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                 if recorded:
                     losses.append(loss)
-            if last:
+            if epoch == config.epochs:
                 break
+            minus_A = -A
+            G.fill(0.0)
+            for xt, yt, q, _, _ in blocks:
+                if epoch == 0:  # A = 0, so every logistic is 1/(1 + exp(0)) = 1/2
+                    np.subtract(0.5, yt, out=q)  # the residual
+                else:
+                    np.matmul(minus_A, xt, out=q)  # -z, exactly: negation is exact
+                    _sigmoid_of_negated(q)
+                    q -= yt  # the residual
+                G += q @ xt.T  # the weight gradient, and the bias's in column d
             # A -= learning_rate * (G / n + decay * A), in G's buffer
             G /= n
             G += np.multiply(decay, A, out=decayed)
@@ -321,7 +321,7 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
 
     weights = np.zeros((k, d))
     biases = np.zeros(k)
-    weights[active] = W
+    weights[active] = A[:, :d]
     biases[active] = A[:, d]
     for j in np.flatnonzero(~active):
         biases[j] = _base_rate_bias(positives[j], n)

@@ -107,7 +107,7 @@ class PoolingMethod:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         for field in ("bottom_j", "period"):
             value = getattr(self, field)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{field} must be an integer >= 1, got {value}")
 
     def check_n_classes(self, n_classes: int) -> None:

@@ -134,7 +134,10 @@ def traces_from_draws(draws: np.ndarray) -> np.ndarray:
 
 
 def sample_noise_traces(
-    n_classes: int, gamma_shape: float = 2.0, gamma_scale: float = 0.01, seed: int = 0
+    n_classes: int,
+    gamma_shape: float = NoiseSpec.gamma_shape,
+    gamma_scale: float = NoiseSpec.gamma_scale,
+    seed: int = 0,
 ) -> np.ndarray:
     """Sample one trace per class in (0, 2]; trace 2 means a noise-free class."""
     if n_classes < 1:
@@ -167,9 +170,9 @@ def _asymmetric_noise_matrix(trace: float, rng: np.random.Generator) -> np.ndarr
 
 def draw_noise_spec(
     n_classes: int,
-    gamma_shape: float = 2.0,
-    gamma_scale: float = 0.01,
-    max_errors_per_example: int = 3,
+    gamma_shape: float = NoiseSpec.gamma_shape,
+    gamma_scale: float = NoiseSpec.gamma_scale,
+    max_errors_per_example: int = NoiseSpec.max_errors_per_example,
     seed: int = 0,
     symmetric: bool = True,
 ) -> NoiseSpec:

@@ -32,8 +32,8 @@ def tiny_plan(**overrides):
 class TestReplicateMemory:
     def test_large_replicate_holds_its_labels_as_int8(self):
         # A replicate peaks in cross-validation (traced at 30000 x 50: ~49 MB;
-        # scoring and flagging ~40 MB, noise injection ~36 MB, generation
-        # ~34 MB). There it holds one dataset (two int8 label matrices and
+        # scoring and flagging ~40 MB, generation ~22 MB, noise injection
+        # ~20 MB). There it holds one dataset (two int8 label matrices and
         # the features), the logged features, the int8 class-major labels,
         # the float64 probabilities and one fold's fit: its training rows,
         # their class-major standardized blocks and each block's float

@@ -337,9 +337,9 @@ def oracle_dataset(case):
 
 
 class TestClosedFormFirstEpoch:
-    """A cross-validation fit starts from A = 0, so its epoch-0 logistic is
-    1/2 in every cell: it writes the residual 1/2 - y without the forward
-    product, and every bit stays that of the full epoch."""
+    """Every fit starts from A = 0, so its epoch-0 logistic is 1/2 in every
+    cell: it writes the residual 1/2 - y without the forward product, and
+    every bit stays that of the full epoch."""
 
     @pytest.mark.parametrize("epochs", [1, 2])
     @pytest.mark.parametrize("case", ["unequal_folds", "constant_in_one_fold"])
@@ -353,7 +353,7 @@ class TestClosedFormFirstEpoch:
         expected = reference.cross_val_pred_probs(features, labels, cv.n_folds, cv.seed,
                                                   _row_blocks, epochs=epochs)
         assert np.array_equal(probs, expected)
-        # train() records epoch 0's loss, so it runs the full epoch there
+        # train() records epoch 0's loss in a pass of its own
         model = train(features, labels, TrainConfig(epochs=epochs, loss_every=1))
         _, _, losses, _, _ = reference.train_class_major(
             features, labels, _row_blocks(*fits[0]), epochs=epochs)
@@ -368,17 +368,32 @@ class TestClosedFormFirstEpoch:
         fits = oracle_fits("unequal_folds")[1:]
         assert len(calls) == sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
 
-    def test_a_failing_bound_takes_the_full_first_epoch(self, monkeypatch):
+    def test_a_failing_bound_runs_the_loss_every_epoch(self, monkeypatch):
         # with the bound below n*K no epoch can skip its loss, as for
-        # features too large for the bound to show the loss finite; epoch
-        # 0 then takes its logistic, and the bits are the same
+        # features too large for the bound to show the loss finite: every
+        # epoch of every fold, the last included, runs the loss pass, epoch
+        # 0 still takes no logistic, and the bits are the same
         dataset, cv = oracle_dataset("unequal_folds")
         expected = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=2))
         monkeypatch.setattr(model_module, "_FINITE_BOUND", 1.0)
+        weights_seen = []
+        real_loss = model_module._loss
+
+        def counted_loss(A, *args):
+            weights_seen.append(A.copy())
+            return real_loss(A, *args)
+
+        monkeypatch.setattr(model_module, "_loss", counted_loss)
         calls = counting_sigmoid(monkeypatch)
         probs = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=2))
         fits = oracle_fits("unequal_folds")[1:]
-        assert len(calls) == sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
+        # epochs 0, 1 and 2 of each fold, at A = 0 and after each update
+        assert len(weights_seen) == 3 * len(fits)
+        for start, after_one, after_two in zip(*[iter(weights_seen)] * 3):
+            assert not start.any()
+            assert after_one.any() and not np.array_equal(after_two, after_one)
+        # only epoch 1 takes one logistic a block; predicting takes one
+        assert len(calls) == sum(len(_row_blocks(n, k)) + 1 for n, k in fits)
         assert np.array_equal(probs, expected)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

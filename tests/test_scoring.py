@@ -253,7 +253,7 @@ class TestDispatcher:
             pool(np.full((2, 2), 0.5), PoolingMethod("cumavg_bottom", bottom_j=3))
 
     @pytest.mark.parametrize("field", ["bottom_j", "period"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1, True])
     def test_window_sizes_must_be_positive_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             PoolingMethod("sma", **{field: value})
