@@ -19,10 +19,9 @@ from . import __version__, bench
 from .confident import flag_multilabel, save_flag_summary_json, save_flags_csv
 from .data import (
     DataFormatError,
-    MultiLabelDataset,
     check_ids_aligned,
     check_labels_probs,
-    load_features_csv,
+    load_dataset,
     load_labels_csv,
     load_probs_csv,
     save_features_csv,
@@ -229,10 +228,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_predict(args) -> int:
-    ids, labels = load_labels_csv(args.labels)
-    fids, features = load_features_csv(args.features)
-    check_ids_aligned(ids, fids, f"{args.labels} vs {args.features}")
-    dataset = MultiLabelDataset(labels, tuple(ids), features=features)
+    dataset = load_dataset(args.labels, features_path=args.features)
     try:
         train_config = TrainConfig(learning_rate=args.lr, l2=args.l2, epochs=args.epochs)
         cv = CVConfig(n_folds=args.folds, seed=args.seed)
@@ -241,7 +237,7 @@ def _cmd_train_predict(args) -> int:
         raise UsageError(str(exc)) from None
     except TrainingDivergedError as exc:
         raise UsageError(f"training diverged ({exc}); try a smaller --lr") from None
-    save_probs_csv(args.out, ids, probs)
+    save_probs_csv(args.out, dataset.example_ids, probs)
     print(f"wrote {probs.shape[0]}x{probs.shape[1]} probabilities to {args.out}")
     return EXIT_OK
 

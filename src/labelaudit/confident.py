@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import check_labels_probs, write_csv_rows
+from .data import _read_only, check_labels_probs, write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ class FlagReport:
     def __post_init__(self):
         for name in ("per_class_flags", "example_flags", "joint_counts",
                      "estimated_noise_rates", "thresholds"):
-            arr = np.array(getattr(self, name), copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def per_class_error_counts(self) -> np.ndarray:

@@ -34,10 +34,16 @@ class DataFormatError(ValueError):
     """An input file does not match the expected schema."""
 
 
-def _read_only(values, dtype) -> np.ndarray:
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values``, as ``dtype`` if one is given."""
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def _read_only_labels(labels: np.ndarray) -> np.ndarray:
@@ -596,7 +602,7 @@ def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
     with ``"%.17g"``, row by row.
     """
     data = np.asarray(features, dtype=np.float64)
-    header = _matrix_header("feat", ids, data)
+    _matrix_header("feat", ids, data)  # a shape error comes before a value error
     valid = (data >= 0.0) & (data < np.inf)  # False at NaN as well
     if not valid.all():
         i, d = np.argwhere(~valid)[0]
@@ -608,7 +614,7 @@ def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
         counts = data.astype(np.int64)  # in range, so the cast is exact for whole numbers
         if (counts == data).all():
             cells, cell_fmt = counts, "%d"
-    write_csv_rows(path, header, ids, cells.T, [cell_fmt] * data.shape[1])
+    _write_matrix_csv(path, "feat", ids, cells, cell_fmt)
 
 
 def save_scores_csv(path, ids: Sequence[str], scores: np.ndarray) -> None:

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import _read_only
+
 
 @dataclass(frozen=True)
 class ErrorTruth:
@@ -25,16 +27,14 @@ class ErrorTruth:
     error_counts: np.ndarray  # (N,) int: number of wrong per-class annotations
 
     def __post_init__(self):
-        flags = np.array(self.error_flags, dtype=bool, copy=True)
-        counts = np.array(self.error_counts, dtype=np.int64, copy=True)
+        flags = _read_only(self.error_flags, bool)
+        counts = _read_only(self.error_counts, np.int64)
         if flags.shape != counts.shape or flags.ndim != 1:
             raise ValueError("error_flags and error_counts must be matching 1-D arrays")
         if (counts < 0).any():
             raise ValueError("error counts must be non-negative")
         if not np.array_equal(flags, counts > 0):
             raise ValueError("error_flags must equal (error_counts > 0)")
-        flags.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "error_flags", flags)
         object.__setattr__(self, "error_counts", counts)
 

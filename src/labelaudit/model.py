@@ -21,9 +21,7 @@ the block's share of the weight and bias gradients together,
 weights and 0 on the bias, then moves ``A``. The only scratch is three
 ``(K, m)`` arrays, shared by all blocks: the gradient uses one, the loss
 pass all three. Each block has at least two rows: a one-row product goes
-through gemv, whose sums can differ in the last bit from gemm's. A
-``small`` fold epoch (4000×4, D=3) costs ~75 µs and a 24000×50, D=20 one
-~5.5–6.6 ms (2-core x86-64, numpy 2.4.6).
+through gemv, whose sums can differ in the last bit from gemm's.
 
 No weight update reads the loss. :func:`_loss` sums it in a pass of its
 own over the blocks, before an epoch's update: the same forward product,
@@ -44,9 +42,7 @@ recorded, and whether any is.
 Every fit starts from ``A = 0``, where each logistic is exactly
 ``1/(1 + exp(0)) = 1/2``. So epoch 0 writes each block's residual as
 ``1/2 - y`` and skips the forward product and the sigmoid; ``train`` takes
-epoch 0's recorded loss in its loss pass. A one-epoch 24000×50 fit that
-records no loss, its set-up included, then takes ~10 ms against ~15 ms with
-the full first epoch.
+epoch 0's recorded loss in its loss pass.
 
 :func:`cross_val_pred_probs` takes ``log1p`` of the features once and
 builds the labels once as a C-contiguous int8 class-major ``(K, N)`` array
@@ -71,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_DTYPE, MultiLabelDataset, check_binary_labels
+from .data import LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, is_integer
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
@@ -82,10 +78,6 @@ _TINY = 5e-324  # the smallest subnormal float64
 
 class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss."""
-
-
-def _is_integer(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ class TrainConfig:
             raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
         for name in ("epochs", "loss_every"):
             value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -113,9 +105,9 @@ class CVConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_integer(self.n_folds) or self.n_folds < 2:
+        if not is_integer(self.n_folds) or self.n_folds < 2:
             raise ValueError(f"n_folds must be an integer >= 2, got {self.n_folds!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -135,9 +127,7 @@ class LogRegModel:
 
     def __post_init__(self):
         for name in ("weights", "biases", "feature_mean", "feature_scale", "loss_history"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name), np.float64))
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.biases)):
             raise ValueError("model parameters must be finite")
 
@@ -178,14 +168,6 @@ def _logit_bound(x_abs_sum: float, A: np.ndarray) -> float:
     d = A.shape[1]
     bound = x_abs_sum * np.abs(A).max(initial=0.0)
     return bound * (1.0 + (2 * d + 4) * _EPS) + (d + 2) * _TINY
-
-
-def _std_about(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``np.std(x, axis=0)`` from its column ``mean``, by np.std's own steps:
-    the same bits, without taking the mean again."""
-    centred = x - mean
-    centred *= centred
-    return np.sqrt(centred.sum(axis=0) / x.shape[0])
 
 
 def _row_blocks(n: int, k: int) -> list[tuple[int, int]]:
@@ -262,7 +244,7 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
         raise ValueError("need at least 2 examples to train")
 
     mean = logged.mean(axis=0)
-    scale = _std_about(logged, mean)
+    scale = logged.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
 
     positives = labels_t.sum(axis=1)  # exact: int8 sums widen to the platform integer

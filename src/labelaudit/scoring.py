@@ -58,13 +58,12 @@ non-increasing in s.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import check_labels_probs
+from .data import _read_only, check_labels_probs, is_integer
 
 POOLER_NAMES = (
     "min",
@@ -78,6 +77,10 @@ POOLER_NAMES = (
     "weighted_cumavg",
     "sma",
 )
+
+# the one parameter that each method with a parameter reads
+_PARAM_OF = {"ema": "alpha", "softmin": "tau", "log": "eps",
+             "cumavg_bottom": "bottom_j", "sma": "period"}
 
 
 @dataclass(frozen=True)
@@ -107,27 +110,20 @@ class PoolingMethod:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         for field in ("bottom_j", "period"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{field} must be an integer >= 1, got {value}")
 
     def check_n_classes(self, n_classes: int) -> None:
         if n_classes < 1:
             raise ValueError("need at least one class to pool over")
-        if self.name == "cumavg_bottom" and self.bottom_j > n_classes:
-            raise ValueError(f"bottom_j={self.bottom_j} exceeds the {n_classes} classes")
-        if self.name == "sma" and self.period > n_classes:
-            raise ValueError(f"period={self.period} exceeds the {n_classes} classes")
+        for field, value in self.params().items():
+            if field in ("bottom_j", "period") and value > n_classes:  # window sizes
+                raise ValueError(f"{field}={value} exceeds the {n_classes} classes")
 
     def params(self) -> Mapping[str, float]:
         """The parameters actually used by this method, for reporting."""
-        relevant = {
-            "ema": {"alpha": self.alpha},
-            "softmin": {"tau": self.tau},
-            "log": {"eps": self.eps},
-            "cumavg_bottom": {"bottom_j": self.bottom_j},
-            "sma": {"period": self.period},
-        }
-        return relevant.get(self.name, {})
+        field = _PARAM_OF.get(self.name)
+        return {} if field is None else {field: getattr(self, field)}
 
 
 @dataclass(frozen=True)
@@ -138,9 +134,7 @@ class QualityScoreVector:
     method: PoolingMethod
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(self.values, np.float64))
 
 
 def self_confidence(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LABEL_DTYPE, MultiLabelDataset, check_binary_labels
+from .data import LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, is_integer
 
 
 def _check_count(name: str, value, minimum: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -92,8 +92,8 @@ class NoiseSpec:
     def __post_init__(self):
         _check_gamma(self.gamma_shape, self.gamma_scale)
         _check_count("max_errors_per_example", self.max_errors_per_example)
-        traces = np.array(self.traces, dtype=np.float64, copy=True)
-        matrices = np.array(self.matrices, dtype=np.float64, copy=True)
+        traces = _read_only(self.traces, np.float64)
+        matrices = _read_only(self.matrices, np.float64)
         if traces.size and not ((traces > 0) & (traces <= 2)).all():
             raise ValueError("every trace must lie in (0, 2]")
         if matrices.size:
@@ -101,15 +101,15 @@ class NoiseSpec:
                 raise ValueError(f"matrices shape {matrices.shape} does not match {traces.size} traces")
             if not np.allclose(matrices.sum(axis=2), 1.0, atol=1e-9):
                 raise ValueError("noise matrix rows must sum to 1")
-        traces.setflags(write=False)
-        matrices.setflags(write=False)
         object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "matrices", matrices)
 
 
 def _check_gamma(gamma_shape: float, gamma_scale: float) -> None:
-    if not (gamma_shape > 0 and gamma_scale > 0):  # False at NaN as well
-        raise ValueError("gamma parameters must be positive")
+    # an infinite parameter makes every draw inf, so every trace 2: no noise at all
+    if not (0 < gamma_shape < np.inf and 0 < gamma_scale < np.inf):  # False at NaN as well
+        raise ValueError(f"gamma parameters must be positive and finite, "
+                         f"got shape {gamma_shape!r}, scale {gamma_scale!r}")
 
 
 def traces_from_draws(draws: np.ndarray) -> np.ndarray:
@@ -159,15 +159,6 @@ def build_noise_matrix(trace: float) -> np.ndarray:
     return np.array([[keep, 1.0 - keep], [1.0 - keep, keep]])
 
 
-def _asymmetric_noise_matrix(trace: float, rng: np.random.Generator) -> np.ndarray:
-    """Random split of the trace across the two diagonal entries."""
-    lo = max(0.0, trace - 1.0)
-    hi = min(1.0, trace)
-    keep0 = rng.uniform(lo, hi)
-    keep1 = trace - keep0
-    return np.array([[keep0, 1.0 - keep0], [1.0 - keep1, keep1]])
-
-
 def draw_noise_spec(
     n_classes: int,
     gamma_shape: float = NoiseSpec.gamma_shape,
@@ -176,13 +167,22 @@ def draw_noise_spec(
     seed: int = 0,
     symmetric: bool = True,
 ) -> NoiseSpec:
-    """Sample traces and build the per-class flip matrices in one step."""
+    """Sample traces and build the per-class flip matrices in one step.
+
+    An asymmetric matrix splits its trace t at random across the diagonal:
+    it keeps label 0 with a probability drawn uniformly from
+    ``[max(0, t - 1), min(1, t)]``, so that every entry lies in [0, 1], and
+    label 1 with the rest of t. One draw from ``default_rng(seed + 1)``
+    takes every class's split, in class order.
+    """
     traces = sample_noise_traces(n_classes, gamma_shape, gamma_scale, seed)
     if symmetric:
         matrices = np.stack([build_noise_matrix(t) for t in traces])
     else:
         rng = np.random.default_rng(seed + 1)
-        matrices = np.stack([_asymmetric_noise_matrix(t, rng) for t in traces])
+        keep0 = rng.uniform(np.maximum(0.0, traces - 1.0), np.minimum(1.0, traces))
+        keep1 = traces - keep0
+        matrices = np.stack([keep0, 1.0 - keep0, 1.0 - keep1, keep1], axis=1).reshape(-1, 2, 2)
     return NoiseSpec(
         gamma_shape=gamma_shape,
         gamma_scale=gamma_scale,

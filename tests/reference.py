@@ -3,8 +3,8 @@
 Pure Python with explicit sorts and loops, deliberately sharing no code with
 the library implementations they check. Deliberately slow and literal.
 
-The oracles at the end are the exception: they are numpy, literal copies
-of code the library replaced or statements of what it computes. Two are
+The oracles at the end are the exception: they are numpy, literal copies of
+code the library replaced or statements of what it computes. Two are
 trainers. The original epoch loop (masked two-sided sigmoid,
 ``np.logaddexp`` loss, fresh temporaries every epoch) is a cross-check
 within a rounding tolerance. The class-major epoch, with the bias folded
@@ -14,20 +14,21 @@ probabilities bit for bit. ``binary_loss_and_grad`` is the one-class loss
 and gradient that the finite-difference checks and the trainer's first step
 are checked against. One is the per-class loop of the multi-label flagger
 (one ``np.add.at`` joint and one noise-rate matrix per class); one is the
-per-example loop of the noise injector; one is the one-method-per-call
-scorer (its own sort and temporaries for every method). Only the same
-floating-point operations and the same RNG calls can show that a rewrite
-gives bit-identical weights, probabilities, thresholds, noise rates, noisy
-labels and pooled scores. Another is the generator's per-example label
-loop; the batched draw that replaced it consumes the RNG differently, so
-only its per-row label counts must match. Another is the generator with
-its multinomial word draw: the word counts come after the labels in the
-RNG stream, so the independent Poisson counts that replaced it leave the
-labels bit for bit as they are. Its labels are stated on the whole N x K
-key matrix, each row's ranks below its count, so they check the
-generator's row-blocked sort-and-threshold without sharing its code. The
-last is the CSV writer that %-formats every row in Python, whose bytes the
-byte-grid writer must give.
+per-example loop of the noise injector; one is the per-class loop that
+split each trace of an asymmetric noise spec with its own ``uniform`` call;
+one is the one-method-per-call scorer (its own sort and temporaries for
+every method). Only the same floating-point operations and the same RNG
+calls can show that a rewrite gives bit-identical weights, probabilities,
+thresholds, noise rates, noise matrices, noisy labels and pooled scores.
+Another is the generator's per-example label loop; the batched draw that
+replaced it consumes the RNG differently, so only its per-row label counts
+must match. Another is the generator with its multinomial word draw: the
+word counts come after the labels in the RNG stream, so the independent
+Poisson counts that replaced it leave the labels bit for bit as they are.
+Its labels are stated on the whole N x K key matrix, each row's ranks below
+its count, so they check the generator's row-blocked sort-and-threshold
+without sharing its code. The last is the CSV writer that %-formats every
+row in Python, whose bytes the byte-grid writer must give.
 """
 
 import math
@@ -460,6 +461,19 @@ def inject_noise(true_labels, matrices, max_errors=3, seed=0):
             flips = rng.choice(flips, size=max_errors, replace=False)
         noisy[i, flips] = 1 - noisy[i, flips]
     return noisy
+
+
+# --- asymmetric noise matrices: the original per-class loop ------------------
+
+def asymmetric_noise_matrices(traces, seed):
+    """Each trace split at random across the diagonal, one ``uniform`` call per class."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for trace in traces:
+        keep0 = rng.uniform(max(0.0, trace - 1.0), min(1.0, trace))
+        keep1 = trace - keep0
+        matrices.append(np.array([[keep0, 1.0 - keep0], [1.0 - keep1, keep1]]))
+    return np.stack(matrices)
 
 
 # --- label generation: the original per-example loop ------------------------

@@ -142,6 +142,9 @@ class TestBenchmark:
         ("n_folds", 2.0, r"n_folds must be an integer in \[2, 150\], got 2.0"),
         ("gamma_scale", -1.0, "gamma parameters must be positive"),
         ("gamma_shape", 0.0, "gamma parameters must be positive"),
+        ("gamma_scale", np.inf, "gamma parameters must be positive and finite"),
+        ("classifier", "svm", "classifier must be 'logreg', the one the benchmark runs, "
+                              "got 'svm'"),
         ("n_replicates", 0, "n_replicates must be >= 1, got 0"),
         ("n_replicates", 2.0, "n_replicates must be an integer, got 2.0"),
         ("n_replicates", True, "n_replicates must be an integer, got True"),
@@ -391,7 +394,8 @@ class TestCli:
         assert self.run("gen", "--n-samples", "10") == 1         # incomplete custom
 
     @pytest.mark.parametrize("flag, value", [("--max-errors", "-1"), ("--gamma-scale", "0"),
-                                             ("--gamma-shape", "-1")])
+                                             ("--gamma-shape", "-1"), ("--gamma-scale", "inf"),
+                                             ("--gamma-shape", "inf")])
     def test_gen_bad_noise_flag_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "data"
         assert self.run("gen", "--preset", "small", flag, value, "--out-dir", str(out)) == 1

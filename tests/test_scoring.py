@@ -243,6 +243,12 @@ class TestDispatcher:
         method = PoolingMethod("ema", alpha=0.9)
         result = score_examples(row(1), row(0.7), method)
         assert result.method.params() == {"alpha": 0.9}
+        # each method reports the one parameter it reads, or none
+        assert {name: PoolingMethod(name).params() for name in POOLER_NAMES} == {
+            "min": {}, "max": {}, "mean": {}, "median": {},
+            "ema": {"alpha": 0.8}, "softmin": {"tau": 0.1}, "log": {"eps": 1e-8},
+            "cumavg_bottom": {"bottom_j": 2}, "weighted_cumavg": {}, "sma": {"period": 2},
+        }
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown pooling method"):
@@ -251,6 +257,11 @@ class TestDispatcher:
     def test_param_check_against_class_count(self):
         with pytest.raises(ValueError, match="bottom_j"):
             pool(np.full((2, 2), 0.5), PoolingMethod("cumavg_bottom", bottom_j=3))
+        with pytest.raises(ValueError, match="period=3 exceeds the 2 classes"):
+            pool(np.full((2, 2), 0.5), PoolingMethod("sma", period=3))
+        # a window size bounds only the method that reads it, and tau is no window
+        for method in (PoolingMethod("sma", bottom_j=3), PoolingMethod("softmin", tau=3)):
+            method.check_n_classes(2)
 
     @pytest.mark.parametrize("field", ["bottom_j", "period"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", 0, -1, True])

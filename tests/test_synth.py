@@ -306,6 +306,13 @@ class TestTraces:
     def test_deterministic(self):
         assert np.array_equal(sample_noise_traces(8, seed=5), sample_noise_traces(8, seed=5))
 
+    @pytest.mark.parametrize("param", ["gamma_shape", "gamma_scale"])
+    def test_infinite_gamma_parameter_rejected(self, param):
+        # an infinite parameter would draw inf for every class: every trace 2, no noise
+        for draw in (sample_noise_traces, draw_noise_spec):
+            with pytest.raises(ValueError, match="gamma parameters must be positive and finite"):
+                draw(4, **{param: math.inf})
+
 
 class TestNoiseMatrix:
     def test_trace_two_is_identity(self):
@@ -329,6 +336,14 @@ class TestNoiseMatrix:
         np.testing.assert_allclose(spec.matrices[:, 0, 0] + spec.matrices[:, 1, 1],
                                    spec.traces, atol=1e-12)
         assert ((spec.matrices >= 0) & (spec.matrices <= 1)).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("n_classes", [1, 4, 50])
+    @pytest.mark.parametrize("gamma_scale", [0.01, 0.3, 2.0])
+    def test_asymmetric_split_matches_per_class_loop(self, seed, n_classes, gamma_scale):
+        spec = draw_noise_spec(n_classes, gamma_scale=gamma_scale, seed=seed, symmetric=False)
+        expected = reference.asymmetric_noise_matrices(spec.traces, seed + 1)
+        assert np.array_equal(spec.matrices.view(np.uint64), expected.view(np.uint64))
 
 
 class TestInjectNoise:
@@ -500,6 +515,8 @@ class TestNoiseSpec:
         ("gamma_scale", -1.0, "gamma parameters must be positive"),
         ("gamma_shape", 0.0, "gamma parameters must be positive"),
         ("gamma_scale", math.nan, "gamma parameters must be positive"),
+        ("gamma_scale", math.inf, "gamma parameters must be positive and finite"),
+        ("gamma_shape", math.inf, "gamma parameters must be positive and finite"),
     ])
     def test_bad_parameter_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -508,7 +525,7 @@ class TestNoiseSpec:
             with pytest.raises(ValueError, match=message):
                 draw_noise_spec(4, max_errors_per_example=value)
 
-    def test_make_noisy_dataset_respects_cap_and_validates(self):
+    def test_injected_noise_on_generated_labels_respects_cap(self):
         # generate, then inject, as bench and the gen command do
         config = GenConfig(n_samples=400, n_test=50, n_features=4, n_classes=6,
                            expected_labels_per_example=2.0, seed=1)
