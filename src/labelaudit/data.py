@@ -157,7 +157,13 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # scores:   id,score
 # Ids must align row-wise between files that describe the same dataset.
 # All four loaders read through _parse_matrix_csv: numpy-converted blocks of
-# lines, else one streaming csv.reader scan that parses cell by cell.
+# lines, else one streaming csv.reader scan that parses cell by cell. A
+# block's decimal cells go through a numpy kernel over its UTF-8 bytes
+# (_convert_float): it takes "-"?, then "<digits>" or "<d>.<digits>", then
+# an optional "e" or "E", sign and 1-3 digits, which covers "%.17g", repr,
+# "%.18e" and integer counts. It scales the digits exactly and rounds them
+# as float() would, and hands float() every other cell, and every cell whose
+# rounding it cannot prove, so the values are float()'s bit for bit.
 # Every CSV writer goes through write_csv_rows, with the bytes of csv.writer.
 # Labels, truth and whole-number features are all-integer ("%d"): each block
 # of their rows is laid out as one byte grid (_grid_block) and written with
@@ -196,26 +202,23 @@ def _check_row(path, r: int, row: list[str], n_cells: int, seen: set[str]) -> No
     seen.add(row[0])
 
 
-# A block's text is held twice (its lines and their join); at 512 lines of a
-# K=50 probability file that is ~1 MB, small beside the values it adds to.
+# A block's text is held a few times over (its lines, their join and its
+# UTF-8 bytes); at 512 lines of a K=50 probability file that is ~1.5 MB.
 _BLOCK_LINES = 512
-# A double quote changes how csv splits a line, and NUL is kept out of the
-# conversion. np.loadtxt strips \x1c-\x1f around a number as whitespace,
-# which float() does not.
-_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+# A double quote changes how csv splits a line, and csv.reader before
+# Python 3.11 rejects a line that holds a NUL.
+_NOT_PLAIN = '"\0'
 
 
-def _plain_block(lines: list[str], width: int) -> bool:
-    """Whether ``csv.reader`` would split each line at its commas into ``width`` + 1 cells.
+def _plain_block(lines: list[str]) -> bool:
+    """Whether ``csv.reader`` would split each line at its commas.
 
     A line with a character of ``_NOT_PLAIN``, or longer than the csv
-    module's field limit, is not plain. The comma count is only a total
-    here: the caller's conversion rejects a line with fewer than ``width``
-    commas, so no line then has more.
+    module's field limit, is not plain. Whether each line holds as many
+    commas as the header is the converter's check.
     """
     text = "".join(lines)
-    return (not any(c in text for c in _NOT_PLAIN) and text.count(",") == width * len(lines)
-            and max(map(len, lines)) <= csv.field_size_limit())
+    return not any(c in text for c in _NOT_PLAIN) and max(map(len, lines)) <= csv.field_size_limit()
 
 
 def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None:
@@ -224,13 +227,17 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
     ``width_of(path, header)`` checks the header's cells and returns the
     number of value columns. ``convert`` turns a block of lines, each ending
     in ``"\\n"``, into a ``(lines, width)`` array, or raises ``ValueError``
-    unless every cell of the block is one it accepts. None means the file
-    needs the per-cell scan, which finds the same values or the first
-    problem: some block is not plain, a cell is not accepted, an id repeats,
-    or the file cannot be opened or decoded. Only one block of text is held
-    at a time, and each block's values are appended to one array that is
-    resized in place (a realloc, which the allocator can often do without a
-    copy), so the values are never held twice.
+    unless each line holds ``width`` + 1 cells and every value cell is one
+    it accepts: a 0/1 label (:func:`_convert_binary`), or a cell that
+    ``float()`` accepts (:func:`_convert_float`, whose kernel takes the
+    decimal cells this library and numpy write and hands ``float()`` the
+    rest). None means the file needs the per-cell scan, which finds the
+    same values or the first problem: some block is not plain, a cell is
+    not accepted, an id repeats, or the file cannot be opened or decoded.
+    Only one block of text is held at a time, and each block's values are
+    appended to one array that is resized in place (a realloc, which the
+    allocator can often do without a copy), so the values are never held
+    twice.
     """
     ids: list[str] = []
     values = None
@@ -241,7 +248,7 @@ def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None
             while lines := list(islice(fh, _BLOCK_LINES)):
                 if not lines[-1].endswith("\n"):  # the file's last line
                     lines[-1] += "\n"
-                if not _plain_block(lines, width):
+                if not _plain_block(lines):
                     return None
                 rows = len(ids)
                 ids += [line[:line.index(",")] for line in lines]
@@ -302,7 +309,7 @@ def _parse_matrix_csv(path, width_of, convert, parse_cell) -> tuple[list[str], n
     The file is read in blocks converted by ``convert`` (see
     :func:`_read_blocks`). When that fails, :func:`_scan_matrix_csv` reads
     it again: it reports the first problem in file order, and loads a cell
-    that only ``parse_cell`` accepts (a label padded with spaces, ``"1_0"``).
+    that only ``parse_cell`` accepts, such as a label padded with spaces.
     """
     loaded = _read_blocks(path, width_of, convert)
     return loaded if loaded is not None else _scan_matrix_csv(path, width_of, parse_cell)
@@ -323,14 +330,213 @@ def _convert_binary(lines: list[str], width: int) -> np.ndarray:
     return digits.view(LABEL_DTYPE)  # 0 and 1 read the same in either byte type
 
 
+# The decimal kernel converts about this many cells a pass, which keeps its
+# per-cell temporaries near 1 MB.
+_KERNEL_CELLS = 4096
+# The powers 10**q the kernel scales by, each as a double-double: the power
+# rounded, and the rest rounded, each from the exact rational (an int true
+# division is correctly rounded). Outside this range of q a product or one
+# of its error terms could leave the normal doubles; such a cell goes to
+# float().
+_POW10_Q = range(-270, 281)
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    hi, lo = [], []
+    for q in _POW10_Q:
+        if q >= 0:
+            hi.append(float(10**q))
+            lo.append(float(10**q - int(hi[-1])))
+        else:
+            den = 10**-q
+            hi.append(1 / den)
+            num, pow2 = hi[-1].as_integer_ratio()  # hi[-1] == num / pow2 exactly
+            lo.append((pow2 - num * den) / (pow2 * den))
+    return np.array(hi), np.array(lo)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``x == high + low``, each of at most 26 significant bits."""
+    high = 134217729.0 * x  # 2**27 + 1
+    high -= high - x
+    return high, x - high
+
+
+_POW10_HI, _POW10_LO = _pow10_table()
+_POW10_SPLIT = _split(_POW10_HI)
+# Per length n of a digit run (n <= 24): the low bits of each of its three
+# right-aligned 8-byte words that lie before the run, and 10**n (n < 20), by
+# which a leading "<d>." is scaled. One row is one 32-byte item.
+_RUN_ROWS = np.array([[min(max(8 * (24 - n) - 64 * j, 0), 64) for j in range(3)]
+                      + [10**n if n < 20 else 0] for n in range(25)],
+                     dtype=np.uint64).view("V32")[:, 0]
+_U64 = np.uint64
+_ZEROS = _U64(0x3030303030303030)  # eight ASCII "0" bytes
+_BYTE_HIGH = _U64(0x8080808080808080)
+_BYTE_LOW7 = _U64(0x7F7F7F7F7F7F7F7F)
+# bytes around a block's text, so that each cell's 24 bytes before its end
+# and its next byte are inside the buffer
+_PAD = b"\0" * 24
+
+
+def _byte_runs(data: bytes, size: int) -> np.ndarray:
+    """Every ``size``-byte run of ``data`` as one item: item i holds ``data[i:i + size]``."""
+    return np.ndarray((len(data) - size + 1,), dtype=f"V{size}", buffer=data, strides=(1,))
+
+
+def _words_ending_at(data: bytes, ends: np.ndarray, n_words: int) -> np.ndarray:
+    """The ``8 * n_words`` bytes before each of ``ends``, as little-endian uint64 words."""
+    items = _byte_runs(data, 8 * n_words)[ends - 8 * n_words]
+    return items.view("<u8").reshape(-1, n_words)
+
+
+def _eight_digits(words: np.ndarray, skip_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each uint64 of ``words`` read as eight ASCII digits, and a nonzero mark where it holds another byte.
+
+    A word's low byte holds its first digit, as a little-endian load of the
+    text puts it. The low ``skip_bits`` bits (whole bytes, up to 64) are read
+    as zeros. ``words`` is overwritten. The digits are combined in pairs,
+    then fours, then all eight, with three multiplies, as fast_float does.
+    Every operand is a uint64, so numpy 1.x and 2.x cast alike.
+    """
+    keep = np.left_shift(_U64(2**64 - 1), skip_bits)  # numpy shifts a word by 64 to 0
+    words &= keep
+    keep &= _ZEROS
+    words -= keep  # each kept byte minus "0", with no borrow out of a skipped byte
+    marks = np.add(words, _U64(0x7676767676767676), out=keep)  # a byte above 9 sets its high bit
+    marks |= words  # and one below "0" has it set already
+    marks &= _BYTE_HIGH
+    pairs = words >> _U64(8)
+    words *= _U64(10)
+    words += pairs  # byte 2i now holds digit 2i's and 2i + 1's value
+    low = _U64(0x000000FF000000FF)
+    np.right_shift(words, _U64(16), out=pairs)
+    pairs &= low
+    pairs *= _U64(1 + (10**4 << 32))
+    words &= low
+    words *= _U64(100 + (10**6 << 32))
+    words += pairs
+    words >>= _U64(32)
+    return words, marks
+
+
+def _exponent_marks(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The position of an ``e`` or ``E`` in each cell's last five bytes, or its end if none."""
+    tail = _words_ending_at(data, ends, 1)[:, 0]
+    tail |= _U64(0x2020202020202020)  # "E" as "e"
+    tail ^= _U64(0x6565656565656565)  # and "e" as 0
+    marks = ~(((tail & _BYTE_LOW7) + _BYTE_LOW7) | tail) & _BYTE_HIGH  # 0x80 at each 0 byte
+    skip = (np.maximum(starts - ends + 8, 3) * 8).astype(np.uint64)  # bytes before both
+    marks >>= skip
+    marks <<= skip
+    found = np.flatnonzero(marks)
+    marks = marks[found]
+    # the lowest mark, 2**(8 * j + 7) for byte j of the eight, is exactly a
+    # double whose bits >> 55 are 128 + j; that byte sits at end - 8 + j
+    lowest = (marks & (~marks + _U64(1))).astype(np.float64)
+    at = ends.copy()
+    at[found] += (lowest.view(np.int64) >> 55) - 136
+    return at
+
+
+def _scaled(mant: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mant * 10**p`` rounded, for ``p = _POW10_Q[q]``, and whether that is the correct rounding.
+
+    The product is formed as a double-double: Dekker's exact product of
+    ``mant`` rounded and the rounded power, plus the cross terms with their
+    rests. It is within 2**-100 of ``mant * 10**p``, so its rounded sum is
+    the correctly rounded value unless the sum's tail lies within 2**-40 of
+    half an ulp of it (the gap below a power of two is half the gap above).
+    """
+    m_hi = mant.astype(np.float64)
+    m_lo = (mant - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    p_hi = _POW10_HI[q]
+    product = m_hi * p_hi
+    a1, a2 = _split(m_hi)
+    b1, b2 = _POW10_SPLIT[0][q], _POW10_SPLIT[1][q]
+    error = ((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2  # product + error is exact
+    error += m_hi * _POW10_LO[q] + m_lo * p_hi
+    value = product + error
+    rest = error - (value - product)  # value + rest == product + error exactly
+    bits = value.view(np.uint64)
+    half_ulp = (bits & _U64(0x7FF0000000000000)).view(np.float64)  # the power of two at or below
+    half_ulp *= np.where(bits & _U64(0x000FFFFFFFFFFFFF), 2.0**-53, 2.0**-54) * (1 - 2.0**-40)
+    return value, np.abs(rest) <= half_ulp
+
+
+def _decimal_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 value of each cell ``data[starts[i]:ends[i]]``, and whether it is float()'s.
+
+    ``data`` holds at least 24 bytes before the first cell and one after the
+    last. A cell is taken when it reads ``-``, then ``<d>.<digits>`` or
+    ``<digits>``, then ``e`` or ``E``, a sign and 1-3 digits, each part but
+    the digits optional; when the run of digits before the exponent (past
+    any ``<d>.``) has at most 24 digits and the cell's digits make an
+    integer ``m < 10**19``; and when :func:`_scaled` can prove its
+    rounding. The run is read as three right-aligned 8-byte words.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    neg = buf[starts] == ord("-")
+    first = starts + neg
+    point = buf[first + 1] == ord(".")
+    lead = buf[first] - np.uint8(ord("0"))  # the <d> of "<d>.", if any
+    run = first + 2 * point
+    run_end = _exponent_marks(data, starts, ends)
+    n_run = run_end - run
+    taken = (n_run >= 1 - point) & (n_run <= 24) & ((lead <= 9) | ~point)
+    rows = _RUN_ROWS[np.minimum(n_run, 24)].view(np.uint64).reshape(-1, 4)
+    words, marks = _eight_digits(_words_ending_at(data, run_end, 3), rows[:, :3])
+    taken &= ~marks.any(axis=1) & (words[:, 0] < _U64(1000))
+    mant = words[:, 0] * _U64(10**16) + words[:, 1] * _U64(10**8) + words[:, 2]
+    leading = (lead * point).astype(np.uint64)
+    taken &= (leading == _U64(0)) | (n_run <= 18)  # so that m < 10**19
+    leading *= rows[:, 3]
+    mant += leading
+    q = np.where(point, -n_run, 0) - _POW10_Q.start
+    marked = np.flatnonzero(run_end != ends)
+    if marked.size:
+        sign = buf[run_end[marked] + 1]
+        n_exp = ends[marked] - run_end[marked] - 1 - ((sign == ord("+")) | (sign == ord("-")))
+        skip = (np.clip(8 - n_exp, 0, 8) * 8).astype(np.uint64)
+        digits, marks = _eight_digits(_words_ending_at(data, ends[marked], 1)[:, 0], skip)
+        taken[marked] &= (n_exp >= 1) & (n_exp <= 3) & (marks == _U64(0))
+        digits = digits.astype(np.int64)
+        q[marked] += np.where(sign == ord("-"), -digits, digits)
+    taken &= (q >= 0) & (q < len(_POW10_Q))
+    mant *= taken  # so that no m of a cell not taken rounds up to 2**64
+    q *= taken
+    value, exact = _scaled(mant, q)
+    return np.where(neg, -value, value), taken & exact
+
+
+def _float_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
+    """``float()`` of each cell ``data[starts[i]:ends[i]]``, decoded from UTF-8."""
+    return [float(data[a:b].decode()) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
 def _convert_float(lines: list[str], width: int) -> np.ndarray:
-    # loadtxt parses a cell as float() does (PyOS_string_to_double after
-    # stripping whitespace), but rejects some that float() accepts, such as
-    # "1_0" and "１"; those go to the per-cell scan. With usecols it would
-    # also take a row with extra cells, which _plain_block's comma count
-    # rules out. It skips empty lines, but every line here holds a comma.
-    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                      usecols=range(1, width + 1), ndmin=2)
+    # A cell the kernel does not take is converted by float(), so a block
+    # holds float()'s values, and a cell float() rejects raises ValueError.
+    # Every byte of a non-ASCII character in UTF-8 is >= 0x80, so none is
+    # read as a separator, digit, sign, point or exponent mark.
+    step = max(1, _KERNEL_CELLS // width)
+    blocks = []
+    for lo in range(0, len(lines), step):
+        n_lines = min(step, len(lines) - lo)
+        data = _PAD + "".join(lines[lo:lo + step]).encode() + _PAD
+        buf = np.frombuffer(data, dtype=np.uint8)
+        seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        if seps.size != n_lines * (width + 1) or (buf[seps[width::width + 1]] != ord("\n")).any():
+            raise ValueError(f"a line does not hold {width + 1} cells")
+        seps = seps.reshape(n_lines, width + 1)
+        starts = (seps[:, :-1] + 1).ravel()
+        ends = seps[:, 1:].ravel()
+        values, taken = _decimal_cells(data, starts, ends)
+        others = np.flatnonzero(~taken)
+        if others.size:
+            values[others] = _float_cells(data, starts[others], ends[others])
+        blocks.append(values.reshape(n_lines, width))
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
 def _convert_count(lines: list[str], width: int) -> np.ndarray:

@@ -94,7 +94,7 @@ class PoolingMethod:
 
     name: str
     alpha: float = 0.8       # ema forgetting factor, 0 < alpha <= 1
-    tau: float = 0.1         # softmin temperature, > 0
+    tau: float = 0.1         # softmin temperature, finite and > 0
     eps: float = 1e-8        # log-pooling floor, > 0
     bottom_j: int = 2        # number of smallest scores averaged, 1 <= J <= K
     period: int = 2          # moving-average window, 1 <= P <= K
@@ -104,8 +104,8 @@ class PoolingMethod:
             raise ValueError(f"unknown pooling method {self.name!r}; expected one of {POOLER_NAMES}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         for field in ("bottom_j", "period"):

@@ -542,6 +542,16 @@ class TestCli:
         assert "eps must be finite" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_non_finite_tau_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\n")
+        (tmp_path / "p.csv").write_text("id,prob_0\na,0.5\nb,0.5\n")
+        assert self.run("score", "--labels", str(tmp_path / "l.csv"),
+                        "--probs", str(tmp_path / "p.csv"),
+                        "--out", str(tmp_path / "s.csv"),
+                        "--method", "softmin", "--tau", "inf") == 1
+        assert "error: tau must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LABELAUDIT_OUT_DIR", str(tmp_path / "envout"))
         code = self.run("gen", "--n-samples", "30", "--n-features", "3",

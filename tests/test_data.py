@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import math
 import re
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from labelaudit import data
+from labelaudit import cli, data
 from labelaudit.confident import flag_multilabel
 from labelaudit.data import (
     DataFormatError,
@@ -240,6 +242,12 @@ GOLDEN_FLOAT_ROWS = (
 FLOAT_CELLS = [
     "1_0", " 1.5 ", "inf", "-nan", "１", "1e500", "-0", "+.5", "5.", "Infinity", "١٢",
     "", "0x1p3", "1,5", "1__0", "nan(1)", "1d0", ".",
+    # the decimal kernel's edges: zeros and the sign bit, the longest digit
+    # run, the most significant digits it takes and one more, the exponent
+    # forms of %.17g and %.18e, and exponents past its power table
+    "0", "0.", "-0.0", "0.0001234567890123456789", "9999999999999999999",
+    "12345678901234567890", "1e-05", "1.0000000000000001e-15", "9.9999999999999989e-01",
+    "4.9e-324", "1e308", "1E5", "-1.5e+02",
 ]
 
 
@@ -639,11 +647,34 @@ def assert_loads_as_scan(load, path):
     assert _outcome(load, path) == scanned
 
 
-# Characters on which float() and np.loadtxt may disagree: signs, exponents,
-# underscores, comments, quotes, NUL, ASCII and Unicode whitespace (loadtxt
-# strips \x1c-\x1f, float() does not) and non-ASCII digits.
+# Characters at the decimal kernel's edges: signs, points, exponents,
+# underscores, quotes, NUL, whitespace (float() strips "\t", "\x85" and
+# "\u3000" but not "\x1c"-"\x1f") and non-ASCII digits.
 CELL_CHARS = st.sampled_from(list("0123456789+-_.eE \t\x0b#\"\0,\x1c\x1fnaif") +
                              ["١", "１", "　", "\x85"])
+
+
+
+def _near_midpoint(x: float, digits: int, offset: int) -> str:
+    """A cell of ``digits`` significant digits, ``offset`` units in its last digit from
+    the midpoint between ``x`` and the next double up, written as ``<digits>e<exp>``."""
+    mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+    exp = math.floor(math.log10(x)) - digits + 1
+    return f"{round(mid / Fraction(10) ** exp) + offset}e{exp}"
+
+
+DECIMAL_VALUES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-30.0, 20.0).map(lambda e: 10.0**e),
+    st.floats(-1e6, -1e-6),
+    st.integers(0, 2**53).map(float),
+)
+DECIMAL_CELLS = st.one_of(
+    st.builds(lambda value, fmt: fmt % value, DECIMAL_VALUES,
+              st.sampled_from(["%.17g", "%r", "%.15g", "%.18e", "%.20f"])),
+    st.builds(_near_midpoint, st.floats(1e-30, 1e20), st.integers(16, 19), st.integers(-3, 3)),
+    st.sampled_from(["1_0", " 0.5", "+.5", "12.5", ".5", "1.5E+07", "inf", "１"]),  # only float()
+)
 
 
 class TestBlockReader:
@@ -661,6 +692,41 @@ class TestBlockReader:
         rows = "".join(f"e{i},{cell}\r\n" for i, cell in enumerate(cells))
         path.write_bytes(("id,prob_0\r\n" + rows).encode())
         assert_loads_as_scan(load_probs_csv, path)
+
+    @settings(max_examples=60)
+    @pytest.mark.parametrize("block_lines, kernel_cells", [(1, 4096), (7, 6), (512, 4096)])
+    @given(rows=st.lists(st.tuples(st.sampled_from(["e", "é", "ex"]),
+                                   st.lists(DECIMAL_CELLS, min_size=3, max_size=3)),
+                         min_size=1, max_size=20))
+    def test_decimal_cells_load_as_float_scan(self, tmp_path_factory, block_lines, kernel_cells,
+                                              rows):
+        # every cell the kernel takes, and the cells only float() takes beside
+        # them, in blocks of 1, 7 and 512 lines; a 7-line block is converted
+        # two lines at a time
+        body = "".join(f"{prefix}{i},{','.join(cells)}\r\n"
+                       for i, (prefix, cells) in enumerate(rows))
+        path = tmp_path_factory.mktemp("decimals") / "p.csv"
+        path.write_bytes(("id,prob_0,prob_1,prob_2\r\n" + body).encode())
+        with mock.patch.object(data, "_BLOCK_LINES", block_lines), \
+                mock.patch.object(data, "_KERNEL_CELLS", kernel_cells):
+            assert_loads_as_scan(load_probs_csv, path)
+
+    def test_library_files_take_the_kernel(self, tmp_path, capsys):
+        # no cell of a probabilities file the library writes, or of gen's
+        # counts, falls back to float(): a fallback would leave every value
+        # right and only the load slower, so no other test would see it
+        values = np.random.default_rng(8).random((2000, 50))
+        save_probs_csv(tmp_path / "probs.csv", [f"ex{i}" for i in range(len(values))], values)
+        assert cli.main(["gen", "--preset", "large", "--seed", "3",
+                         "--out-dir", str(tmp_path / "gen")]) == 0
+        capsys.readouterr()
+        with mock.patch.object(data, "_float_cells",
+                               side_effect=AssertionError("a cell went to float()")), \
+                mock.patch.object(data, "_scan_matrix_csv", side_effect=AssertionError("scanned")):
+            probs = load_probs_csv(tmp_path / "probs.csv")[1]
+            features = load_features_csv(tmp_path / "gen" / "features.csv")[1]
+        assert np.array_equal(probs.view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(features, gen_multilabel(replace(LARGE, seed=3)).features)
 
     @pytest.mark.parametrize("load", list(SCANS))
     @pytest.mark.parametrize("body", [

@@ -135,6 +135,9 @@ class TestSoftmin:
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError, match="tau"):
             pooled("softmin", row(0.5), tau=0.0)
+        # an infinite tau weights every score alike: softmin would be the mean
+        with pytest.raises(ValueError, match="^tau must be finite and > 0, got inf$"):
+            pooled("softmin", row(0.5), tau=math.inf)
 
 
 class TestLogPool:
