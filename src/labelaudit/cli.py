@@ -29,6 +29,7 @@ from .data import (
     save_probs_csv,
     save_scores_csv,
 )
+from .metrics import error_truth
 from .model import CVConfig, TrainConfig, TrainingDivergedError, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, rescale_for_display, score_examples
 from .synth import (
@@ -222,7 +223,7 @@ def _cmd_gen(args) -> int:
     save_labels_csv(out_dir / "truth.csv", clean.example_ids, clean.true_labels)
     save_features_csv(out_dir / "features.csv", clean.example_ids, clean.features)
     save_noise_spec_json(out_dir / "noise_spec.json", noise)
-    n_errors = int((noisy != clean.true_labels).any(axis=1).sum())
+    n_errors = error_truth(noisy, clean.true_labels).n_mislabeled
     print(f"wrote {config.n_samples} examples ({n_errors} mislabeled) to {out_dir}")
     return EXIT_OK
 

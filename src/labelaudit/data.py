@@ -63,7 +63,9 @@ class MultiLabelDataset:
     held as read-only ``LABEL_DTYPE`` (int8) copies, so a label of 0.5 or
     256 is rejected rather than truncated or wrapped. Widen them before a
     product that can pass 127, such as ``labels.T @ labels``. The features
-    are checked for shape only.
+    are held as a read-only float64 copy, one row per example, and checked
+    by :func:`check_features`: a negative, NaN or infinite cell is a
+    ``ValueError`` that names it, as everywhere features enter the library.
     """
 
     given_labels: np.ndarray
@@ -98,6 +100,7 @@ class MultiLabelDataset:
                 raise ValueError(
                     f"features shape {feats.shape} incompatible with {labels.shape[0]} examples"
                 )
+            check_features(feats)
             object.__setattr__(self, "features", feats)
 
     @property
@@ -121,6 +124,17 @@ def check_binary_labels(labels: np.ndarray) -> None:
     if bad.any():
         i, k = np.argwhere(bad)[0]
         raise ValueError(f"label {labels[i, k]} not in {{0,1}} at (example {i}, class {k})")
+
+
+def check_features(features: np.ndarray) -> None:
+    """``ValueError`` naming the first cell of the 2-D float ``features`` that is
+    negative, NaN or infinite; ``-0.0`` is a valid count."""
+    valid = (features >= 0.0) & (features < np.inf)  # False at NaN as well
+    if not valid.all():
+        i, d = np.argwhere(~valid)[0]
+        raise ValueError(
+            f"feature value {features[i, d]} is not a non-negative number at (example {i}, column {d})"
+        )
 
 
 def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +534,7 @@ def _convert_float(lines: list[str], width: int) -> np.ndarray:
     # Every byte of a non-ASCII character in UTF-8 is >= 0x80, so none is
     # read as a separator, digit, sign, point or exponent mark.
     step = max(1, _KERNEL_CELLS // width)
-    blocks = []
+    block = np.empty((len(lines), width))
     for lo in range(0, len(lines), step):
         n_lines = min(step, len(lines) - lo)
         data = _PAD + "".join(lines[lo:lo + step]).encode() + _PAD
@@ -535,14 +549,13 @@ def _convert_float(lines: list[str], width: int) -> np.ndarray:
         others = np.flatnonzero(~taken)
         if others.size:
             values[others] = _float_cells(data, starts[others], ends[others])
-        blocks.append(values.reshape(n_lines, width))
-    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+        block[lo:lo + n_lines] = values.reshape(n_lines, width)
+    return block
 
 
 def _convert_count(lines: list[str], width: int) -> np.ndarray:
     data = _convert_float(lines, width)
-    if not (np.isfinite(data) & (data >= 0)).all():
-        raise ValueError("a feature value is not a non-negative number")
+    check_features(data)
     return data
 
 
@@ -587,36 +600,21 @@ def load_features_csv(path) -> tuple[list[str], np.ndarray]:
                              _convert_count, _parse_count_cell)
 
 
-def load_dataset(
-    labels_path,
-    format: str = "csv",
-    features_path=None,
-    true_labels_path=None,
-) -> MultiLabelDataset:
-    """Load a dataset from the declared file formats.
+def load_dataset(labels_path, features_path=None, true_labels_path=None) -> MultiLabelDataset:
+    """A dataset from a labels CSV plus optional aligned features and true-labels CSVs.
 
-    ``format="csv"`` reads the labels CSV plus optional aligned features /
-    true-labels CSVs. ``format="jsonl"`` reads only the labels field of a
-    JSON-lines file (use :func:`load_jsonl` to also get probabilities), and
-    takes neither extra path.
+    A JSON-lines file loads with :func:`load_jsonl`.
     """
-    if format == "csv":
-        ids, labels = load_labels_csv(labels_path)
-        features = None
-        truth = None
-        if features_path is not None:
-            fids, features = load_features_csv(features_path)
-            check_ids_aligned(ids, fids, f"{labels_path} vs {features_path}")
-        if true_labels_path is not None:
-            tids, truth = load_labels_csv(true_labels_path)
-            check_ids_aligned(ids, tids, f"{labels_path} vs {true_labels_path}")
-        return MultiLabelDataset(labels, tuple(ids), true_labels=truth, features=features)
-    if format == "jsonl":
-        if features_path is not None or true_labels_path is not None:
-            raise ValueError("format='jsonl' reads no features or true-labels file")
-        dataset, _ = load_jsonl(labels_path)
-        return dataset
-    raise ValueError(f"unknown format {format!r} (expected 'csv' or 'jsonl')")
+    ids, labels = load_labels_csv(labels_path)
+    features = None
+    truth = None
+    if features_path is not None:
+        fids, features = load_features_csv(features_path)
+        check_ids_aligned(ids, fids, f"{labels_path} vs {features_path}")
+    if true_labels_path is not None:
+        tids, truth = load_labels_csv(true_labels_path)
+        check_ids_aligned(ids, tids, f"{labels_path} vs {true_labels_path}")
+    return MultiLabelDataset(labels, tuple(ids), true_labels=truth, features=features)
 
 
 _BLOCK_ROWS = 1000
@@ -710,11 +708,9 @@ def _grid_block(fields: list[str], values: np.ndarray) -> str | None:
     cell = 2 if digits == 1 else 4 if digits <= 3 else 1 + digits
     grid = np.zeros((n_rows, id_width + n_cols * cell + 2), dtype=np.uint8)
     id_bytes = terminated[terminated != 0]
-    if lengths.min() == id_width:
-        grid[:, :id_width] = id_bytes.reshape(n_rows, id_width)
-    else:  # byte j of row i's id goes to grid[i, j]
-        starts = np.arange(n_rows) * grid.shape[1] - (np.cumsum(lengths) - lengths)
-        grid.reshape(-1)[np.repeat(starts, lengths) + np.arange(id_bytes.size)] = id_bytes
+    # byte j of row i's id goes to grid[i, j]
+    starts = np.arange(n_rows) * grid.shape[1] - (np.cumsum(lengths) - lengths)
+    grid.reshape(-1)[np.repeat(starts, lengths) + np.arange(id_bytes.size)] = id_bytes
     if cell in (2, 4):
         table = _digit_cells(np.arange(10**digits), digits, cell).view(f"u{cell}")[:, 0]
         cells = grid[:, id_width:-2].view(table.dtype)
@@ -809,12 +805,7 @@ def save_features_csv(path, ids: Sequence[str], features: np.ndarray) -> None:
     """
     data = np.asarray(features, dtype=np.float64)
     _matrix_header("feat", ids, data)  # a shape error comes before a value error
-    valid = (data >= 0.0) & (data < np.inf)  # False at NaN as well
-    if not valid.all():
-        i, d = np.argwhere(~valid)[0]
-        raise ValueError(
-            f"feature value {data[i, d]} is not a non-negative number at (example {i}, column {d})"
-        )
+    check_features(data)
     cells, cell_fmt = data, _FLOAT_CELL
     if (data < 2.0**53).all() and not np.signbit(data).any():
         counts = data.astype(np.int64)  # in range, so the cast is exact for whole numbers

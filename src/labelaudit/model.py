@@ -67,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, is_integer
+from .data import (LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, check_features,
+                   is_integer)
 
 _PROB_CLIP = 1e-15  # keeps predicted probabilities strictly inside (0, 1)
 _FINITE_BOUND = 1e300  # far enough below the float maximum to absorb rounding
@@ -218,7 +219,9 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
 
     Classes whose labels are all identical get a bias-only constant model at
     the smoothed base rate. Raises ``ValueError`` at a label that is not 0 or
-    1, and :class:`TrainingDivergedError` at the first epoch whose loss is
+    1 or a feature that is negative, NaN or infinite (see
+    :func:`~labelaudit.data.check_features`), and
+    :class:`TrainingDivergedError` at the first epoch whose loss is
     non-finite (e.g. a too-large learning rate), whether or not that epoch is
     recorded in ``loss_history``.
     """
@@ -229,6 +232,7 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig = TrainC
             f"incompatible shapes: features {features.shape}, labels {labels.shape}"
         )
     check_binary_labels(labels)
+    check_features(features)
     return _fit(np.log1p(features), np.ascontiguousarray(labels.T, dtype=LABEL_DTYPE), config)
 
 
@@ -312,12 +316,16 @@ def _fit(logged: np.ndarray, labels_t: np.ndarray, config: TrainConfig,
 
 
 def predict_proba(model: LogRegModel, features: np.ndarray) -> np.ndarray:
-    """Per-class sigmoid probabilities; rows are not normalized across classes."""
+    """Per-class sigmoid probabilities; rows are not normalized across classes.
+
+    Raises ``ValueError`` at a feature that is negative, NaN or infinite.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.n_features:
         raise ValueError(
             f"features shape {features.shape} incompatible with model width {model.n_features}"
         )
+    check_features(features)
     return _predict_logged(model, np.log1p(features))
 
 

@@ -50,9 +50,7 @@ Work whose answer is known is skipped without moving a bit. An L-statistic
 with at most two nonzero weights (min, max, median, and cumavg_bottom with
 J <= 2) reads those sorted columns instead of summing the whole weighted
 row; only a row whose sum is zero, where the sign of the zero depends on
-every term, takes the whole sum. In a sorted block, softmin takes its row's
-largest exponent from the smallest score, since (1 - s)/tau, rounded, is
-non-increasing in s.
+every term, takes the whole sum.
 """
 
 from __future__ import annotations
@@ -202,12 +200,10 @@ def _pool_all(per_class_scores: np.ndarray, methods: Sequence[PoolingMethod]) ->
             dest = result[start:start + len(block)]
             if method.name == "softmin":
                 # weights exp((1 - s)/tau - row max); subtracting the row's largest
-                # exponent keeps any temperature from overflowing. Rounding is
-                # monotone, so (1 - s)/tau is largest at the row's smallest s.
+                # exponent keeps any temperature from overflowing
                 z = np.subtract(1.0, block, out=out)
                 z /= method.tau
-                z -= (z.max(axis=1, keepdims=True) if ordered is None
-                      else (1.0 - ordered[:, :1]) / method.tau)
+                z -= z.max(axis=1, keepdims=True)
                 e = np.exp(z, out=z)
                 total = e.sum(axis=1)
                 np.divide(np.multiply(block, e, out=e).sum(axis=1), total, out=dest)

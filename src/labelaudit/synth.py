@@ -169,20 +169,23 @@ def draw_noise_spec(
 ) -> NoiseSpec:
     """Sample traces and build the per-class flip matrices in one step.
 
-    An asymmetric matrix splits its trace t at random across the diagonal:
-    it keeps label 0 with a probability drawn uniformly from
-    ``[max(0, t - 1), min(1, t)]``, so that every entry lies in [0, 1], and
-    label 1 with the rest of t. One draw from ``default_rng(seed + 1)``
-    takes every class's split, in class order.
+    Each matrix splits its trace t across the diagonal: it keeps label 0
+    with probability ``keep0`` and label 1 with the rest of t, and each row
+    sums to 1. A symmetric matrix takes ``keep0 = t / 2``, which gives the
+    bits of :func:`build_noise_matrix` (every trace lies in [1, 2], where
+    both t/2 and t - t/2 are exact). An asymmetric one draws ``keep0``
+    uniformly from ``[max(0, t - 1), min(1, t)]``, so that every entry lies
+    in [0, 1]: one draw from ``default_rng(seed + 1)`` takes every class's
+    split, in class order.
     """
     traces = sample_noise_traces(n_classes, gamma_shape, gamma_scale, seed)
     if symmetric:
-        matrices = np.stack([build_noise_matrix(t) for t in traces])
+        keep0 = traces / 2.0
     else:
         rng = np.random.default_rng(seed + 1)
         keep0 = rng.uniform(np.maximum(0.0, traces - 1.0), np.minimum(1.0, traces))
-        keep1 = traces - keep0
-        matrices = np.stack([keep0, 1.0 - keep0, 1.0 - keep1, keep1], axis=1).reshape(-1, 2, 2)
+    keep1 = traces - keep0
+    matrices = np.stack([keep0, 1.0 - keep0, 1.0 - keep1, keep1], axis=1).reshape(-1, 2, 2)
     return NoiseSpec(
         gamma_shape=gamma_shape,
         gamma_scale=gamma_scale,

@@ -446,6 +446,13 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_gen_negative_noise_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert self.run("gen", "--preset", "small", "--noise-seed", "-1",
+                        "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert not out.exists()
+
     def test_bench_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert self.run("bench", "--replicates", "1", "--seed", "-1", "--out-dir", str(out)) == 1

@@ -396,18 +396,6 @@ class TestClosedFormFirstEpoch:
         assert len(calls) == sum(len(_row_blocks(n, k)) + 1 for n, k in fits)
         assert np.array_equal(probs, expected)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_features_raise_at_epoch_0(self, bad):
-        dataset, cv = oracle_dataset("unequal_folds")
-        features = dataset.features.copy()
-        features[3, 1] = bad
-        dataset = MultiLabelDataset(dataset.given_labels, dataset.example_ids, features=features)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 0$"):
-                cross_val_pred_probs(dataset, cv, TrainConfig(epochs=5))
-            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at epoch 0$"):
-                train(features, dataset.given_labels, TrainConfig(epochs=5, loss_every=3))
-
     def test_penalty_alone_overflowing_the_loss_raises_on_time(self):
         # a decay of lr * l2 = 1e10 multiplies the weights by about -1e10 an
         # epoch, so the L2 penalty overflows near |W| = 1e149, long before
@@ -425,6 +413,26 @@ class TestClosedFormFirstEpoch:
             train(dataset.features[rows], dataset.given_labels[rows], config)
         with pytest.raises(TrainingDivergedError, match=f"^{raised.value}$"):
             cross_val_pred_probs(dataset, cv, config)
+
+
+class TestFeatureRule:
+    """A negative, NaN or infinite feature is a ``ValueError`` naming its cell
+    wherever features enter, before any arithmetic on it."""
+
+    @pytest.mark.parametrize("bad", [-5.0, np.nan, np.inf])
+    def test_bad_feature_rejected_before_training(self, bad):
+        dataset, _ = oracle_dataset("unequal_folds")
+        features = dataset.features.copy()
+        features[3, 1] = bad
+        message = f"^feature value {bad} is not a non-negative number at \\(example 3, column 1\\)$"
+        model = train(dataset.features, dataset.given_labels, TrainConfig(epochs=5))
+        with np.errstate(all="raise"):  # no log1p of the bad cell runs first
+            with pytest.raises(ValueError, match=message):
+                MultiLabelDataset(dataset.given_labels, dataset.example_ids, features=features)
+            with pytest.raises(ValueError, match=message):
+                train(features, dataset.given_labels, TrainConfig(epochs=5))
+            with pytest.raises(ValueError, match=message):
+                predict_proba(model, features)
 
 
 class TestRowBlocks:

@@ -345,6 +345,14 @@ class TestNoiseMatrix:
         expected = reference.asymmetric_noise_matrices(spec.traces, seed + 1)
         assert np.array_equal(spec.matrices.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("n_classes", [1, 4, 50])
+    @pytest.mark.parametrize("gamma_scale", [0.01, 0.3, 2.0])
+    def test_symmetric_split_matches_per_class_loop(self, seed, n_classes, gamma_scale):
+        spec = draw_noise_spec(n_classes, gamma_scale=gamma_scale, seed=seed)
+        expected = np.stack([build_noise_matrix(t) for t in spec.traces])
+        assert np.array_equal(spec.matrices.view(np.uint64), expected.view(np.uint64))
+
 
 class TestInjectNoise:
     def test_identity_matrices_change_nothing(self):
