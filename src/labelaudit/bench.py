@@ -28,7 +28,7 @@ from . import __version__
 from .confident import flag_multilabel
 from .data import _fmt_float, is_integer
 from .metrics import METRIC_NAMES, error_truth, evaluate
-from .model import CVConfig, TrainConfig, cross_val_pred_probs
+from .model import CVConfig, TrainConfig, check_training_rows, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_all
 from .synth import (
     LARGE, SMALL, GenConfig, NoiseSpec, _check_count, draw_noise_spec, gen_multilabel,
@@ -73,6 +73,7 @@ class BenchmarkPlan:
         n_samples = self.gen_config.n_samples
         if not is_integer(self.n_folds) or not 2 <= self.n_folds <= n_samples:
             raise ValueError(f"n_folds must be an integer in [2, {n_samples}], got {self.n_folds!r}")
+        check_training_rows(n_samples, self.n_folds)
         # a spec with no traces yet: raises as draw_noise_spec would in each replicate
         NoiseSpec(self.gamma_shape, self.gamma_scale, self.max_errors_per_example)
         unknown = set(self.metrics) - set(DEFAULT_METRICS)
@@ -83,6 +84,8 @@ class BenchmarkPlan:
             raise ValueError("duplicate pooling methods in plan")
         if not self.methods:
             raise ValueError("plan needs at least one pooling method")
+        for method in self.methods:  # as score_all would raise in each replicate
+            method.check_n_classes(self.gen_config.n_classes)
 
 
 def small_plan(**overrides) -> BenchmarkPlan:
@@ -336,12 +339,3 @@ def write_report(report: BenchmarkReport, out_dir) -> dict[str, Path]:
     write_aggregate_csv(paths["aggregate"], aggregate_rows(report.metric_rows))
     write_run_meta(paths["meta"], report)
     return paths
-
-
-def method_means(metric_rows: Sequence[tuple], metric: str) -> dict[str, float]:
-    """Mean value per method for one metric, NaN-skipping; used by rank checks."""
-    out: dict[str, float] = {}
-    for classifier, method, m, _k, mean, _std, _n in aggregate_rows(metric_rows):
-        if m == metric:
-            out[method] = mean
-    return out

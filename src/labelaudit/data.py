@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -171,13 +172,20 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # scores:   id,score
 # Ids must align row-wise between files that describe the same dataset.
 # All four loaders read through _parse_matrix_csv: numpy-converted blocks of
-# lines, else one streaming csv.reader scan that parses cell by cell. A
-# block's decimal cells go through a numpy kernel over its UTF-8 bytes
-# (_convert_float): it takes "-"?, then "<digits>" or "<d>.<digits>", then
-# an optional "e" or "E", sign and 1-3 digits, which covers "%.17g", repr,
-# "%.18e" and integer counts. It scales the digits exactly and rounds them
-# as float() would, and hands float() every other cell, and every cell whose
-# rounding it cannot prove, so the values are float()'s bit for bit.
+# bytes, else one streaming csv.reader scan that parses cell by cell. A block
+# is a fixed number of bytes read from the file, cut at its last line end,
+# with the partial line carried to the next. One pass over its uint8 view
+# finds its commas and newlines (_index_block); the quote, NUL, line-width
+# and field-limit checks, the ids, and every cell's start and end come from
+# that index, and one more pass finds the exponent marks. The decimal cells
+# go through a numpy kernel over the block's bytes (_convert_float): it
+# takes "-"?, then "<digits>" or "<digits>.<digits>" with at most 19
+# significant digits, then an optional "e" or "E", sign and 1-3 digits,
+# which covers "%.17g", repr, "%.18e" and integer counts. It scales the
+# digits exactly and rounds them as float() would, and hands float() every
+# other cell, and every cell whose rounding it cannot prove, so the values
+# are float()'s bit for bit. A pass in which few cells start and end with a
+# digit goes to float() whole.
 # Every CSV writer goes through write_csv_rows, with the bytes of csv.writer.
 # Labels, truth and whole-number features are all-integer ("%d"): each block
 # of their rows is laid out as one byte grid (_grid_block) and written with
@@ -216,65 +224,111 @@ def _check_row(path, r: int, row: list[str], n_cells: int, seen: set[str]) -> No
     seen.add(row[0])
 
 
-# A block's text is held a few times over (its lines, their join and its
-# UTF-8 bytes); at 512 lines of a K=50 probability file that is ~1.5 MB.
-_BLOCK_LINES = 512
-# A double quote changes how csv splits a line, and csv.reader before
-# Python 3.11 rejects a line that holds a NUL.
-_NOT_PLAIN = '"\0'
+# A block is at most this many bytes of the file, plus the partial line
+# carried over from the block before, and at most about this many commas and
+# newlines, as the block before predicts them. So a block's bytes, its index
+# and every array made from it stay under 128 KiB: glibc mmaps a larger
+# array and, once one is freed, serves arrays up to its size from the heap,
+# which keeps their pages (128 KiB blocks of labels raised gen-export's peak
+# RSS by ~5 MB).
+_BLOCK_BYTES = 120 << 10
+_BLOCK_SEPS = 12 << 10
+# the header: a byte-order mark, if any, then the first line
+_FIRST_LINE = re.compile(rb"(?:\xef\xbb\xbf)?([^\r\n]*)(?:\r\n|\r|\n)")
 
 
-def _plain_block(lines: list[str]) -> bool:
-    """Whether ``csv.reader`` would split each line at its commas.
+def _index_block(data: bytes, lo: int, end: int, width: int,
+                 ids: list[str]) -> tuple[bytes, np.ndarray]:
+    """The structural index of the lines ``data[lo:end]``; each line's id goes to ``ids``.
 
-    A line with a character of ``_NOT_PLAIN``, or longer than the csv
-    module's field limit, is not plain. Whether each line holds as many
-    commas as the header is the converter's check.
+    Returns the data (rewritten if it held a lone ``"\r"``) and a ``(lines,
+    width + 1)`` array: line i's id ends at ``[i, 0]``, its value cell k at
+    ``[i, k + 1]``, and each of these is a comma but the last, where the
+    line end (``"\r\n"`` or ``"\n"``) starts. One pass finds the commas and
+    newlines; the line-width, quote, NUL and field-limit checks and the ids
+    come from them. ``ValueError`` unless every line holds ``width`` + 1
+    cells and is plain: no double quote (which changes how csv splits a
+    line), no NUL (which csv.reader before Python 3.11 rejects) and no line
+    longer than the csv module's field limit.
     """
-    text = "".join(lines)
-    return not any(c in text for c in _NOT_PLAIN) and max(map(len, lines)) <= csv.field_size_limit()
+    buf = np.frombuffer(data, dtype=np.uint8, count=end)
+    text = buf[lo:]
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    seps += lo
+    at_line_end = buf[seps] == ord("\n")
+    crlf = buf[seps[at_line_end] - 1] == ord("\r")
+    # the bytes up to '"' are all line ends unless a NUL, a quote or a lone
+    # "\r" is among them (or a space, a tab or another control character)
+    if np.count_nonzero(text <= ord('"')) != np.count_nonzero(at_line_end) + np.count_nonzero(crlf):
+        if np.count_nonzero(text == ord("\r")) != np.count_nonzero(crlf):
+            lines = data[lo:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            return _index_block(_PAD + lines + b"\0", len(_PAD), len(_PAD) + len(lines), width, ids)
+        if ((text == ord('"')) | (text == 0)).any():
+            raise ValueError("a line is not plain")
+    if seps.size != crlf.size * (width + 1) or not at_line_end[width::width + 1].all():
+        raise ValueError(f"a line does not hold {width + 1} cells")
+    rows = seps.reshape(-1, width + 1)
+    line_starts = np.concatenate(([lo], rows[:-1, -1] + 1))
+    if (rows[:, -1] - line_starts).max() > csv.field_size_limit():  # no field is longer than its line
+        raise ValueError("a line is longer than the field limit")
+    ids += [data[a:b].decode() for a, b in zip(line_starts.tolist(), rows[:, 0].tolist())]
+    rows[:, -1] -= crlf
+    return data, rows
 
 
 def _read_blocks(path, width_of, convert) -> tuple[list[str], np.ndarray] | None:
-    """The ids and values of a CSV file read ``_BLOCK_LINES`` lines at a time, or None.
+    """The ids and values of a CSV file read in blocks of whole lines, or None.
 
-    ``width_of(path, header)`` checks the header's cells and returns the
-    number of value columns. ``convert`` turns a block of lines, each ending
-    in ``"\\n"``, into a ``(lines, width)`` array, or raises ``ValueError``
-    unless each line holds ``width`` + 1 cells and every value cell is one
-    it accepts: a 0/1 label (:func:`_convert_binary`), or a cell that
+    Each read takes at most ``_BLOCK_BYTES`` bytes, is cut at its last line
+    end and carries the rest to the next read. ``width_of(path, header)``
+    checks the header's cells and returns the number of value columns.
+    Each block of whole lines is indexed by
+    :func:`_index_block`, and ``convert`` turns its cells into a
+    ``(lines, width)`` array, or raises ``ValueError`` unless every cell is
+    one it accepts: a 0/1 label (:func:`_convert_binary`), or a cell that
     ``float()`` accepts (:func:`_convert_float`, whose kernel takes the
     decimal cells this library and numpy write and hands ``float()`` the
     rest). None means the file needs the per-cell scan, which finds the
-    same values or the first problem: some block is not plain, a cell is
-    not accepted, an id repeats, or the file cannot be opened or decoded.
-    Only one block of text is held at a time, and each block's values are
-    appended to one array that is resized in place (a realloc, which the
-    allocator can often do without a copy), so the values are never held
-    twice.
+    same values or the first problem: some line is not plain, a cell is
+    not accepted, an id repeats, or the file cannot be opened or is not
+    UTF-8 (every id, and every cell the kernel does not take, is decoded).
+    Lines end in ``"\n"``, ``"\r\n"`` or ``"\r"``, as csv splits them, and
+    a byte-order mark at the start of the file is skipped. Only one block
+    is held at a time, and each block's values are appended to one array
+    that is resized in place (a realloc, which the allocator can often do
+    without a copy), so the values are never held twice.
     """
     ids: list[str] = []
-    values = None
+    values = width = None
+    size, carry = min(_BLOCK_BYTES, _BLOCK_SEPS), b""  # no more separators than bytes
     try:
-        # universal newlines, as csv splits lines; a byte-order mark is skipped
-        with Path(path).open(encoding="utf-8-sig") as fh:
-            width = width_of(path, fh.readline().rstrip("\n").split(","))
-            while lines := list(islice(fh, _BLOCK_LINES)):
-                if not lines[-1].endswith("\n"):  # the file's last line
-                    lines[-1] += "\n"
-                if not _plain_block(lines):
-                    return None
+        with Path(path).open("rb") as fh:
+            # at the end of the file, what is carried is given a "\n": a last
+            # line with no line end gets one, and a last "\r" reads as "\r\n"
+            while chunk := fh.read(size) or carry and b"\n":
+                data = b"".join((_PAD, carry, chunk, b"\0"))
+                # a "\r" that ends the read may pair with the next read's "\n"
+                end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -2)) + 1
+                carry = data[max(end, len(_PAD)):-1]
+                lo = len(_PAD)
+                if width is None and end:  # the header is the first line
+                    header = _FIRST_LINE.match(data, lo)
+                    width = width_of(path, header[1].decode().split(","))
+                    lo = header.end()
+                if lo >= end:
+                    continue
                 rows = len(ids)
-                ids += [line[:line.index(",")] for line in lines]
-                block = convert(lines, width)
+                data, seps = _index_block(data, lo, end, width, ids)
+                size = min(_BLOCK_BYTES, (end - lo) * _BLOCK_SEPS // seps.size)
+                block = convert(data, seps)
                 if values is None:
                     values = np.empty((0, width), dtype=block.dtype)
                 values.resize((len(ids), width), refcheck=False)  # no view of it exists
                 values[rows:] = block
     except (OSError, ValueError):  # UnicodeDecodeError and DataFormatError are ValueErrors
         return None
-    if len(dict.fromkeys(ids)) != len(ids):  # a dict's table is a quarter of a set's
-        return None
+    if width is None or len(dict.fromkeys(ids)) != len(ids):  # an empty file, or a repeated id
+        return None  # (a dict's table is a quarter of a set's)
     return ids, values if values is not None else np.empty((0, width))
 
 
@@ -329,24 +383,29 @@ def _parse_matrix_csv(path, width_of, convert, parse_cell) -> tuple[list[str], n
     return loaded if loaded is not None else _scan_matrix_csv(path, width_of, parse_cell)
 
 
-def _convert_binary(lines: list[str], width: int) -> np.ndarray:
-    # Byte by byte: past its id, each line must read ",d" per class, each
-    # d a "0" or "1" byte, then "\n". Once the commas and digits sit where
-    # they should, the lines' newlines can only be the last byte of each row.
-    tails = "".join([line[line.index(","):] for line in lines]).encode("ascii")
-    cells = np.frombuffer(tails, dtype=np.uint8)
-    if cells.size != len(lines) * (2 * width + 1):
+def _convert_binary(data: bytes, seps: np.ndarray) -> np.ndarray:
+    # Past its id, each line must read ",d" per class, each d a "0" or "1"
+    # byte. Once its cells span two bytes a class and every other byte is a
+    # digit, the commas can only sit between them.
+    width = seps.shape[1] - 1
+    if not (seps[:, -1] - seps[:, 0] == 2 * width).all():
         raise ValueError("a label cell is not one byte")
-    cells = cells.reshape(len(lines), 2 * width + 1)
-    digits = cells[:, 1::2] - np.uint8(ord("0"))  # wraps below "0"
-    if not ((cells[:, 0:-1:2] == ord(",")).all() and (digits <= 1).all()):
+    cells = _byte_runs(data, 2 * width)[seps[:, 0]].view(np.uint8)
+    digits = cells.reshape(-1, 2 * width)[:, 1::2] - np.uint8(ord("0"))  # wraps below "0"
+    if not (digits <= 1).all():
         raise ValueError("a label cell is not 0 or 1")
     return digits.view(LABEL_DTYPE)  # 0 and 1 read the same in either byte type
 
 
 # The decimal kernel converts about this many cells a pass, which keeps its
-# per-cell temporaries near 1 MB.
-_KERNEL_CELLS = 4096
+# per-cell temporaries near 2 MB and takes a 128 KiB block of probabilities
+# in one pass.
+_KERNEL_CELLS = 8192
+# A pass whose cells mostly cannot be taken (such as " 0.5 ", padded with
+# spaces) costs more than float() of the cells it would take: when fewer
+# than this share of a pass's cells start and end with a digit, all go to
+# float().
+_KERNEL_SHARE = 0.25
 # The powers 10**q the kernel scales by, each as a double-double: the power
 # rounded, and the rest rounded, each from the exact rational (an int true
 # division is correctly rounded). Outside this range of q a product or one
@@ -387,9 +446,8 @@ _RUN_ROWS = np.array([[min(max(8 * (24 - n) - 64 * j, 0), 64) for j in range(3)]
 _U64 = np.uint64
 _ZEROS = _U64(0x3030303030303030)  # eight ASCII "0" bytes
 _BYTE_HIGH = _U64(0x8080808080808080)
-_BYTE_LOW7 = _U64(0x7F7F7F7F7F7F7F7F)
-# bytes around a block's text, so that each cell's 24 bytes before its end
-# and its next byte are inside the buffer
+# bytes before a block's text, so that each cell's 24 bytes before its end
+# are inside the buffer
 _PAD = b"\0" * 24
 
 
@@ -434,22 +492,20 @@ def _eight_digits(words: np.ndarray, skip_bits: np.ndarray) -> tuple[np.ndarray,
     return words, marks
 
 
-def _exponent_marks(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The position of an ``e`` or ``E`` in each cell's last five bytes, or its end if none."""
-    tail = _words_ending_at(data, ends, 1)[:, 0]
-    tail |= _U64(0x2020202020202020)  # "E" as "e"
-    tail ^= _U64(0x6565656565656565)  # and "e" as 0
-    marks = ~(((tail & _BYTE_LOW7) + _BYTE_LOW7) | tail) & _BYTE_HIGH  # 0x80 at each 0 byte
-    skip = (np.maximum(starts - ends + 8, 3) * 8).astype(np.uint64)  # bytes before both
-    marks >>= skip
-    marks <<= skip
-    found = np.flatnonzero(marks)
-    marks = marks[found]
-    # the lowest mark, 2**(8 * j + 7) for byte j of the eight, is exactly a
-    # double whose bits >> 55 are 128 + j; that byte sits at end - 8 + j
-    lowest = (marks & (~marks + _U64(1))).astype(np.float64)
+def _exponent_marks(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Where each cell's digits end: at the first ``e`` or ``E`` in its last five bytes, else at its end.
+
+    ``starts`` and ``ends`` are flat and ascending. One pass over the bytes
+    of ``buf`` that they span finds every mark; a mark outside a cell's
+    last five bytes, such as the ``e`` of an id ``ex12``, is dropped.
+    """
+    marks = np.flatnonzero((buf[starts[0]:ends[-1]] | np.uint8(0x20)) == ord("e"))  # "E" as "e"
+    marks += starts[0]
+    cell = np.searchsorted(ends, marks, side="right")  # the first cell that ends past each mark
+    inside = marks >= np.maximum(starts[cell], ends[cell] - 5)
+    cell, first = np.unique(cell[inside], return_index=True)
     at = ends.copy()
-    at[found] += (lowest.view(np.int64) >> 55) - 136
+    at[cell] = marks[inside][first]
     return at
 
 
@@ -478,35 +534,72 @@ def _scaled(mant: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, np.abs(rest) <= half_ulp
 
 
-def _decimal_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digits(data: bytes, ends: np.ndarray, n: np.ndarray):
+    """The ``n <= 24`` bytes before each of ``ends`` read as a decimal integer m, as three right-aligned 8-byte words.
+
+    Returns m, whether m < 10**19 (so that the uint64 holds it), the words'
+    marks (nonzero where a byte is not a digit, see :func:`_eight_digits`)
+    and ``10**n``, which is 0 from ``n = 20`` on.
+    """
+    rows = _RUN_ROWS[np.minimum(n, 24)].view(np.uint64).reshape(-1, 4)
+    words, marks = _eight_digits(_words_ending_at(data, ends, 3), rows[:, :3])
+    mant = words[:, 0] * _U64(10**16) + words[:, 1] * _U64(10**8) + words[:, 2]
+    return mant, words[:, 0] < _U64(1000), marks, rows[:, 3]
+
+
+def _first_marked(marks: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The position of the first marked byte of each row of three words that ends at ``ends``."""
+    word = (marks != _U64(0)).argmax(axis=1)
+    lowest = marks[np.arange(len(word)), word]
+    lowest &= ~lowest + _U64(1)
+    # the lowest mark, 2**(8 * j + 7) for byte j of its word, is exactly a
+    # double whose bits >> 55 are 128 + j
+    return ends - 152 + 8 * word + (lowest.astype(np.float64).view(np.int64) >> 55)
+
+
+def _decimal_cells(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                   run_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float64 value of each cell ``data[starts[i]:ends[i]]``, and whether it is float()'s.
 
-    ``data`` holds at least 24 bytes before the first cell and one after the
-    last. A cell is taken when it reads ``-``, then ``<d>.<digits>`` or
-    ``<digits>``, then ``e`` or ``E``, a sign and 1-3 digits, each part but
-    the digits optional; when the run of digits before the exponent (past
-    any ``<d>.``) has at most 24 digits and the cell's digits make an
-    integer ``m < 10**19``; and when :func:`_scaled` can prove its
-    rounding. The run is read as three right-aligned 8-byte words.
+    ``data`` holds at least 24 bytes before the first cell and one after
+    the last, and the digits of each cell end at ``run_end``, where its
+    exponent mark is (:func:`_exponent_marks`). A cell is taken when it
+    reads ``-``, then ``<digits>`` or ``<digits>.<digits>``, then ``e`` or
+    ``E``, a sign and 1-3 digits, each part but the first digits optional;
+    when its last digit ends the run before the exponent, and that run (past
+    a ``<d>.``) has at most 24 bytes; when its digits make an integer
+    ``m < 10**19`` (at most 19 digits if the point is not the second byte);
+    and when :func:`_scaled` can prove its rounding. A run is read as three
+    right-aligned 8-byte words. When fewer than ``_KERNEL_SHARE`` of the
+    cells start and end their run with a digit, none is taken.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     neg = buf[starts] == ord("-")
     first = starts + neg
+    lead = buf[first] - np.uint8(ord("0"))  # wraps below "0"
+    taken = (lead <= 9) & (buf[run_end - 1] - np.uint8(ord("0")) <= 9)
     point = buf[first + 1] == ord(".")
-    lead = buf[first] - np.uint8(ord("0"))  # the <d> of "<d>.", if any
-    run = first + 2 * point
-    run_end = _exponent_marks(data, starts, ends)
+    run = first + 2 * point  # past a "<d>."
     n_run = run_end - run
-    taken = (n_run >= 1 - point) & (n_run <= 24) & ((lead <= 9) | ~point)
-    rows = _RUN_ROWS[np.minimum(n_run, 24)].view(np.uint64).reshape(-1, 4)
-    words, marks = _eight_digits(_words_ending_at(data, run_end, 3), rows[:, :3])
-    taken &= ~marks.any(axis=1) & (words[:, 0] < _U64(1000))
-    mant = words[:, 0] * _U64(10**16) + words[:, 1] * _U64(10**8) + words[:, 2]
+    taken &= n_run <= 24
+    if np.count_nonzero(taken) < _KERNEL_SHARE * taken.size:
+        return np.empty(taken.size), np.zeros(taken.size, dtype=bool)
+    mant, small, marks, scale = _digits(data, run_end, n_run)
+    digits_only = (marks[:, 0] | marks[:, 1] | marks[:, 2]) == _U64(0)
+    wide = np.flatnonzero(taken & ~point & ~digits_only)  # "<digits>.<digits>", if anything
     leading = (lead * point).astype(np.uint64)
-    taken &= (leading == _U64(0)) | (n_run <= 18)  # so that m < 10**19
-    leading *= rows[:, 3]
-    mant += leading
-    q = np.where(point, -n_run, 0) - _POW10_Q.start
+    taken &= digits_only & small & ((leading == _U64(0)) | (n_run <= 18))  # so that m < 10**19
+    mant += leading * scale
+    q = np.where(point, -n_run, 0)
+    if wide.size:
+        # the point is the first byte of the run that is not a digit
+        dot = _first_marked(marks[wide], run_end[wide])
+        n_int, n_frac = dot - first[wide], run_end[wide] - dot - 1
+        fraction, _, marks, scale = _digits(data, run_end[wide], n_frac)
+        taken[wide] = ((buf[dot] == ord(".")) & (n_int + n_frac <= 19)
+                       & ((marks[:, 0] | marks[:, 1] | marks[:, 2]) == _U64(0)))
+        mant[wide] = _digits(data, dot, n_int)[0] * scale + fraction
+        q[wide] = -n_frac
     marked = np.flatnonzero(run_end != ends)
     if marked.size:
         sign = buf[run_end[marked] + 1]
@@ -516,6 +609,7 @@ def _decimal_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[n
         taken[marked] &= (n_exp >= 1) & (n_exp <= 3) & (marks == _U64(0))
         digits = digits.astype(np.int64)
         q[marked] += np.where(sign == ord("-"), -digits, digits)
+    q -= _POW10_Q.start
     taken &= (q >= 0) & (q < len(_POW10_Q))
     mant *= taken  # so that no m of a cell not taken rounds up to 2**64
     q *= taken
@@ -528,35 +622,29 @@ def _float_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[floa
     return [float(data[a:b].decode()) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _convert_float(lines: list[str], width: int) -> np.ndarray:
+def _convert_float(data: bytes, seps: np.ndarray) -> np.ndarray:
     # A cell the kernel does not take is converted by float(), so a block
     # holds float()'s values, and a cell float() rejects raises ValueError.
     # Every byte of a non-ASCII character in UTF-8 is >= 0x80, so none is
     # read as a separator, digit, sign, point or exponent mark.
-    step = max(1, _KERNEL_CELLS // width)
-    block = np.empty((len(lines), width))
-    for lo in range(0, len(lines), step):
-        n_lines = min(step, len(lines) - lo)
-        data = _PAD + "".join(lines[lo:lo + step]).encode() + _PAD
-        buf = np.frombuffer(data, dtype=np.uint8)
-        seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-        if seps.size != n_lines * (width + 1) or (buf[seps[width::width + 1]] != ord("\n")).any():
-            raise ValueError(f"a line does not hold {width + 1} cells")
-        seps = seps.reshape(n_lines, width + 1)
-        starts = (seps[:, :-1] + 1).ravel()
-        ends = seps[:, 1:].ravel()
-        values, taken = _decimal_cells(data, starts, ends)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    values = np.empty((len(seps), seps.shape[1] - 1))
+    step = max(1, _KERNEL_CELLS // values.shape[1])  # lines a pass
+    for lo in range(0, len(seps), step):
+        starts = (seps[lo:lo + step, :-1] + 1).ravel()
+        ends = seps[lo:lo + step, 1:].ravel()
+        part, taken = _decimal_cells(data, starts, ends, _exponent_marks(buf, starts, ends))
         others = np.flatnonzero(~taken)
         if others.size:
-            values[others] = _float_cells(data, starts[others], ends[others])
-        block[lo:lo + n_lines] = values.reshape(n_lines, width)
-    return block
+            part[others] = _float_cells(data, starts[others], ends[others])
+        values[lo:lo + step] = part.reshape(-1, values.shape[1])
+    return values
 
 
-def _convert_count(lines: list[str], width: int) -> np.ndarray:
-    data = _convert_float(lines, width)
-    check_features(data)
-    return data
+def _convert_count(data: bytes, seps: np.ndarray) -> np.ndarray:
+    values = _convert_float(data, seps)
+    check_features(values)
+    return values
 
 
 def _parse_binary_cell(cell: str) -> int:

@@ -350,6 +350,18 @@ def fold_assignments(n_examples: int, cv: CVConfig) -> np.ndarray:
     return folds
 
 
+def check_training_rows(n_examples: int, n_folds: int) -> None:
+    """``ValueError`` unless every fold leaves at least 2 examples to train on.
+
+    The largest of ``n_folds`` folds holds ``ceil(n_examples / n_folds)``
+    examples, so the smallest training set holds the rest.
+    """
+    rows = n_examples - math.ceil(n_examples / n_folds)
+    if rows < 2:
+        raise ValueError(f"n_folds={n_folds} over {n_examples} examples leaves {rows} "
+                         f"to train on; need at least 2 examples to train")
+
+
 def cross_val_pred_probs(
     dataset: MultiLabelDataset,
     cv: CVConfig = CVConfig(),
@@ -361,6 +373,7 @@ def cross_val_pred_probs(
     if dataset.features is None:
         raise ValueError("dataset has no features to train on")
     folds = fold_assignments(dataset.n_examples, cv)
+    check_training_rows(dataset.n_examples, cv.n_folds)
     # elementwise, so each fold's rows hold the bits train() would compute
     logged = np.log1p(dataset.features)
     labels_t = np.ascontiguousarray(dataset.given_labels.T)  # (K, N), int8 as held

@@ -44,6 +44,12 @@ def paired_lead(baseline, other) -> tuple[float, float]:
     return float(d.mean()), float(t_quantile * d.std(ddof=1) / np.sqrt(d.size))
 
 
+def method_means(metric_rows, metric: str) -> dict[str, float]:
+    """Mean value per method for one metric, NaN-skipping, from ``bench.aggregate_rows``."""
+    return {method: mean for _classifier, method, m, _k, mean, _std, _n
+            in bench.aggregate_rows(metric_rows) if m == metric}
+
+
 def ema_ap_leads(metric_rows) -> dict[str, tuple[float, float]]:
     """``paired_lead`` of every other pooler over EMA on per-replicate AP@T."""
     ap_by_seed: dict[str, dict[int, float]] = {}
@@ -278,8 +284,8 @@ def test_benchmark_qualitative_pattern(small_benchmark_report):
     rep = small_benchmark_report
     assert not rep.failures, rep.failures
 
-    ap = bench.method_means(rep.metric_rows, "ap_at_t")
-    neg_rho = bench.method_means(rep.metric_rows, "neg_spearman")
+    ap = method_means(rep.metric_rows, "ap_at_t")
+    neg_rho = method_means(rep.metric_rows, "neg_spearman")
 
     leads = ema_ap_leads(rep.metric_rows)
 

@@ -106,18 +106,28 @@ class TestBenchmark:
         assert serial.metric_rows == parallel.metric_rows
         assert serial.flag_rows == parallel.flag_rows
 
-    def test_failed_replicate_recorded_others_proceed(self):
-        # one replicate cannot even generate: impossible pooling parameter
+    def test_failed_replicate_recorded_others_proceed(self, monkeypatch):
         plan = tiny_plan(methods=(PoolingMethod("cumavg_bottom", bottom_j=4),
                                   PoolingMethod("min")), n_replicates=2)
         report = bench.run_benchmark(plan)
         assert not report.failures  # bottom_j=4 is fine for K=4
-        bad = tiny_plan(methods=(PoolingMethod("cumavg_bottom", bottom_j=9),),
-                        n_replicates=2)
-        report = bench.run_benchmark(bad)
-        assert len(report.failures) == 2
-        assert "bottom_j" in report.failures[0][1]
-        assert report.metric_rows == ()
+        # a pooling parameter no replicate could use is rejected with the plan
+        with pytest.raises(ValueError, match="bottom_j=9 exceeds the 4 classes"):
+            tiny_plan(methods=(PoolingMethod("cumavg_bottom", bottom_j=9),))
+        # replicate 1's cross-validation fails; replicate 0's rows are kept
+        second_cv_seed = bench.derive_seeds(plan.base_seed, 1)[2]
+        fit = bench.cross_val_pred_probs
+
+        def fail_second(dataset, cv, config):
+            if cv.seed == second_cv_seed:
+                raise ValueError("no fit")
+            return fit(dataset, cv, config)
+
+        monkeypatch.setattr(bench, "cross_val_pred_probs", fail_second)
+        failed = bench.run_benchmark(plan)
+        assert failed.failures == ((1, "ValueError: no fit"),)
+        assert failed.metric_rows == tuple(row for row in report.metric_rows
+                                           if row[1] == bench.derive_seeds(plan.base_seed, 0)[0])
 
     def test_replicate_without_noise_records_undefined_metrics(self, tmp_path):
         # no error may be injected: every ranking metric and the flag recall
@@ -154,6 +164,19 @@ class TestBenchmark:
     def test_bad_plan_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             tiny_plan(**{field: value})
+
+    @pytest.mark.parametrize("overrides, message", [
+        # the default methods include cumavg_bottom, whose window is 2 classes
+        (dict(gen_config=GenConfig(n_samples=150, n_test=30, n_features=3, n_classes=1,
+                                   expected_labels_per_example=1.0),
+              methods=bench.default_methods()), "bottom_j=2 exceeds the 1 classes"),
+        (dict(gen_config=GenConfig(n_samples=3, n_test=1, n_features=3, n_classes=4,
+                                   expected_labels_per_example=2.0), n_folds=2),
+         "n_folds=2 over 3 examples leaves 1 to train on"),
+    ], ids=["one-class", "three-examples"])
+    def test_plan_that_cannot_run_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(**overrides)
 
     def test_nan_scores_fail_the_replicate(self, monkeypatch):
         def nan_scores(labels, probs, methods):

@@ -248,6 +248,9 @@ FLOAT_CELLS = [
     "0", "0.", "-0.0", "0.0001234567890123456789", "9999999999999999999",
     "12345678901234567890", "1e-05", "1.0000000000000001e-15", "9.9999999999999989e-01",
     "4.9e-324", "1e308", "1E5", "-1.5e+02",
+    # integer parts of more than one digit: 19 significant digits in all,
+    # the most it takes, and 20, past what a uint64 holds
+    "12.5", "-12.", "1234567890.123456789", "9999999999.999999999", "9999999999.9999999999",
     # hard cases (Paxson 1991): m * 10**q within ~2**-100 of a midpoint
     # between two doubles but not on it. m solves m * 5**q = 2**t + d
     # (mod 2**(t+1)) for q > 0, or m * 2**v = d (mod 5**-q) for q < 0, with
@@ -680,7 +683,8 @@ DECIMAL_CELLS = st.one_of(
     st.builds(lambda value, fmt: fmt % value, DECIMAL_VALUES,
               st.sampled_from(["%.17g", "%r", "%.15g", "%.18e", "%.20f"])),
     st.builds(_near_midpoint, st.floats(1e-30, 1e20), st.integers(16, 19), st.integers(-3, 3)),
-    st.sampled_from(["1_0", " 0.5", "+.5", "12.5", ".5", "1.5E+07", "inf", "１"]),  # only float()
+    # the kernel takes "12.5" and "1.5E+07"; the others only float()
+    st.sampled_from(["1_0", " 0.5", "+.5", "12.5", ".5", "1.5E+07", "inf", "１"]),
 )
 
 
@@ -701,20 +705,20 @@ class TestBlockReader:
         assert_loads_as_scan(load_probs_csv, path)
 
     @settings(max_examples=60)
-    @pytest.mark.parametrize("block_lines, kernel_cells", [(1, 4096), (7, 6), (512, 4096)])
+    @pytest.mark.parametrize("block_bytes, kernel_cells", [(1, 4096), (7, 6), (512, 4096)])
     @given(rows=st.lists(st.tuples(st.sampled_from(["e", "é", "ex"]),
                                    st.lists(DECIMAL_CELLS, min_size=3, max_size=3)),
                          min_size=1, max_size=20))
-    def test_decimal_cells_load_as_float_scan(self, tmp_path_factory, block_lines, kernel_cells,
+    def test_decimal_cells_load_as_float_scan(self, tmp_path_factory, block_bytes, kernel_cells,
                                               rows):
         # every cell the kernel takes, and the cells only float() takes beside
-        # them, in blocks of 1, 7 and 512 lines; a 7-line block is converted
-        # two lines at a time
+        # them, read 1, 7 and 512 bytes at a time; with 7-byte reads the kernel
+        # converts six cells (two lines) a pass
         body = "".join(f"{prefix}{i},{','.join(cells)}\r\n"
                        for i, (prefix, cells) in enumerate(rows))
         path = tmp_path_factory.mktemp("decimals") / "p.csv"
         path.write_bytes(("id,prob_0,prob_1,prob_2\r\n" + body).encode())
-        with mock.patch.object(data, "_BLOCK_LINES", block_lines), \
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes), \
                 mock.patch.object(data, "_KERNEL_CELLS", kernel_cells):
             assert_loads_as_scan(load_probs_csv, path)
 
@@ -758,7 +762,7 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("load", list(SCANS))
     def test_second_block_loads_as_scan(self, tmp_path, load):
-        n = data._BLOCK_LINES + 100
+        n = data._BLOCK_BYTES // 8 + 100  # rows of 7-11 bytes: the last ones are past the first block
         prefix = SCANS[load][0]
         rows = [f"e{i},1,0\n" for i in range(n)]
         path = tmp_path / "m.csv"
@@ -777,7 +781,7 @@ class TestBlockReader:
     def test_random_files_load_as_scan_in_small_blocks(self, tmp_path_factory, lines):
         body = "".join(",".join([ex_id, *cells]) + end for ex_id, cells, end in lines)
         path = tmp_path_factory.mktemp("files") / "m.csv"
-        with mock.patch.object(data, "_BLOCK_LINES", 2):
+        with mock.patch.object(data, "_BLOCK_BYTES", 3):
             for load, (prefix, _) in SCANS.items():
                 path.write_bytes(f"id,{prefix}_0,{prefix}_1\n{body}".encode())
                 assert_loads_as_scan(load, path)
@@ -818,7 +822,7 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("end, last", [("\n", "\n"), ("\r\n", ""), ("\r", "\r")])
     def test_plain_file_is_read_in_blocks(self, tmp_path, end, last):
-        n = 2 * data._BLOCK_LINES + 3
+        n = data._BLOCK_BYTES // 4 + 3  # rows of ~10 bytes or more: more than two blocks
         ids = [f"e{i}" for i in range(n)]
         path = tmp_path / "m.csv"
 
@@ -834,6 +838,51 @@ class TestBlockReader:
             assert load_labels_csv(path)[1].tolist() == [[1, 0]] * n
             write("id,score", "0.5")
             assert load_scores_csv(path) == (ids, pytest.approx([0.5] * n))
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 7, 17])
+    @pytest.mark.parametrize("body", [
+        # "\r\n" line ends; 17-byte reads split the header's between two reads
+        "id,prob_0,prob_1\r\ne1,0.5,1\r\ne2,0.25,2\r\n",
+        "id,prob_0,prob_1\re1,0.5,1\re2,0.25,2\r",                 # "\r" only
+        "id,prob_0,prob_1\r\ne1,0.5,1\re2,0.25,2\r\ne3,1,0\n",    # all three
+        "\ufeffid,prob_0,prob_1\r\ne1,0.5,1\r\n",                 # a byte-order mark
+        "id,prob_0,prob_1\nɛé,0.5,1\n\u20ac1,0.25,2\n",            # ids of 2- and 3-byte characters
+        # ids holding an "e" beside exponent cells
+        "id,prob_0,prob_1\r\nex1,1.5E+07,2e-3\r\nee,-1.5e+07,12.5e0\r\nE,1e5,0\r\n",
+    ], ids=["crlf", "cr", "mixed", "bom", "utf8", "exponents"])
+    def test_byte_blocks_load_as_scan(self, tmp_path, block_bytes, body):
+        # read a few bytes at a time, each file loads in blocks, not by the
+        # scan, with the values the scan reads
+        path = tmp_path / "p.csv"
+        path.write_bytes(body.encode())
+        scanned = _outcome(partial(data._scan_matrix_csv, width_of=partial(
+            data._check_header, prefix="prob"), parse_cell=float), path)
+        assert isinstance(scanned, tuple), scanned
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(data, "_scan_matrix_csv", side_effect=AssertionError("scanned")):
+            assert _outcome(load_probs_csv, path) == scanned
+
+    def test_kernel_takes_exponents_beside_e_ids_and_integer_parts(self, tmp_path):
+        cells = ["1.5E+07", "-2.5e-3", "12.5", "-123.25e+2", "1234567890.123456789", "7"]
+        path = tmp_path / "p.csv"
+        path.write_bytes(("id,prob_0,prob_1,prob_2\r\n" + "".join(
+            f"{prefix}{i},{','.join(cells[i % 2::2])}\r\n"
+            for i, prefix in enumerate(["ex", "e", "E", "eE"]))).encode())
+        with mock.patch.object(data, "_float_cells",
+                               side_effect=AssertionError("a cell went to float()")):
+            ids, values = load_probs_csv(path)
+        assert ids == ["ex0", "e1", "E2", "eE3"]
+        want = [[float(c) for c in cells[i % 2::2]] for i in range(4)]
+        assert np.array_equal(values.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_pass_of_few_kernel_cells_goes_to_float(self, tmp_path):
+        # one cell in five starts and ends with a digit: under _KERNEL_SHARE,
+        # so the kernel does not scale any, and float() reads them all
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"id,prob_0,prob_1,prob_2,prob_3,prob_4\na,0.5, 0.25, 1,.5,+2\n")
+        with mock.patch.object(data, "_scaled", side_effect=AssertionError("scaled")):
+            assert load_probs_csv(path)[1].tolist() == [[0.5, 0.25, 1, 0.5, 2]]
+        assert_loads_as_scan(load_probs_csv, path)
 
     @pytest.mark.parametrize("id_format", ["ex{}", "ex,{}"], ids=["plain", "quoted"])
     def test_load_memory_is_bounded(self, tmp_path, id_format):

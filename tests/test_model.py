@@ -616,6 +616,14 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="n_folds"):
             fold_assignments(4, CVConfig(n_folds=5))
 
+    def test_too_few_training_rows_rejected_before_any_fit(self, monkeypatch):
+        # at 3 examples and 2 folds the larger fold leaves 1 example to train on
+        monkeypatch.setattr(model_module, "_fit", lambda *a, **k: pytest.fail("fitted"))
+        dataset = MultiLabelDataset(np.eye(3, 2, dtype=np.int8), ("a", "b", "c"),
+                                    features=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="n_folds=2 over 3 examples leaves 1 to train on"):
+            cross_val_pred_probs(dataset, CVConfig(n_folds=2))
+
     @pytest.mark.parametrize("field, value, message", [
         ("n_folds", 2.5, r"n_folds must be an integer >= 2, got 2.5"),
         # numpy 2 writes np.float64(3.0), older versions 3.0
