@@ -26,13 +26,12 @@ import numpy as np
 
 from . import __version__
 from .confident import flag_multilabel
-from .data import _fmt_float, is_integer
+from .data import _fmt_float, check_count
 from .metrics import METRIC_NAMES, error_truth, evaluate
 from .model import CVConfig, TrainConfig, check_training_rows, cross_val_pred_probs
 from .scoring import POOLER_NAMES, PoolingMethod, score_all
 from .synth import (
-    LARGE, SMALL, GenConfig, NoiseSpec, _check_count, draw_noise_spec, gen_multilabel,
-    inject_noise,
+    LARGE, SMALL, GenConfig, NoiseSpec, draw_noise_spec, gen_multilabel, inject_noise,
 )
 
 DEFAULT_METRICS = METRIC_NAMES
@@ -65,15 +64,12 @@ class BenchmarkPlan:
     metrics: tuple[str, ...] = DEFAULT_METRICS
 
     def __post_init__(self):
-        _check_count("n_replicates", self.n_replicates, minimum=1)
-        _check_count("base_seed", self.base_seed)
+        check_count("n_replicates", self.n_replicates, minimum=1)
+        check_count("base_seed", self.base_seed)
         if self.classifier != "logreg":
             raise ValueError(f"classifier must be 'logreg', the one the benchmark runs, "
                              f"got {self.classifier!r}")
-        n_samples = self.gen_config.n_samples
-        if not is_integer(self.n_folds) or not 2 <= self.n_folds <= n_samples:
-            raise ValueError(f"n_folds must be an integer in [2, {n_samples}], got {self.n_folds!r}")
-        check_training_rows(n_samples, self.n_folds)
+        check_training_rows(self.gen_config.n_samples, self.n_folds)
         # a spec with no traces yet: raises as draw_noise_spec would in each replicate
         NoiseSpec(self.gamma_shape, self.gamma_scale, self.max_errors_per_example)
         unknown = set(self.metrics) - set(DEFAULT_METRICS)

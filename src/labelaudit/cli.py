@@ -8,6 +8,7 @@ output directory for subcommands that take one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -53,6 +54,15 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _raising(kind, *caught):
+    """Re-raise a ``ValueError`` or a ``caught`` exception of the block as ``kind``."""
+    try:
+        yield
+    except (ValueError, *caught) as exc:
+        raise kind(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; route through UsageError
     # so usage problems report exit code 1 and data problems keep 2.
@@ -67,6 +77,17 @@ def _out_dir(args) -> Path:
     if env:
         return Path(env)
     raise UsageError("--out-dir is required (or set LABELAUDIT_OUT_DIR)")
+
+
+def _add_train_flags(p) -> None:
+    p.add_argument("--folds", type=int, default=CVConfig.n_folds)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+
+
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(learning_rate=args.lr, l2=args.l2, epochs=args.epochs)
 
 
 def _build_parser() -> _Parser:
@@ -86,7 +107,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--doc-length", type=float,
                    help=f"defaults to {GenConfig.expected_doc_length:g}")
     p.add_argument("--seed", type=int, default=GenConfig.seed)
-    p.add_argument("--noise-seed", type=int, help="defaults to --seed + 10000")
+    p.add_argument("--noise-seed", type=int,
+                   help=f"defaults to --seed + {bench.derive_seeds(0, 0)[1]}")
     p.add_argument("--gamma-shape", type=float, default=NoiseSpec.gamma_shape)
     p.add_argument("--gamma-scale", type=float, default=NoiseSpec.gamma_scale)
     p.add_argument("--max-errors", type=int, default=NoiseSpec.max_errors_per_example)
@@ -101,10 +123,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=CVConfig.n_folds)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--l2", type=float, default=TrainConfig.l2)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    _add_train_flags(p)
     p.add_argument("--seed", type=int, default=CVConfig.seed)
 
     p = sub.add_parser("score", help="pooled label-quality score per example",
@@ -136,10 +155,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=bench.BenchmarkPlan.base_seed)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--methods", help="comma-separated subset of pooling methods")
-    p.add_argument("--folds", type=int, default=bench.BenchmarkPlan.n_folds)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--l2", type=float, default=TrainConfig.l2)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    _add_train_flags(p)
     p.add_argument("--allow-large", action="store_true",
                    help="required for --preset large (slow at desk scale)")
     p.add_argument("--out-dir")
@@ -152,23 +168,19 @@ def _build_parser() -> _Parser:
 
 
 def _pooling_method(args) -> PoolingMethod:
-    try:
+    with _raising(UsageError):
         return PoolingMethod(
             name=args.method, alpha=args.alpha, tau=args.tau, eps=args.eps,
             bottom_j=args.bottom_j, period=args.period,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _load_labels_probs(labels_path, probs_path):
     ids, labels = load_labels_csv(labels_path)
     pids, probs = load_probs_csv(probs_path)
     check_ids_aligned(ids, pids, f"{labels_path} vs {probs_path}")
-    try:
+    with _raising(DataFormatError):
         check_labels_probs(labels, probs)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
     return ids, labels, probs
 
 
@@ -188,7 +200,7 @@ def _flag(dest: str) -> str:
 
 def _cmd_gen(args) -> int:
     given = {dest: getattr(args, dest) for dest in _GEN_SHAPE if getattr(args, dest) is not None}
-    try:
+    with _raising(UsageError):
         if args.preset:
             if given:
                 raise UsageError(f"{_flag(next(iter(given)))} cannot be combined with --preset")
@@ -201,18 +213,13 @@ def _cmd_gen(args) -> int:
                 n_test=max(1, args.n_samples // 5), seed=args.seed,
                 **{_GEN_SHAPE[dest]: value for dest, value in given.items()},
             )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    noise_seed = (args.noise_seed if args.noise_seed is not None
-                  else bench.derive_seeds(args.seed, 0)[1])
-    try:
+        noise_seed = (args.noise_seed if args.noise_seed is not None
+                      else bench.derive_seeds(args.seed, 0)[1])
         noise = draw_noise_spec(
             config.n_classes, gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,
             max_errors_per_example=args.max_errors, seed=noise_seed,
             symmetric=not args.asymmetric,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     out_dir = _out_dir(args)
     clean = gen_multilabel(config)
     noisy = inject_noise(clean.true_labels, noise.matrices,
@@ -231,9 +238,8 @@ def _cmd_gen(args) -> int:
 def _cmd_train_predict(args) -> int:
     dataset = load_dataset(args.labels, features_path=args.features)
     try:
-        train_config = TrainConfig(learning_rate=args.lr, l2=args.l2, epochs=args.epochs)
         cv = CVConfig(n_folds=args.folds, seed=args.seed)
-        probs = cross_val_pred_probs(dataset, cv, train_config)
+        probs = cross_val_pred_probs(dataset, cv, _train_config(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     except TrainingDivergedError as exc:
@@ -246,10 +252,8 @@ def _cmd_train_predict(args) -> int:
 def _cmd_score(args) -> int:
     method = _pooling_method(args)
     ids, labels, probs = _load_labels_probs(args.labels, args.probs)
-    try:
+    with _raising(UsageError):
         method.check_n_classes(labels.shape[1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     result = score_examples(labels, probs, method)
     values = rescale_for_display(result.values) if args.rescale else result.values
     save_scores_csv(args.out, ids, values)
@@ -273,17 +277,15 @@ def _cmd_bench(args) -> int:
     if args.preset == "large" and not args.allow_large:
         raise UsageError("--preset large is slow; pass --allow-large to confirm")
     out_dir = _out_dir(args)
-    try:
+    with _raising(UsageError):
         methods = tuple(PoolingMethod(name.strip()) for name in args.methods.split(",")) \
             if args.methods else bench.default_methods()
         maker = bench.small_plan if args.preset == "small" else bench.large_plan
         plan = maker(
-            n_replicates=args.replicates, base_seed=args.seed,
-            train_config=TrainConfig(learning_rate=args.lr, l2=args.l2, epochs=args.epochs),
+            n_replicates=args.replicates, base_seed=args.seed, train_config=_train_config(args),
             n_folds=args.folds, methods=methods,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails before any replicate runs
     report = bench.run_benchmark(plan, jobs=max(1, args.jobs))
     paths = bench.write_report(report, out_dir)
     if report.metric_rows:
@@ -295,10 +297,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
+    with _raising(DataFormatError, csv.Error):
         rows = bench.read_metrics_csv(args.metrics)
-    except (OSError, ValueError, csv.Error) as exc:
-        raise DataFormatError(str(exc)) from None
     if not rows:
         raise DataFormatError(f"{args.metrics}: no metric rows")
     aggregates = bench.aggregate_rows(rows)
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (DataFormatError, OSError) as exc:  # an unreadable or unwritable path is a data error
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps everything else to 3

@@ -47,6 +47,14 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """``ValueError`` unless ``value`` is an integer (:func:`is_integer`) >= ``minimum``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _read_only_labels(labels: np.ndarray) -> np.ndarray:
     """A read-only ``LABEL_DTYPE`` copy of the 2-D 0/1 ``labels``; else ``ValueError``."""
     check_binary_labels(labels)
@@ -193,12 +201,9 @@ def check_labels_probs(labels, probs) -> tuple[np.ndarray, np.ndarray]:
 # are %-formatted row by row.
 # ---------------------------------------------------------------------------
 
-# 17 significant digits round-trip float64 exactly; "%.17g" % x == _fmt_float(x).
+# 17 significant digits round-trip float64 exactly
 _FLOAT_CELL = "%.17g"
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+_fmt_float = _FLOAT_CELL.__mod__
 
 
 def _check_header(path, header: list[str], prefix: str) -> int:

@@ -351,11 +351,14 @@ def fold_assignments(n_examples: int, cv: CVConfig) -> np.ndarray:
 
 
 def check_training_rows(n_examples: int, n_folds: int) -> None:
-    """``ValueError`` unless every fold leaves at least 2 examples to train on.
+    """``ValueError`` unless ``n_folds`` is an integer in ``[2, n_examples]``
+    and every fold leaves at least 2 examples to train on.
 
     The largest of ``n_folds`` folds holds ``ceil(n_examples / n_folds)``
     examples, so the smallest training set holds the rest.
     """
+    if not is_integer(n_folds) or not 2 <= n_folds <= n_examples:
+        raise ValueError(f"n_folds must be an integer in [2, {n_examples}], got {n_folds!r}")
     rows = n_examples - math.ceil(n_examples / n_folds)
     if rows < 2:
         raise ValueError(f"n_folds={n_folds} over {n_examples} examples leaves {rows} "
@@ -372,8 +375,8 @@ def cross_val_pred_probs(
     The labels need no check here: ``MultiLabelDataset`` holds only 0/1."""
     if dataset.features is None:
         raise ValueError("dataset has no features to train on")
-    folds = fold_assignments(dataset.n_examples, cv)
     check_training_rows(dataset.n_examples, cv.n_folds)
+    folds = fold_assignments(dataset.n_examples, cv)
     # elementwise, so each fold's rows hold the bits train() would compute
     logged = np.log1p(dataset.features)
     labels_t = np.ascontiguousarray(dataset.given_labels.T)  # (K, N), int8 as held

@@ -19,20 +19,12 @@ maximum number of errors per example.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, is_integer
-
-
-def _check_count(name: str, value, minimum: int = 0) -> None:
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
+from .data import LABEL_DTYPE, MultiLabelDataset, _read_only, check_binary_labels, check_count
 
 _BLOCK_CELLS = 32768  # cells per row block of the key and noise draws: temporaries stay small
 
@@ -54,8 +46,8 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("n_samples", "n_test", "n_features", "n_classes"):
-            _check_count(name, getattr(self, name), minimum=1)
-        _check_count("seed", self.seed)
+            check_count(name, getattr(self, name), minimum=1)
+        check_count("seed", self.seed)
         if not 0 < self.expected_labels_per_example <= self.n_classes:
             raise ValueError(
                 f"expected_labels_per_example must be in (0, {self.n_classes}], "
@@ -91,7 +83,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_gamma(self.gamma_shape, self.gamma_scale)
-        _check_count("max_errors_per_example", self.max_errors_per_example)
+        check_count("max_errors_per_example", self.max_errors_per_example)
         traces = _read_only(self.traces, np.float64)
         matrices = _read_only(self.matrices, np.float64)
         if traces.size and not ((traces > 0) & (traces <= 2)).all():
@@ -287,7 +279,7 @@ def inject_noise(
         raise ValueError(f"need {k} 2x2 matrices, got shape {matrices.shape}")
     if not ((matrices >= 0.0) & (matrices <= 1.0)).all():  # False at NaN as well
         raise ValueError("noise matrix entries must lie in [0, 1]")
-    _check_count("max_errors", max_errors)
+    check_count("max_errors", max_errors)
     check_binary_labels(truth)
 
     rng = np.random.default_rng(seed)
@@ -308,23 +300,13 @@ def inject_noise(
 
 
 def save_noise_spec_json(path, spec: NoiseSpec) -> None:
-    Path(path).write_text(json.dumps({
-        "gamma_shape": spec.gamma_shape,
-        "gamma_scale": spec.gamma_scale,
-        "max_errors_per_example": spec.max_errors_per_example,
-        "seed": spec.seed,
-        "traces": spec.traces.tolist(),
-        "matrices": spec.matrices.tolist(),
-    }, indent=2) + "\n")
+    """Write every ``NoiseSpec`` field, in field order; arrays as nested lists and
+    numpy integers as the ints they hold."""
+    Path(path).write_text(json.dumps({f.name: getattr(spec, f.name) for f in fields(NoiseSpec)},
+                                     indent=2, default=lambda value: value.tolist()) + "\n")
 
 
 def load_noise_spec_json(path) -> NoiseSpec:
+    """Read what :func:`save_noise_spec_json` writes; a missing field raises ``KeyError``."""
     obj = json.loads(Path(path).read_text())
-    return NoiseSpec(
-        gamma_shape=obj["gamma_shape"],
-        gamma_scale=obj["gamma_scale"],
-        max_errors_per_example=obj["max_errors_per_example"],
-        seed=obj["seed"],
-        traces=np.array(obj["traces"]),
-        matrices=np.array(obj["matrices"]),
-    )
+    return NoiseSpec(**{f.name: obj[f.name] for f in fields(NoiseSpec)})

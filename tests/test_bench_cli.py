@@ -525,6 +525,31 @@ class TestCli:
         assert self.run("flag", "--labels", str(bad), "--probs", str(bad),
                         "--out", str(tmp_path / "f.csv")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n-samples", "20", "--n-features", "3", "--n-classes", "4",
+         "--expected-labels", "2", "--out-dir", "{file}"],
+        ["bench", "--replicates", "1", "--epochs", "1", "--out-dir", "{file}"],
+        ["train-predict", "--labels", "{dir}/l.csv", "--features", "{dir}/f.csv",
+         "--out", "{file}/p.csv", "--folds", "2"],
+        ["report", "--metrics", "{dir}/m.csv", "--out", "{file}/agg.csv"],
+        ["flag", "--labels", "{dir}/l.csv", "--probs", "{dir}/p.csv", "--out", "{dir}/flags.csv",
+         "--summary-json", "{file}/s.json"],
+    ], ids=["gen-out-dir", "bench-out-dir", "train-predict-out", "report-out",
+            "flag-summary-json"])
+    def test_unwritable_output_path_is_data_error(self, tmp_path, capsys, monkeypatch, argv):
+        # an existing regular file, or a path under one; bench fails before any replicate
+        monkeypatch.setattr(bench, "run_replicate", lambda *a: pytest.fail("a replicate ran"))
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "l.csv").write_text("id,label_0,label_1\na,1,0\nb,0,1\nc,1,1\nd,0,0\n")
+        (tmp_path / "f.csv").write_text("id,feat_0\na,3\nb,1\nc,2\nd,0\n")
+        (tmp_path / "p.csv").write_text("id,prob_0,prob_1\na,0.9,0.2\nb,0.1,0.8\n"
+                                        "c,0.7,0.6\nd,0.2,0.3\n")
+        bench.write_metrics_csv(tmp_path / "m.csv", [("tiny", 0, "logreg", "ema", "auprc",
+                                                      "", "", 0.5)])
+        argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
+        assert self.run(*argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_mismatched_ids_exit_code(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\n")
         (tmp_path / "p.csv").write_text("id,prob_0\na,0.5\nc,0.5\n")

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -501,13 +503,29 @@ class TestInjectNoiseOracle:
 
 class TestNoiseSpec:
     def test_json_roundtrip(self, tmp_path):
-        spec = draw_noise_spec(6, seed=11)
         path = tmp_path / "noise.json"
-        save_noise_spec_json(path, spec)
-        loaded = load_noise_spec_json(path)
-        assert np.array_equal(loaded.traces, spec.traces)
-        assert np.array_equal(loaded.matrices, spec.matrices)
-        assert loaded.seed == spec.seed
+        keys = ["gamma_shape", "gamma_scale", "max_errors_per_example", "seed", "traces", "matrices"]
+        for spec in (draw_noise_spec(6, seed=11),
+                     draw_noise_spec(6, gamma_shape=3.5, gamma_scale=0.02,
+                                     max_errors_per_example=2, seed=12, symmetric=False)):
+            save_noise_spec_json(path, spec)
+            loaded = load_noise_spec_json(path)
+            written = json.loads(path.read_text())
+            assert list(written) == keys
+            for key in keys:
+                want, got = getattr(spec, key), getattr(loaded, key)
+                assert type(got) is type(want) and np.array_equal(got, want), key
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and got.dtype == want.dtype, key
+        # numpy integers, which NoiseSpec accepts, are written as the ints they hold
+        text = path.read_text()
+        save_noise_spec_json(path, dataclasses.replace(
+            spec, max_errors_per_example=np.int64(2), seed=np.int64(12)))
+        assert path.read_text() == text
+        for key in keys:
+            path.write_text(json.dumps({k: v for k, v in written.items() if k != key}))
+            with pytest.raises(KeyError, match=key):
+                load_noise_spec_json(path)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="trace"):
