@@ -12,8 +12,9 @@ document length and p the row's mixture: the same distribution as a
 Poisson(lambda) length split multinomially over p.
 
 Noise: per class k a 2x2 row-stochastic flip matrix is built from a sampled
-trace; flips are applied independently per (example, class) and capped at a
-maximum number of errors per example.
+trace; flips are proposed independently per (example, class) and capped at a
+maximum number of errors per example, an example over the cap keeping a
+uniform subset of its proposed flips picked by random keys, as its labels are.
 """
 
 from __future__ import annotations
@@ -266,9 +267,11 @@ def inject_noise(
     The flips are proposed by one uniform per cell, drawn and compared in
     row blocks of about ``_BLOCK_CELLS`` cells: the generator yields the
     same stream whether it draws N x K numbers at once or block by block,
-    and no N x K float array is made. After it, only the capped rows draw
-    from the RNG, one ``choice`` each in row order; every other flip is
-    applied in one masked pass over the matrix.
+    and no N x K float array is made. The capped rows then take their kept
+    flips by random keys, the rule :func:`gen_multilabel` picks labels by:
+    one ``rng.random((n_capped, K))`` draw, in row order, sets each capped
+    row's keys, a key that proposes no flip is ``+inf``, and the
+    ``max_errors`` smallest keys of the row are kept.
     """
     truth = np.asarray(true_labels)
     matrices = np.asarray(matrices, dtype=np.float64)
@@ -289,10 +292,12 @@ def inject_noise(
         block = truth[start:start + rows]
         flip_prob = np.where(block == 1, matrices[:, 1, 0], matrices[:, 0, 1])
         np.less(rng.random(block.shape), flip_prob, out=flips[start:start + rows])
-    for i in np.flatnonzero(flips.sum(axis=1) > max_errors):
-        kept = rng.choice(np.flatnonzero(flips[i]), size=max_errors, replace=False)
-        flips[i] = False
-        flips[i, kept] = True
+    capped = np.flatnonzero(flips.sum(axis=1) > max_errors)
+    keys = rng.random((capped.size, k))
+    keys[~flips[capped]] = np.inf
+    kept = np.empty(keys.shape, dtype=bool)
+    _mark_smallest(keys, np.full(capped.size, max_errors), kept)
+    flips[capped] = kept
 
     noisy = truth.astype(LABEL_DTYPE)  # exact: checked 0/1 above
     noisy ^= flips

@@ -443,10 +443,16 @@ def flag_multilabel(labels, probs):
     )
 
 
-# --- noise injection: the original per-example loop -------------------------
+# --- noise injection: one example at a time ----------------------------------
 
 def inject_noise(true_labels, matrices, max_errors=3, seed=0):
-    """Noisy labels as the original loop made them, one example at a time."""
+    """Noisy labels made one example at a time.
+
+    One uniform per cell proposes the flips. Then each example with more
+    than ``max_errors`` proposed flips, in row order, draws K uniform keys
+    of its own and keeps the ``max_errors`` proposed flips whose keys come
+    first in a stable argsort.
+    """
     truth = np.asarray(true_labels)
     matrices = np.asarray(matrices, dtype=np.float64)
     n, k = truth.shape
@@ -458,7 +464,8 @@ def inject_noise(true_labels, matrices, max_errors=3, seed=0):
     for i in range(n):
         flips = np.flatnonzero(proposed[i])
         if flips.size > max_errors:
-            flips = rng.choice(flips, size=max_errors, replace=False)
+            keys = rng.random(k)
+            flips = flips[np.argsort(keys[flips], kind="stable")[:max_errors]]
         noisy[i, flips] = 1 - noisy[i, flips]
     return noisy
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -435,7 +436,7 @@ class TestInjectNoise:
 
 
 class TestInjectNoiseOracle:
-    """The whole-matrix injector against the original per-example loop, bit for bit."""
+    """The whole-matrix injector against a per-example loop, bit for bit."""
 
     @staticmethod
     def check(truth, matrices, cap, seed):
@@ -486,19 +487,49 @@ class TestInjectNoiseOracle:
                 draws.append(size)
                 return self.rng.random(size)
 
-            def choice(self, *args, **kwargs):
-                return self.rng.choice(*args, **kwargs)
-
         truth = np.random.default_rng(cap + 200).integers(0, 2, size=(n, k))
         matrices = draw_noise_spec(k, gamma_scale=0.3, seed=cap, symmetric=symmetric).matrices
         monkeypatch.setattr(np.random, "default_rng", RecordingRng)
         got = inject_noise(truth, matrices, cap, seed=cap)
         monkeypatch.setattr(np.random, "default_rng", real_rng)
-        assert draws == [(25, k)] * 12 + [(1, k)]
+        proposed = (reference.inject_noise(truth, matrices, k, cap) != truth).sum(axis=1)
+        n_capped = int((proposed > cap).sum())
+        assert n_capped >= 10
+        # the capped rows' keys are one draw after the blocks
+        assert draws == [(25, k)] * 12 + [(1, k)] + [(n_capped, k)]
         assert got.dtype == np.int8
         assert np.array_equal(got, reference.inject_noise(truth, matrices, cap, cap))
-        proposed = (reference.inject_noise(truth, matrices, k, cap) != truth).sum(axis=1)
-        assert (proposed > max(cap, 1)).sum() >= 10  # the capped rows draw after the blocks
+
+    def test_capped_row_keeps_a_uniform_subset(self):
+        # every row proposes the same 5 of 8 classes and keeps 3: each of the
+        # C(5, 3) = 10 subsets should be kept by ~1/10 of the rows
+        n, k, cap = 10000, 8, 3
+        noisy_classes = [0, 2, 3, 5, 7]
+        matrices = np.stack([np.eye(2)] * k)
+        matrices[noisy_classes] = [[0.0, 1.0], [1.0, 0.0]]
+        truth = np.random.default_rng(30).integers(0, 2, size=(n, k))
+        flips = inject_noise(truth, matrices, cap, seed=31) != truth
+        assert (flips.sum(axis=1) == cap).all()
+        assert not flips[:, [1, 4, 6]].any()
+        kept = flips[:, noisy_classes] @ (1 << np.arange(5))  # one bit a proposed class
+        subsets, counts = np.unique(kept, return_counts=True)
+        assert len(subsets) == math.comb(5, cap)
+        assert scipy.stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("gamma_scale, noise_seed, caps, digest", [
+        (0.3, 4, (12, 20), "08f56109ed854c28e59bb6c70e0a9ad63b08ab5c86f554ec2de29e168f0a67b2"),
+        (0.01, 5, (5, 20), "1b56e784a0981f05b6d38f3e07015bf6cfdf9e5f8f3acc300aeee39c99ce6ba6"),
+    ])
+    def test_no_capped_row_keeps_the_bits_of_the_choice_injector(
+            self, gamma_scale, noise_seed, caps, digest):
+        # digests of the injector that drew one rng.choice per capped row;
+        # with no row over the cap, no key is drawn and the bits are its bits
+        truth = np.random.default_rng(8).integers(0, 2, size=(3000, 20))
+        matrices = draw_noise_spec(20, gamma_scale=gamma_scale, seed=3).matrices
+        for cap in caps:
+            noisy = inject_noise(truth, matrices, cap, seed=noise_seed)
+            assert (noisy != truth).sum(axis=1).max() == caps[0]
+            assert hashlib.sha256(noisy.tobytes()).hexdigest() == digest
 
 
 class TestNoiseSpec:
