@@ -1,8 +1,9 @@
 """Command-line interface: gen | train-predict | score | flag | bench | report.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation. The LABELAUDIT_OUT_DIR environment variable supplies the default
-output directory for subcommands that take one.
+violation, 141 (the status a shell reports for SIGPIPE) when the reader of
+stdout has gone away. The LABELAUDIT_OUT_DIR environment variable supplies
+the default output directory for subcommands that take one.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 
 class UsageError(Exception):
@@ -77,6 +80,17 @@ def _out_dir(args) -> Path:
     if env:
         return Path(env)
     raise UsageError("--out-dir is required (or set LABELAUDIT_OUT_DIR)")
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the ``OSError`` that making ``out_dir`` would, if it is or lies
+    beneath an existing non-directory; a command checks before its work."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                code = errno.EEXIST if path == out_dir else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(out_dir))
+            return
 
 
 def _add_train_flags(p) -> None:
@@ -221,6 +235,7 @@ def _cmd_gen(args) -> int:
             symmetric=not args.asymmetric,
         )
     out_dir = _out_dir(args)
+    _check_out_dir(out_dir)  # made only once generation has succeeded
     clean = gen_multilabel(config)
     noisy = inject_noise(clean.true_labels, noise.matrices,
                          noise.max_errors_per_example, noise_seed)
@@ -325,7 +340,14 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout went away: what is still buffered goes to
+        # devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,14 +3,17 @@
 Each class is treated as its own binary present/absent problem with two
 confidence thresholds: the mean predicted probability among annotated
 positives and the mean complement among annotated negatives. Each mean is
-taken over one contiguous gather (``ndarray.compress``) of the class's
-probabilities. One whole-matrix pass over all K classes then compares every
+taken over one contiguous gather (``ndarray.compress``) of the class's row
+of a class-major copy of the probabilities, transposed a row block at a
+time. One pass over row blocks of all K classes then compares every
 probability with its class's thresholds, assigns a confident binary "true"
 label where one is cleared, and counts (given, confident-true) pairs into a
 2x2 joint per class from four column counts. Examples in an off-diagonal
 cell are flagged for that class; the per-example result is the union of
-flags over all classes. A class with no positives or no negatives has NaN
-thresholds, which nothing clears.
+flags over all classes. The counts and flags of a block are its own, so no
+(N, K) temporary is made beyond the class-major copies and the flags. A
+class with no positives or no negatives has NaN thresholds, which nothing
+clears.
 
 ``flag_multilabel`` returns every class's thresholds, joint counts and flags
 in one ``FlagReport``; one class's view is its row or column there.
@@ -59,44 +62,65 @@ class FlagReport:
         return self.joint_counts[:, 0, 1] + self.joint_counts[:, 1, 0]
 
 
+_BLOCK_CELLS = 32768  # cells per row block of the class-major copies and the joint pass
+
+
+def _row_blocks(n: int, k: int) -> list[slice]:
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
 def _thresholds(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """(K, 2) rows [mean p | given 1, mean 1-p | given 0]; NaN for one-sided classes."""
-    # class-major copies: each class's gathers then read one contiguous row
-    pos = np.ascontiguousarray((labels == 1).T)
-    probs = np.ascontiguousarray(probs.T)
-    out = np.full((pos.shape[0], 2), np.nan)
-    for k in np.flatnonzero(pos.any(axis=1) & ~pos.all(axis=1)):
+    # class-major copies, transposed a row block at a time while the block is
+    # in cache: each class's gathers then read one contiguous row
+    n, k = probs.shape
+    pos = np.empty((k, n), dtype=bool)
+    major = np.empty((k, n))
+    for rows in _row_blocks(n, k):
+        np.equal(labels[rows].T, 1, out=pos[:, rows])
+        major[:, rows] = probs[rows].T
+    out = np.full((k, 2), np.nan)
+    for c in np.flatnonzero(pos.any(axis=1) & ~pos.all(axis=1)):
         # compress gathers what a boolean index does, in the same order, faster
-        out[k] = probs[k].compress(pos[k]).mean(), (1.0 - probs[k].compress(~pos[k])).mean()
+        out[c] = major[c].compress(pos[c]).mean(), (1.0 - major[c].compress(~pos[c])).mean()
     return out
 
 
 def _confident_joint(
     labels: np.ndarray, probs: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K) off-diagonal flags and (K, 2, 2) joint counts, in one whole-matrix pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(N, K) off-diagonal flags, (K, 2, 2) joint counts, (N,) union flags and
+    (K,) given-positive counts, in one pass over row blocks.
 
     An example is confidently present where p clears the class's positive
     threshold and absent where 1 - p clears the negative one. Where both
     clear, p > 0.5 wins and p == 0.5 keeps the given label; where neither
     clears (always, under a NaN threshold) the example is not counted.
     """
-    given = labels == 1
-    clears_pos = probs >= thresholds[:, 0]
-    clears_neg = 1.0 - probs >= thresholds[:, 1]
-    counted = clears_pos | clears_neg
-    present = clears_pos & (~clears_neg | (probs > 0.5) | ((probs == 0.5) & given))
-    # four column counts give the 2x2 joint; present implies counted
-    n_counted = np.count_nonzero(counted, axis=0)
-    n_given = np.count_nonzero(counted & given, axis=0)
-    n_present = np.count_nonzero(present, axis=0)
-    n_both = np.count_nonzero(present & given, axis=0)
-    counts = np.empty((len(thresholds), 2, 2), dtype=np.int64)
+    n, k = probs.shape
+    flags = np.empty((n, k), dtype=bool)
+    example_flags = np.empty(n, dtype=bool)
+    # column counts of: given, counted, counted & given, present, present & given
+    tallies = np.zeros((5, k), dtype=np.int64)
+    for rows in _row_blocks(n, k):
+        p, given = probs[rows], labels[rows] == 1
+        clears_pos = p >= thresholds[:, 0]
+        clears_neg = 1.0 - p >= thresholds[:, 1]
+        counted = clears_pos | clears_neg
+        present = clears_pos & (~clears_neg | (p > 0.5) | ((p == 0.5) & given))
+        tallies += [np.count_nonzero(mask, axis=0)
+                    for mask in (given, counted, counted & given, present, present & given)]
+        np.logical_and(counted, present != given, out=flags[rows])
+        np.any(flags[rows], axis=1, out=example_flags[rows])
+    # the 2x2 joint from the column counts; present implies counted
+    n_positive, n_counted, n_given, n_present, n_both = tallies
+    counts = np.empty((k, 2, 2), dtype=np.int64)
     counts[:, 0, 0] = n_counted - n_given - n_present + n_both
     counts[:, 0, 1] = n_present - n_both
     counts[:, 1, 0] = n_given - n_both
     counts[:, 1, 1] = n_both
-    return counted & (present != given), counts
+    return flags, counts, example_flags, n_positive
 
 
 def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
@@ -111,8 +135,7 @@ def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
     """
     labels, probs = check_labels_probs(labels, probs)
     thresholds = _thresholds(labels, probs)
-    per_class_flags, counts = _confident_joint(labels, probs, thresholds)
-    n_positive = labels.sum(axis=0)
+    per_class_flags, counts, example_flags, n_positive = _confident_joint(labels, probs, thresholds)
     n_given = np.stack([labels.shape[0] - n_positive, n_positive], axis=1)[:, :, None]
     row_total = counts.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -120,7 +143,7 @@ def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
         rates = calibrated / calibrated.sum(axis=2, keepdims=True)
     return FlagReport(
         per_class_flags=per_class_flags,
-        example_flags=per_class_flags.any(axis=1),
+        example_flags=example_flags,
         joint_counts=counts,
         estimated_noise_rates=np.where(row_total > 0, rates, np.eye(2)),
         skipped_classes=tuple(np.flatnonzero(np.isnan(thresholds[:, 0])).tolist()),

@@ -82,15 +82,8 @@ class MetricResult:
         return math.isnan(self.value)
 
 
-def rank_ascending(scores: np.ndarray) -> np.ndarray:
-    """Stable ascending ordering; ties break by original index.
-
-    The order is exactly ``np.argsort(scores, kind="stable")``, built from
-    numpy's faster default argsort, which may leave equal values in any
-    order. Only when equal values exist is each run of them put back in
-    index order, by one integer sort of ``run * n + index``: its keys are
-    distinct, so that sort has one answer.
-    """
+def _rank(scores: np.ndarray) -> tuple[np.ndarray, bool]:
+    """:func:`rank_ascending`'s order of ``scores``, and whether any two are equal."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError("scores must be 1-D")
@@ -100,16 +93,48 @@ def rank_ascending(scores: np.ndarray) -> np.ndarray:
     ordered = scores[order]
     starts_run = ordered[1:] != ordered[:-1]  # -0.0 and 0.0 tie, as in the stable sort
     if starts_run.all():
-        return order
+        return order, False
     run = np.zeros(len(order), dtype=np.int64)
     np.cumsum(starts_run, out=run[1:])
     run *= len(order)
-    return np.sort(run + order) - run
+    return np.sort(run + order) - run, True
+
+
+def rank_ascending(scores: np.ndarray) -> np.ndarray:
+    """Stable ascending ordering; ties break by original index.
+
+    The order is exactly ``np.argsort(scores, kind="stable")``, built from
+    numpy's faster default argsort, which may leave equal values in any
+    order. Only when equal values exist is each run of them put back in
+    index order, by one integer sort of ``run * n + index``: its keys are
+    distinct, so that sort has one answer.
+    """
+    return _rank(scores)[0]
+
+
+def _ap_curves(ordered_counts: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Running hits and precision gains of ranked error counts, one row per level.
+
+    Row j is for positives with at least ``levels[j]`` errors: ``hits[j, i]``
+    counts the positives among the first i + 1 ranks, and ``gains[j, i]`` is
+    the precision at rank i + 1 where that rank is a positive, else 0. Each
+    row is contiguous, so a prefix of it sums as a fresh array would.
+    """
+    positive = ordered_counts >= np.asarray(levels)[:, None]
+    hits = np.cumsum(positive, axis=1)
+    gains = hits / np.arange(1, positive.shape[1] + 1)
+    gains *= positive
+    return hits, gains
+
+
+def _average_precision(hits: np.ndarray, gains: np.ndarray, t: int) -> float:
+    """AP over the first ``t`` ranks of one row of :func:`_ap_curves`; 0 without a positive."""
+    return float(gains[:t].sum() / max(1, int(hits[t - 1])))
 
 
 def _ap(values: np.ndarray, truth: ErrorTruth, t: int | None, min_errors: int,
-        name: str | None = None, order: np.ndarray | None = None) -> MetricResult:
-    """AP@T, or AUPRC when ``name`` is "auprc"; ``order`` is the scores' order if known."""
+        name: str | None = None) -> MetricResult:
+    """AP@T, or AUPRC when ``name`` is "auprc"."""
     if name == "auprc":
         if truth.n_mislabeled == 0:
             raise ValueError("AUPRC is undefined with no mislabeled examples")
@@ -123,12 +148,10 @@ def _ap(values: np.ndarray, truth: ErrorTruth, t: int | None, min_errors: int,
         t = truth.n_mislabeled
     if not 1 <= t <= n:
         raise ValueError(f"T must be in [1, {n}], got {t}")
-    if order is None:
-        order = rank_ascending(values)
-    rel = truth.error_counts[order[:t]] >= min_errors
-    precision_at = np.cumsum(rel) / np.arange(1, t + 1)
-    value = float((precision_at * rel).sum() / max(1, int(rel.sum())))
-    return MetricResult(name or f"ap{min_errors if min_errors > 1 else ''}_at_t", value,
+    order = rank_ascending(values)
+    hits, gains = _ap_curves(truth.error_counts[order[:t]], [min_errors])
+    return MetricResult(name or f"ap{min_errors if min_errors > 1 else ''}_at_t",
+                        _average_precision(hits[0], gains[0], t),
                         int(t), min_errors, int((truth.error_counts >= min_errors).sum()))
 
 
@@ -166,15 +189,23 @@ def _average_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.nd
     return ranks
 
 
-def _rho(x: np.ndarray, y: np.ndarray, order: np.ndarray, ry=None) -> float:
-    """Spearman's rho from x's stable order, and y's centred ranks when known."""
+def _rho(x: np.ndarray, y: np.ndarray, order: np.ndarray, ry=None, tied: bool = True) -> float:
+    """Spearman's rho from x's stable order, and y's centred ranks when known.
+
+    Without ties in x (``tied`` false), x's ranks are the positions of its
+    order: the average ranks, each run of one.
+    """
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be matching 1-D arrays")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 examples")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return math.nan
-    rx = _average_ranks(x, order)
+    if tied:
+        rx = _average_ranks(x, order)
+    else:
+        rx = np.empty(len(order), dtype=np.float64)
+        rx[order] = np.arange(1.0, len(order) + 1.0)
     rx = rx - rx.mean()
     if ry is None:
         ry = _average_ranks(y)
@@ -211,23 +242,34 @@ def evaluate(scores: np.ndarray, truth: ErrorTruth,
     except that scores that are not 1-D, contain NaN or are not one per
     ``truth`` entry are rejected first, and that with no mislabeled example
     the AP-family metrics are NaN (undefined) where those functions raise;
-    "neg_spearman" is exactly minus "spearman". The error counts are ranked
-    once per ``truth``, however many score vectors are evaluated against it.
+    "neg_spearman" is exactly minus "spearman".
+
+    The scores are sorted once. One gather of the error counts in that
+    order and one cumulative sum over it, a row per positive level, give
+    every AP-family metric; with no tied score, Spearman's score ranks are
+    the positions of the order. The error counts are ranked once per
+    ``truth``, however many score vectors are evaluated against it.
     """
     x = np.asarray(scores, dtype=np.float64)
-    order = rank_ascending(x)
+    order, tied = _rank(x)
     if truth.error_counts.shape != x.shape:
         raise ValueError(f"{x.shape[0]} scores vs {truth.error_counts.shape[0]} truth entries")
+    levels = sorted({AP_MIN_ERRORS[name] for name in names if name in AP_MIN_ERRORS})
+    if levels and truth.n_mislabeled:
+        hits, gains = _ap_curves(truth.error_counts[order], levels)
     rho = None
     results = []
     for name in names:
         if name in AP_MIN_ERRORS and truth.n_mislabeled == 0:
             results.append(MetricResult(name, math.nan, None, AP_MIN_ERRORS[name], 0))
         elif name in AP_MIN_ERRORS:
-            results.append(_ap(x, truth, None, AP_MIN_ERRORS[name], name, order))
+            j = levels.index(AP_MIN_ERRORS[name])
+            t = len(x) if name == "auprc" else truth.n_mislabeled
+            results.append(MetricResult(name, _average_precision(hits[j], gains[j], t), t,
+                                        levels[j], int(hits[j, -1])))
         elif name in ("spearman", "neg_spearman"):
             if rho is None:
-                rho = _rho(x, truth.error_counts, order, truth.centred_count_ranks)
+                rho = _rho(x, truth.error_counts, order, truth.centred_count_ranks, tied)
             results.append(MetricResult(name, rho if name == "spearman" else -rho))
         else:
             raise ValueError(f"unknown metric {name!r}; expected among {METRIC_NAMES}")

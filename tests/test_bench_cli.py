@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from labelaudit import bench, cli
 from labelaudit.cli import main
+from labelaudit.confident import flag_multilabel
 from labelaudit.data import load_probs_csv, load_scores_csv, save_scores_csv
 from labelaudit.model import TrainConfig
 from labelaudit.scoring import PoolingMethod, QualityScoreVector, score_all
@@ -67,6 +72,24 @@ class TestReplicateMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * n * k
+
+    def test_flag_multilabel_holds_no_whole_matrix_temporary(self):
+        # The class-major copies of the probabilities (8 bytes a cell) and of
+        # the positive mask (1 byte) are built a row block at a time, and the
+        # joint pass works a row block at a time too: traced at 30000 x 50
+        # the call peaks at ~9.3 bytes a cell. Whole-matrix joint
+        # temporaries (1 - p and its masks) put it at ~11.1
+        n, k = LARGE.n_samples, LARGE.n_classes
+        rng = np.random.default_rng(0)
+        labels = (rng.random((n, k)) < 0.1).astype(np.int8)
+        probs = rng.random((n, k))
+        tracemalloc.start()
+        try:
+            flag_multilabel(labels, probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n * k
 
 
 class TestBenchmark:
@@ -549,6 +572,32 @@ class TestCli:
         argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
         assert self.run(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("out_dir", ["{file}", "{file}/data"], ids=["file", "under-file"])
+    def test_gen_checks_out_dir_before_generating(self, tmp_path, capsys, monkeypatch, out_dir):
+        monkeypatch.setattr(cli, "gen_multilabel", lambda config: pytest.fail("generated"))
+        (tmp_path / "file").write_text("x")
+        out_dir = out_dir.format(file=tmp_path / "file")
+        assert self.run("gen", "--preset", "large", "--out-dir", out_dir) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert (tmp_path / "file").read_text() == "x"
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the pipe's read end is closed before the command starts: its first
+        # write to stdout fails, whenever it comes
+        bench.write_metrics_csv(tmp_path / "m.csv", [("tiny", 0, "logreg", "ema", "auprc",
+                                                      "", "", 0.5)])
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "labelaudit.cli", "report", "--metrics",
+                 str(tmp_path / "m.csv")], stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (141, b"")
 
     def test_mismatched_ids_exit_code(self, tmp_path):
         (tmp_path / "l.csv").write_text("id,label_0\na,1\nb,0\n")

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import reference
+from labelaudit import confident
 from labelaudit.confident import (
     FlagReport,
     _confident_joint,
@@ -38,6 +40,27 @@ def oracle_instances(n_trials=150):
         labels[:, one_sided] = rng.random(one_sided.sum()) < 0.5
         probs = rng.integers(0, 9, size=(n, k)) / 8 if trial % 2 else rng.random((n, k))
         yield (labels if trial % 3 == 0 else labels.astype(int)), probs
+
+
+def block_edge_instances():
+    """N = 1 and one row block of the flagger ± 1 row, at K = 1 and K = 50.
+
+    Probabilities are multiples of 1/8, except that class 0 holds 0.5 but
+    for pairs of 0.25 and 0.75 among the first block's rows of each given
+    label: its thresholds are exactly 0.5, so that in the later blocks
+    p == 0.5 is both a tie and equal to a threshold.
+    """
+    rng = np.random.default_rng(20261022)
+    for k in (1, 50):
+        rows = confident._BLOCK_CELLS // k
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+            labels = rng.random((n, k)) < 0.3
+            probs = rng.integers(0, 9, size=(n, k)) / 8
+            probs[:, 0] = 0.5
+            for group in (labels[:rows, 0], ~labels[:rows, 0]):
+                paired = np.flatnonzero(group)[:group.sum() // 2 * 2]
+                probs[paired, 0] = np.tile([0.25, 0.75], len(paired) // 2)
+            yield labels, probs
 
 
 def flipped_instance(seed, n=60, k=5, n_flips=6):
@@ -238,8 +261,8 @@ class TestClassViewsCheckInput:
 
 class TestMatchesOriginalLoop:
     def test_bit_identical_to_reference_loop(self, tmp_path):
-        ties = at_threshold = skipped = 0
-        for labels, probs in oracle_instances():
+        ties = at_threshold = skipped = late_ties = late_at_threshold = 0
+        for labels, probs in itertools.chain(oracle_instances(), block_edge_instances()):
             mine = flag_multilabel(labels, probs)
             ref = reference.flag_multilabel(labels, probs)
             for name in ("per_class_flags", "example_flags", "joint_counts",
@@ -253,10 +276,16 @@ class TestMatchesOriginalLoop:
 
             t_pos, t_neg = ref["thresholds"].T
             both = (probs >= t_pos) & (1.0 - probs >= t_neg)
-            ties += int((both & (probs == 0.5)).sum())
-            at_threshold += int(((probs == t_pos) | (1.0 - probs == t_neg)).sum())
+            tie = both & (probs == 0.5)
+            at = (probs == t_pos) | (1.0 - probs == t_neg)
+            late = np.arange(len(probs)) >= confident._BLOCK_CELLS // max(probs.shape[1], 1)
+            ties += int(tie.sum())
+            at_threshold += int(at.sum())
+            late_ties += int(tie[late].sum())
+            late_at_threshold += int(at[late].sum())
             skipped += len(ref["skipped_classes"])
         assert ties > 0 and at_threshold > 0 and skipped > 0
+        assert late_ties > 0 and late_at_threshold > 0
 
     def test_thresholds_bit_identical_at_benchmark_width(self):
         rng = np.random.default_rng(21)

@@ -343,17 +343,21 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("levels", [None, 3, 1000])
     def test_equals_public_functions_exactly(self, levels):
+        # 20 short vectors, then one of the benchmark's length: untied
+        # without levels, tied with them
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            n = int(rng.integers(5, 400))
+        for n in [int(m) for m in rng.integers(5, 400, size=20)] + [30000]:
             scores = rng.random(n) if levels is None else rng.integers(0, levels, n) / levels
+            if n == 30000:
+                assert (len(np.unique(scores)) < n) == (levels is not None)
             counts = rng.integers(0, 4, size=n)
             counts[0] = 3
             truth = truth_from_counts(counts)
             got = evaluate(scores, truth)
             assert [r.name for r in got] == list(METRIC_NAMES)
             for mine, public in zip(got, self.public_results(scores, truth)):
-                assert mine.value == public.value
+                assert np.float64(mine.value).view(np.uint64) == \
+                    np.float64(public.value).view(np.uint64)
                 assert (mine.param_t, mine.param_k, mine.n_positives) == \
                     (public.param_t, public.param_k, public.n_positives)
 
