@@ -8,7 +8,8 @@ of a class-major copy of the probabilities, transposed a row block at a
 time. One pass over row blocks of all K classes then compares every
 probability with its class's thresholds, assigns a confident binary "true"
 label where one is cleared, and counts (given, confident-true) pairs into a
-2x2 joint per class from four column counts. Examples in an off-diagonal
+2x2 joint per class from one histogram of per-cell codes (given, counted,
+confidently present) per class. Examples in an off-diagonal
 cell are flagged for that class; the per-example result is the union of
 flags over all classes. The counts and flags of a block are its own, so no
 (N, K) temporary is made beyond the class-major copies and the flags. A
@@ -101,26 +102,23 @@ def _confident_joint(
     n, k = probs.shape
     flags = np.empty((n, k), dtype=bool)
     example_flags = np.empty(n, dtype=bool)
-    # column counts of: given, counted, counted & given, present, present & given
-    tallies = np.zeros((5, k), dtype=np.int64)
+    # each cell's code is given + 2 counted + 4 present (present implies
+    # counted); one histogram of the codes per class holds every count
+    codes = np.zeros(8 * k, dtype=np.int64)
+    class_base = 8 * np.arange(k)
     for rows in _row_blocks(n, k):
         p, given = probs[rows], labels[rows] == 1
         clears_pos = p >= thresholds[:, 0]
         clears_neg = 1.0 - p >= thresholds[:, 1]
         counted = clears_pos | clears_neg
         present = clears_pos & (~clears_neg | (p > 0.5) | ((p == 0.5) & given))
-        tallies += [np.count_nonzero(mask, axis=0)
-                    for mask in (given, counted, counted & given, present, present & given)]
+        code = given.view(np.uint8) | counted.view(np.uint8) << 1 | present.view(np.uint8) << 2
+        codes += np.bincount((code + class_base).ravel(), minlength=8 * k)
         np.logical_and(counted, present != given, out=flags[rows])
         np.any(flags[rows], axis=1, out=example_flags[rows])
-    # the 2x2 joint from the column counts; present implies counted
-    n_positive, n_counted, n_given, n_present, n_both = tallies
-    counts = np.empty((k, 2, 2), dtype=np.int64)
-    counts[:, 0, 0] = n_counted - n_given - n_present + n_both
-    counts[:, 0, 1] = n_present - n_both
-    counts[:, 1, 0] = n_given - n_both
-    counts[:, 1, 1] = n_both
-    return flags, counts, example_flags, n_positive
+    codes = codes.reshape(k, 8)
+    # joint[g, t] counts code 2 + g + 4 t: counted, given g, confidently t
+    return flags, codes[:, [[2, 6], [3, 7]]], example_flags, codes[:, 1::2].sum(axis=1)
 
 
 def flag_multilabel(labels: np.ndarray, probs: np.ndarray) -> FlagReport:
