@@ -339,9 +339,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
-            status = EXIT_USAGE
-        else:
-            status = _COMMANDS[args.command](args)
+            return EXIT_USAGE
+        status = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError:
