@@ -170,8 +170,10 @@ def run_benchmark(plan: BenchmarkPlan, jobs: int = 1) -> BenchmarkReport:
     """Run all replicates (optionally in parallel) and assemble the report.
 
     Results are assembled in replicate order, so the report is identical
-    whatever ``jobs`` is.
+    whatever ``jobs`` is. Raises ``ValueError`` unless ``jobs`` is an
+    integer >= 1.
     """
+    check_count("jobs", jobs, minimum=1)
     start = time.perf_counter()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

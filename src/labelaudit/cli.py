@@ -23,6 +23,7 @@ from .confident import flag_multilabel, save_flag_summary_json, save_flags_csv
 from .data import (
     DataFormatError,
     check_ids_aligned,
+    check_count,
     check_labels_probs,
     load_dataset,
     load_labels_csv,
@@ -91,6 +92,21 @@ def _check_out_dir(out_dir: Path) -> None:
                 code = errno.EEXIST if path == out_dir else errno.ENOTDIR
                 raise OSError(code, os.strerror(code), str(out_dir))
             return
+
+
+def _check_out_file(out: Path) -> None:
+    """Raise the ``OSError`` that opening ``out`` for writing would, if it is
+    an existing directory or its parent is missing or lies beneath an existing
+    non-directory; a command checks before its work."""
+    code = errno.EISDIR if out.is_dir() else None
+    for path in out.parents:
+        if path.exists():
+            if not path.is_dir():
+                code = errno.ENOTDIR
+            break
+        code = errno.ENOENT
+    if code is not None:
+        raise OSError(code, os.strerror(code), str(out))
 
 
 def _add_train_flags(p) -> None:
@@ -251,6 +267,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_predict(args) -> int:
+    _check_out_file(Path(args.out))  # before the load and the cross-validation
     dataset = load_dataset(args.labels, features_path=args.features)
     try:
         cv = CVConfig(n_folds=args.folds, seed=args.seed)
@@ -300,8 +317,9 @@ def _cmd_bench(args) -> int:
             n_replicates=args.replicates, base_seed=args.seed, train_config=_train_config(args),
             n_folds=args.folds, methods=methods,
         )
+        check_count("jobs", args.jobs, minimum=1)
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out-dir fails before any replicate runs
-    report = bench.run_benchmark(plan, jobs=max(1, args.jobs))
+    report = bench.run_benchmark(plan, jobs=args.jobs)
     paths = bench.write_report(report, out_dir)
     if report.metric_rows:
         print(bench.render_aggregate_table(bench.aggregate_rows(report.metric_rows)))

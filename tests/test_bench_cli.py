@@ -129,6 +129,13 @@ class TestBenchmark:
         assert serial.metric_rows == parallel.metric_rows
         assert serial.flag_rows == parallel.flag_rows
 
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5])
+    def test_jobs_below_one_rejected_before_any_replicate(self, jobs, monkeypatch):
+        monkeypatch.setattr(bench, "run_replicate", lambda *a: pytest.fail("a replicate ran"))
+        message = "jobs must be an integer" if jobs == 1.5 else f"jobs must be >= 1, got {jobs}"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bench.run_benchmark(tiny_plan(), jobs=jobs)
+
     def test_failed_replicate_recorded_others_proceed(self, monkeypatch):
         plan = tiny_plan(methods=(PoolingMethod("cumavg_bottom", bottom_j=4),
                                   PoolingMethod("min")), n_replicates=2)
@@ -572,6 +579,28 @@ class TestCli:
         argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
         assert self.run(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("out", ["{dir}/missing/p.csv", "{file}/p.csv", "{dir}"],
+                             ids=["missing-dir", "under-file", "a-dir"])
+    def test_train_predict_checks_out_before_loading(self, tmp_path, capsys, monkeypatch, out):
+        # the error is the one opening --out would raise after the whole CV
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr(cli, "cross_val_pred_probs", lambda *a: pytest.fail("trained"))
+        (tmp_path / "file").write_text("x")
+        out = out.format(dir=tmp_path, file=tmp_path / "file")
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert self.run("train-predict", "--labels", str(tmp_path / "l.csv"),
+                        "--features", str(tmp_path / "f.csv"), "--out", out) == 2
+        assert capsys.readouterr().err == f"data error: {opened.value}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bench_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(bench, "run_replicate", lambda *a: pytest.fail("a replicate ran"))
+        out = tmp_path / "bench"
+        assert self.run("bench", "--replicates", "1", "--jobs", jobs, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("out_dir", ["{file}", "{file}/data"], ids=["file", "under-file"])
     def test_gen_checks_out_dir_before_generating(self, tmp_path, capsys, monkeypatch, out_dir):

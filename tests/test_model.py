@@ -361,12 +361,16 @@ class TestClosedFormFirstEpoch:
 
     def test_first_epoch_takes_no_logistic(self, monkeypatch):
         # epochs 1 and 2 of 3 take one logistic a block, epoch 0 none and
-        # the last epoch, which makes no update, none; predicting takes one
+        # the last epoch, which makes no update, none; predicting takes one.
+        # The folds train in stacks, whose (F, K, m) slabs hold a block of
+        # each of F fits, so a trainer call counts once for each fit
         dataset, cv = oracle_dataset("unequal_folds")
         calls = counting_sigmoid(monkeypatch)
         cross_val_pred_probs(dataset, cv, TrainConfig(epochs=3))
         fits = oracle_fits("unequal_folds")[1:]
-        assert len(calls) == sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == \
+            sum(2 * len(_row_blocks(n, k)) + 1 for n, k in fits)
+        assert sum(len(shape) == 3 for shape in calls) == 2 * 2  # two stacks of one block
 
     def test_a_failing_bound_runs_the_loss_every_epoch(self, monkeypatch):
         # with the bound below n*K no epoch can skip its loss, as for
@@ -387,13 +391,18 @@ class TestClosedFormFirstEpoch:
         calls = counting_sigmoid(monkeypatch)
         probs = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=2))
         fits = oracle_fits("unequal_folds")[1:]
-        # epochs 0, 1 and 2 of each fold, at A = 0 and after each update
+        # epochs 0, 1 and 2 of each fold, at A = 0 and after each update; the
+        # folds train in two stacks, folds 0-2 and 3-4, epoch by epoch, and
+        # the loss runs for one fold at a time
         assert len(weights_seen) == 3 * len(fits)
-        for start, after_one, after_two in zip(*[iter(weights_seen)] * 3):
+        by_fold = ([weights_seen[f:9:3] for f in range(3)]
+                   + [weights_seen[9 + f::2] for f in range(2)])
+        for start, after_one, after_two in by_fold:
             assert not start.any()
             assert after_one.any() and not np.array_equal(after_two, after_one)
         # only epoch 1 takes one logistic a block; predicting takes one
-        assert len(calls) == sum(len(_row_blocks(n, k)) + 1 for n, k in fits)
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == \
+            sum(len(_row_blocks(n, k)) + 1 for n, k in fits)
         assert np.array_equal(probs, expected)
 
     def test_penalty_alone_overflowing_the_loss_raises_on_time(self):
@@ -413,6 +422,90 @@ class TestClosedFormFirstEpoch:
             train(dataset.features[rows], dataset.given_labels[rows], config)
         with pytest.raises(TrainingDivergedError, match=f"^{raised.value}$"):
             cross_val_pred_probs(dataset, cv, config)
+
+
+def fold_stacks(features, labels, cv):
+    """The folds of a CV grouped as :func:`cross_val_pred_probs` trains them."""
+    folds = fold_assignments(features.shape[0], cv)
+    labels_t = np.ascontiguousarray(labels.T, dtype=np.int8)
+    stacks = model_module._fold_stacks(folds, cv.n_folds, labels_t, features.shape[1])
+    return [[f for f, _, _ in stack] for stack in stacks]
+
+
+class TestFoldStacks:
+    """Consecutive folds that each train on one row block of the same size,
+    with the same number of fitted classes, share one epoch loop."""
+
+    @pytest.mark.parametrize("case, stacks", [
+        ("equal_folds", [[0, 1, 2, 3, 4]]),
+        ("unequal_folds", [[0, 1, 2], [3, 4]]),  # 802 and 803 training rows
+        ("constant_in_one_fold", [[0], [1, 2, 3, 4]]),  # fold 0 fits 3 classes, the rest 4
+        ("constant_everywhere", [[0, 1, 2, 3, 4]]),
+    ])
+    def test_oracle_cases_stack_by_size_and_fitted_classes(self, case, stacks, monkeypatch):
+        assert fold_stacks(*oracle_case(case)) == stacks
+        # a fold whose training rows span several blocks trains alone
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", shrunk_block_cells(oracle_fits(case)))
+        assert fold_stacks(*oracle_case(case)) == [[f] for f in range(5)]
+
+    @pytest.mark.parametrize("fill, seed, fold_0_diverges", [(5.0, 0, True), (0.0, 5, False)])
+    def test_a_stack_raises_the_epoch_of_its_first_diverging_fold(self, fill, seed,
+                                                                  fold_0_diverges):
+        # The features are `fill` outside fold 0's held-out rows, so fold 0
+        # trains on constant features. Standardized, log1p(5) leaves a
+        # rounding residue in them, from which fold 0's weights grow and
+        # diverge 17 epochs after the other folds'; 0 standardizes to exact
+        # zeros, so fold 0's weights stay 0 and it never diverges, while
+        # folds 1-4 diverge at epochs 158 and 159 in no fold order. Either
+        # way a later fold diverges first, and the stack must raise what
+        # fitting the folds one after another raises
+        n = 40
+        cv = CVConfig()
+        folds = fold_assignments(n, cv)
+        rng = np.random.default_rng(seed)
+        features = np.full((n, 3), fill)
+        features[folds == 0] = rng.poisson(5.0, size=(n // 5, 3))
+        labels = rng.integers(0, 2, size=(n, 2))
+        config = TrainConfig(learning_rate=1e5, epochs=200)
+        epochs = []
+        for f in range(cv.n_folds):
+            try:
+                train(features[folds != f], labels[folds != f], config)
+                epochs.append(None)
+            except TrainingDivergedError as exc:
+                epochs.append(int(str(exc).rsplit(" ", 1)[1]))
+        diverged = [epoch for epoch in epochs if epoch is not None]
+        assert (epochs[0] is not None) == fold_0_diverges
+        assert min(diverged) < diverged[0]
+        assert fold_stacks(features, labels, cv) == [[0, 1, 2, 3, 4]]
+        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(n)), features=features)
+        with pytest.raises(TrainingDivergedError, match=f"^non-finite loss at epoch {diverged[0]}$"):
+            cross_val_pred_probs(dataset, cv, config)
+
+    def test_leave_one_out_matches_oracle_within_the_cap(self):
+        # 60 folds of 59 training rows, each one row block; at 1000 features
+        # one stack of all 60 would hold ~29 MB, so the cap splits them
+        n, d, k = 60, 1000, 3
+        rng = np.random.default_rng(23)
+        features = rng.poisson(2.0, size=(n, d)).astype(float)
+        labels = rng.integers(0, 2, size=(n, k))
+        cv = CVConfig(n_folds=n, seed=2)
+        cells = (n - 1) * (d + 1 + 2 * k)  # a fold's features, float labels and scratch
+        stacks = fold_stacks(features, labels, cv)
+        assert sum(stacks, []) == list(range(n))
+        assert max(map(len, stacks)) == model_module._STACK_CELLS // cells
+        dataset = MultiLabelDataset(labels, tuple(f"e{i}" for i in range(n)), features=features)
+        tracemalloc.start()
+        try:
+            probs = cross_val_pred_probs(dataset, cv, TrainConfig(epochs=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * model_module._STACK_CELLS * 8
+        assert peak < bound < n * cells * 8 / 3
+        expected = reference.cross_val_pred_probs(features, labels, n, cv.seed, _row_blocks,
+                                                  epochs=20)
+        assert np.array_equal(probs, expected)
 
 
 class TestFeatureRule:
@@ -655,8 +748,9 @@ class TestCrossValidation:
         fit = model_module._fit
 
         def recording_fit(*args, **kwargs):
-            fits.append(fit(*args, **kwargs))
-            return fits[-1]
+            models = fit(*args, **kwargs)
+            fits.extend(models)  # the five folds train as one stack
+            return models
 
         monkeypatch.setattr(model_module, "_fit", recording_fit)
         probs = cross_val_pred_probs(dataset, CVConfig(), TrainConfig(epochs=20))
